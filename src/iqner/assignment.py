@@ -3,10 +3,10 @@
 The matching cost of query i and entity k is the negated sum of the query's
 predicted probabilities at the entity's type, left boundary, and right
 boundary. Each entity k receives an assignable quantity q_k of queries; the
-optimal assignment replicates entity columns q_k times and solves the
-resulting rectangular problem exactly with a shortest-augmenting-path
-Hungarian kernel. Queries left unmatched take the None label through an
-extra column.
+optimal assignment is an exact min-cost flow from the queries to the G
+entities (capacity q_k each), solved by successive shortest paths whose
+Dijkstra searches run over the G entity nodes plus the free-query source.
+Queries left unmatched take the None label through an extra column.
 """
 
 from __future__ import annotations
@@ -120,47 +120,58 @@ def allocate_quantities(
     return QuantityVector(counts=counts)
 
 
-def _shortest_augmenting_path(cost: np.ndarray) -> np.ndarray:
-    """Exact min-cost assignment of every row of an n x m (n <= m) matrix.
+def _min_cost_flow(cost: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Owner per query (G when free) of a min-cost flow giving entity k counts[k] queries.
 
-    Returns the matched column per row. Jonker-Volgenant style potentials;
-    ties resolve to the lowest column index, so results are deterministic.
+    Successive shortest paths: each unit of flow takes a cheapest path from a
+    free query to an entity with spare capacity, possibly moving queries
+    between entities on the way. Node b of the search is entity b, node G the
+    source; edge a -> b moves to b the query of a that it costs least to move.
+    Dijkstra runs on costs reduced by node potentials and sets each label
+    once, so predecessor chains cannot cycle under float rounding.
+
+    Ties go to lower indices: the flow ends at the lowest-indexed spare entity
+    among the cheapest, Dijkstra settles equal labels in index order and keeps
+    the first predecessor found, and each edge moves the lowest-indexed query
+    among the cheapest. For G = 1 this picks the q_0 cheapest queries, lower
+    index first among equals.
     """
-    n, m = cost.shape
-    u = np.zeros(n)
-    v = np.zeros(m + 1)
-    owner = np.full(m + 1, -1, dtype=np.int64)  # owner[m] is the virtual column
-    for row in range(n):
-        owner[m] = row
-        j0 = m
-        min_reduced = np.full(m, np.inf)
-        prev_col = np.full(m, m, dtype=np.int64)
-        used = np.zeros(m + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            active = owner[j0]
-            reduced = cost[active] - u[active] - v[:m]
-            unused = ~used[:m]
-            improved = unused & (reduced < min_reduced)
-            min_reduced[improved] = reduced[improved]
-            prev_col[improved] = j0
-            candidates = np.where(unused, min_reduced, np.inf)
-            j1 = int(np.argmin(candidates))
-            delta = candidates[j1]
-            used_cols = np.flatnonzero(used)
-            u[owner[used_cols]] += delta
-            v[used_cols] -= delta
-            min_reduced[unused] -= delta
-            j0 = j1
-            if owner[j0] < 0:
-                break
-        while j0 != m:
-            j_prev = prev_col[j0]
-            owner[j0] = owner[j_prev]
-            j0 = j_prev
-    col_for_row = np.empty(n, dtype=np.int64)
-    col_for_row[owner[np.flatnonzero(owner[:m] >= 0)]] = np.flatnonzero(owner[:m] >= 0)
-    return col_for_row
+    queries, entities = cost.shape
+    source = entities
+    owner = np.full(queries, source, dtype=np.int64)
+    # via[a, b, j]: cost change of moving query j from a to b; inf unless a holds j
+    via = np.full((entities + 1, entities, queries), np.inf)
+    via[source] = cost.T
+    weight = via.min(axis=2).tolist()
+    potential = [0.0] * entities
+    spare = counts.tolist()
+    for _ in range(sum(spare)):
+        dist = [w - p for w, p in zip(weight[source], potential)]
+        pred = [source] * entities
+        unsettled = list(range(entities))
+        while unsettled:
+            a = min(unsettled, key=dist.__getitem__)
+            unsettled.remove(a)
+            row, base = weight[a], dist[a] + potential[a]
+            for b in unsettled:
+                d = base + row[b] - potential[b]
+                if d < dist[b]:
+                    dist[b], pred[b] = d, a
+        target = min((b for b in range(entities) if spare[b]),
+                     key=lambda b: dist[b] + potential[b])
+        spare[target] -= 1
+        potential = [p + d for p, d in zip(potential, dist)]
+        b = target
+        while b != source:
+            a = pred[b]
+            j = via[a, b].argmin()
+            owner[j] = b
+            via[a, :, j] = np.inf
+            via[b, :, j] = cost[j] - cost[j, b]
+            weight[b] = via[b].min(axis=1).tolist()
+            b = a
+        weight[source] = via[source].min(axis=1).tolist()
+    return owner
 
 
 def _fold_matches(
@@ -187,10 +198,9 @@ def solve_one_to_many_lap(cost: np.ndarray, quantities: QuantityVector) -> Assig
         raise InfeasibleError(
             f"total assignable quantity {quantities.total} exceeds {queries} queries"
         )
-    entity_of_column = np.repeat(np.arange(entities), quantities.counts)
-    replicated = cost[:, entity_of_column]
-    query_of_column = _shortest_augmenting_path(replicated.T)
-    return _fold_matches(cost, entity_of_column, query_of_column)
+    owner = _min_cost_flow(cost, quantities.counts)
+    assigned = np.flatnonzero(owner < entities)
+    return _fold_matches(cost, owner[assigned], assigned)
 
 
 def brute_force_lap(cost: np.ndarray, quantities: QuantityVector) -> AssignmentResult:
@@ -209,16 +219,9 @@ def brute_force_lap(cost: np.ndarray, quantities: QuantityVector) -> AssignmentR
         )
     entity_of_column = np.repeat(np.arange(entities), quantities.counts)
     replicated = cost[:, entity_of_column]
-    best_cost = np.inf
-    best = None
-    for perm in permutations(range(queries), quantities.total):
-        rows = np.array(perm)
-        total = replicated[rows, np.arange(quantities.total)].sum()
-        if total < best_cost:
-            best_cost = total
-            best = rows
-    assert best is not None
-    return _fold_matches(cost, entity_of_column, best)
+    rows = np.array(list(permutations(range(queries), quantities.total)))
+    totals = replicated[rows, np.arange(quantities.total)].sum(axis=1)
+    return _fold_matches(cost, entity_of_column, rows[np.argmin(totals)])
 
 
 def labels_from_assignment(

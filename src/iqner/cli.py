@@ -243,7 +243,7 @@ def cmd_train(config: RunConfig) -> int:
             meta = DatasetMeta(types=load_meta(config.meta_path), vocab={})
         except (OSError, DatasetError) as err:
             raise UsageError(str(err)) from None
-        examples, _ = _load_examples(config.train_path, None)
+        examples, _ = _load_examples(config.train_path, meta)
         meta = DatasetMeta.build(examples, types=meta.types)
     else:
         examples, meta = _load_examples(config.train_path, None)

@@ -204,3 +204,51 @@ def test_cost_matrix_rejects_out_of_range_gold():
         compute_cost_matrix(scores, types, [EntityAnnotation(0, 5, 0)])
     with pytest.raises(AnnotationError):
         compute_cost_matrix(scores, types, [EntityAnnotation(0, 1, 2)])
+
+
+def test_solver_matches_scipy_at_realistic_sizes():
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(60)
+    instances = 0
+    for queries in (12, 60):
+        for entities in range(1, 9):
+            for _ in range(20):
+                q = allocate_quantities(entities, queries, 0.75, rng)
+                cost = -rng.random((3, queries, entities)).sum(axis=0)
+                result = solve_one_to_many_lap(cost, q)
+                replicated = cost[:, np.repeat(np.arange(entities), q.counts)]
+                rows, cols = scipy_optimize.linear_sum_assignment(replicated)
+                assert abs(result.total_cost - replicated[rows, cols].sum()) < 1e-12
+                check_constraints(result, q)
+                instances += 1
+    assert instances >= 300
+
+
+def test_solver_all_equal_costs_fill_entities_in_index_order():
+    q = QuantityVector(np.array([2, 1, 1]))
+    result = solve_one_to_many_lap(np.full((6, 3), -1.5), q)
+    assert np.array_equal(result.labels, [0, 0, 1, 2, 3, 3])
+    assert result.total_cost == -6.0
+    check_constraints(result, q)
+
+
+def test_solver_duplicated_rows_tie_rule():
+    cost = np.repeat([[-1.0, -2.0]], 5, axis=0)
+    q = QuantityVector(np.array([1, 2]))
+    first = solve_one_to_many_lap(cost, q)
+    assert np.array_equal(first.labels, [1, 1, 0, 2, 2])
+    assert first.total_cost == -5.0
+    assert np.array_equal(solve_one_to_many_lap(cost, q).labels, first.labels)
+    check_constraints(first, q)
+
+
+def test_solver_single_entity_takes_cheapest_queries_lowest_index_first():
+    tied = np.array([[-0.5], [-0.9], [-0.5], [-0.9], [-0.5]])
+    result = solve_one_to_many_lap(tied, QuantityVector(np.array([3])))
+    assert np.array_equal(result.labels, [0, 0, 1, 0, 1])
+    rng = np.random.default_rng(5)
+    cost = -rng.integers(0, 4, size=(60, 1)).astype(float)
+    result = solve_one_to_many_lap(cost, QuantityVector(np.array([45])))
+    expected = np.ones(60, dtype=np.int64)
+    expected[np.argsort(cost[:, 0], kind="stable")[:45]] = 0
+    assert np.array_equal(result.labels, expected)

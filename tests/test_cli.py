@@ -65,6 +65,39 @@ def test_train_static_mode_runs(corpus, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_train_meta_order_sets_type_ids(tmp_path, capsys):
+    spec = SyntheticSpec(sentences=4, vocab_size=24, min_length=5, max_length=8,
+                         type_count=2, nesting_ratio=0.0, max_entities=2)
+    examples, meta = generate_synthetic(spec, seed=3)
+    path = tmp_path / "train.jsonl"
+    save_dataset(path, examples, meta)
+    # without --meta, type ids follow the file's first-appearance order
+    first_seen = list(dict.fromkeys(meta.types[e.type_id] for ex in examples
+                                    for e in ex.entities))
+    assert len(first_seen) == 2
+    reversed_meta = tmp_path / "meta.json"
+    reversed_meta.write_text(json.dumps({"types": first_seen[::-1]}))
+
+    def ner_f1(extra, out):
+        assert main(["train", "--train", str(path), "--out", str(tmp_path / out),
+                     "--epochs", "80", "--hidden", "32", "--queries", "12", "--layers", "2",
+                     "--base-layers", "1", "--heads", "4", "--batch-size", "4", "--lr", "6e-3",
+                     "--warmup", "0.4", "--share-final-assignment", "--seed", "2", *extra]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(tmp_path / out), "--data", str(path)]) == 0
+        return _parse_lines(capsys.readouterr().out)[-1]["ner"]["f1"]
+
+    plain = ner_f1([], "plain.npz")
+    assert plain > 0.5
+    assert ner_f1(["--meta", str(reversed_meta)], "meta.npz") == plain
+
+    partial = tmp_path / "partial.json"
+    partial.write_text(json.dumps({"types": first_seen[:1]}))
+    assert main(["train", "--train", str(path), "--meta", str(partial), "--epochs", "1",
+                 "--out", str(tmp_path / "partial.npz")]) == 2
+    capsys.readouterr()
+
+
 def test_eval_report_shape(trained_checkpoint, corpus, capsys):
     path, _ = corpus
     code = main(["eval", "--checkpoint", str(trained_checkpoint), "--data", str(path)])
