@@ -88,6 +88,11 @@ def compute_cost_matrix(scores, types, gold: list[EntityAnnotation]) -> np.ndarr
     return cost
 
 
+def assignable_total(query_count: int, ratio: float) -> int:
+    """Q = round(M * ratio), halves rounded up: the queries entities share."""
+    return int(np.floor(query_count * ratio + 0.5))
+
+
 def allocate_quantities(
     entity_count: int,
     query_count: int,
@@ -106,7 +111,7 @@ def allocate_quantities(
         raise ValueError(f"ratio must be in (0, 1], got {ratio}")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    total = int(np.floor(query_count * ratio + 0.5))
+    total = assignable_total(query_count, ratio)
     if entity_count > total:
         return QuantityVector(
             counts=np.ones(entity_count, dtype=np.int64),

@@ -2,9 +2,17 @@
 
 Machine-readable output is line-delimited JSON on stdout; diagnostics go to
 stderr. Exit codes: 0 success, 1 failed verification, 2 usage/validation
-errors, 3 numeric divergence. Flags override the config file (JSON, field
-names as below), which overrides built-in defaults; the PIQN_CONFIG
-environment variable names a default config file.
+errors (a flag the subcommand does not take included), 3 numeric divergence.
+
+Each model and training knob is one field of ``ModelConfig`` or
+``TrainConfig``, which alone hold its type and default. ``RunConfig``, the
+config file and the flags are derived from those fields: field
+``base_layers`` is flag ``--base-layers``, except for the spellings in
+``_FLAG_NAMES``. ``train`` takes every knob; ``eval``, ``predict`` and
+``stats`` take only the decode thresholds, as they read the model structure
+from the checkpoint. Flags override a JSON config file of flat ``RunConfig``
+field names (``--config``, or the file the PIQN_CONFIG environment variable
+names), which overrides the defaults. ``gradcheck`` reads no config file.
 """
 
 from __future__ import annotations
@@ -15,9 +23,9 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from typing import Literal, get_args, get_origin, get_type_hints
 
-import numpy as np
-
+from .assignment import assignable_total
 from .data import (
     DatasetError,
     AnnotationError,
@@ -33,6 +41,7 @@ from .encoder import QUERY_INIT_STD, ModelConfig
 from .evaluation import query_affinity_stats
 from .tensor import NumericError
 from .training import (
+    GRADCHECK_EPS,
     AdamOptimizer,
     CheckpointError,
     Model,
@@ -46,35 +55,29 @@ from .training import (
 
 GRADCHECK_TOLERANCE = 1e-4
 
+# ModelConfig fields that the training data sets, not a knob.
+_FROM_DATA = ("vocab_size", "type_count")
+# Flag spellings that differ from the field name.
+_FLAG_NAMES = {"word_layers": "layers", "learning_rate": "lr", "warmup_fraction": "warmup",
+               "train_path": "train", "dev_path": "dev", "meta_path": "meta"}
+
 
 class UsageError(ValueError):
     """Bad flags, config, or input files."""
 
 
-@dataclass
-class RunConfig:
-    """Merged model/training/path settings driving every command."""
+# Every ModelConfig and TrainConfig field a user sets, by name; both hold ``seed``.
+_KNOBS = {**{f.name: f for f in dataclasses.fields(ModelConfig) if f.name not in _FROM_DATA},
+          **{f.name: f for f in dataclasses.fields(TrainConfig)}}
+_HINTS = {**get_type_hints(ModelConfig), **get_type_hints(TrainConfig)}
+_Knobs = dataclasses.make_dataclass(
+    "_Knobs", [(name, _HINTS[name], f.default) for name, f in _KNOBS.items()])
 
-    hidden: int = 64
-    queries: int = 60
-    base_layers: int = 1
-    word_layers: int = 5
-    heads: int = 4
-    max_len: int = 64
-    one_way: bool = True
-    query_interaction: bool = True
-    epochs: int = 50
-    learning_rate: float = 4e-3
-    warmup_fraction: float = 0.1
-    batch_size: int = 8
-    seed: int = 0
-    loc_threshold: float = 0.6
-    cls_threshold: float = 0.8
-    assignment_mode: str = "dynamic"
-    quantity_mode: str = "one_to_many"
-    ratio: float = 0.75
-    share_final_assignment: bool = False
-    max_grad_norm: float | None = None
+
+@dataclass
+class RunConfig(_Knobs):
+    """Every model and training knob, then the file paths of a run."""
+
     train_path: str | None = None
     dev_path: str | None = None
     meta_path: str | None = None
@@ -83,7 +86,7 @@ class RunConfig:
 
     @property
     def assignable_total(self) -> int:
-        return int(np.floor(self.queries * self.ratio + 0.5))
+        return assignable_total(self.queries, self.ratio)
 
     def snapshot(self) -> dict:
         """Structural defaults, including derived quantities."""
@@ -97,123 +100,83 @@ class RunConfig:
             "query_init_std": QUERY_INIT_STD,
         }
 
+    def _values(self, cls) -> dict:
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(cls)
+                if f.name not in _FROM_DATA}
+
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs,
-            learning_rate=self.learning_rate,
-            warmup_fraction=self.warmup_fraction,
-            batch_size=self.batch_size,
-            seed=self.seed,
-            loc_threshold=self.loc_threshold,
-            cls_threshold=self.cls_threshold,
-            assignment_mode=self.assignment_mode,
-            quantity_mode=self.quantity_mode,
-            ratio=self.ratio,
-            share_final_assignment=self.share_final_assignment,
-            max_grad_norm=self.max_grad_norm,
-        )
+        return TrainConfig(**self._values(TrainConfig))
 
     def model_config(self, vocab_size: int, type_count: int, max_len: int) -> ModelConfig:
-        return ModelConfig(
-            hidden=self.hidden,
-            queries=self.queries,
-            base_layers=self.base_layers,
-            word_layers=self.word_layers,
-            heads=self.heads,
-            vocab_size=vocab_size,
-            max_len=max_len,
-            type_count=type_count,
-            one_way=self.one_way,
-            query_interaction=self.query_interaction,
-            seed=self.seed,
-        )
+        return ModelConfig(**{**self._values(ModelConfig), "max_len": max_len},
+                           vocab_size=vocab_size, type_count=type_count)
 
 
-_FIELD_NAMES = {f.name for f in dataclasses.fields(RunConfig)}
-
-_FLAG_TO_FIELD = {
-    "seed": "seed",
-    "queries": "queries",
-    "ratio": "ratio",
-    "layers": "word_layers",
-    "base_layers": "base_layers",
-    "hidden": "hidden",
-    "heads": "heads",
-    "max_len": "max_len",
-    "assignment_mode": "assignment_mode",
-    "quantity_mode": "quantity_mode",
-    "one_way": "one_way",
-    "query_interaction": "query_interaction",
-    "loc_threshold": "loc_threshold",
-    "cls_threshold": "cls_threshold",
-    "epochs": "epochs",
-    "lr": "learning_rate",
-    "warmup": "warmup_fraction",
-    "batch_size": "batch_size",
-    "share_final_assignment": "share_final_assignment",
-    "max_grad_norm": "max_grad_norm",
-    "train": "train_path",
-    "dev": "dev_path",
-    "meta": "meta_path",
-    "checkpoint": "checkpoint",
-    "out": "out",
+_DECODE_FIELDS = ("checkpoint", "loc_threshold", "cls_threshold")
+# The RunConfig fields each subcommand takes as flags.
+_COMMAND_FIELDS = {
+    "train": [f.name for f in dataclasses.fields(RunConfig) if f.name != "checkpoint"],
+    "eval": _DECODE_FIELDS,
+    "predict": _DECODE_FIELDS,
+    "stats": _DECODE_FIELDS,
 }
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    onoff = {"on": True, "off": False}
-    parser.add_argument("--config", default=None, help="JSON config file")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--queries", type=int, default=None, help="instance query count")
-    parser.add_argument("--ratio", type=float, default=None,
-                        help="assignable fraction of the query budget")
-    parser.add_argument("--layers", type=int, default=None, help="word-level layers")
-    parser.add_argument("--base-layers", type=int, default=None, dest="base_layers")
-    parser.add_argument("--hidden", type=int, default=None)
-    parser.add_argument("--heads", type=int, default=None)
-    parser.add_argument("--max-len", type=int, default=None, dest="max_len")
-    parser.add_argument("--assignment-mode", choices=["dynamic", "static"],
-                        default=None, dest="assignment_mode")
-    parser.add_argument("--quantity-mode", choices=["one-to-many", "one-to-one"],
-                        default=None, dest="quantity_mode")
-    parser.add_argument("--one-way", choices=list(onoff), default=None, dest="one_way")
-    parser.add_argument("--query-interaction", choices=list(onoff), default=None,
-                        dest="query_interaction")
-    parser.add_argument("--loc-threshold", type=float, default=None, dest="loc_threshold")
-    parser.add_argument("--cls-threshold", type=float, default=None, dest="cls_threshold")
-    parser.add_argument("--epochs", type=int, default=None)
-    parser.add_argument("--lr", type=float, default=None)
-    parser.add_argument("--warmup", type=float, default=None)
-    parser.add_argument("--batch-size", type=int, default=None, dest="batch_size")
-    parser.add_argument("--share-final-assignment", action="store_const", const=True,
-                        default=None, dest="share_final_assignment")
-    parser.add_argument("--max-grad-norm", type=float, default=None, dest="max_grad_norm")
-    parser.add_argument("--out", default=None)
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a UsageError, so main returns 2."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _spelled(values: dict):
+    """argparse type taking one of the spellings in ``values`` to its value."""
+    def parse(text: str):
+        if text not in values:
+            raise argparse.ArgumentTypeError(f"expected {' or '.join(values)}, got {text!r}")
+        return values[text]
+    return parse
+
+
+def _flag_kwargs(hint, default) -> dict:
+    """How a flag for a field of type ``hint`` is spelled, parsed and described."""
+    if hint is bool:
+        # a bare switch means on, as in `--share-final-assignment`
+        return {"type": _spelled({"on": True, "off": False}), "metavar": "on|off",
+                "nargs": "?", "const": True, "help": f"default: {'on' if default else 'off'}"}
+    if get_origin(hint) is Literal:
+        spelled = {value.replace("_", "-"): value for value in get_args(hint)}
+        return {"type": _spelled(spelled), "metavar": "|".join(spelled),
+                "help": f"default: {default.replace('_', '-')}"}
+    return {"type": next((t for t in get_args(hint) if t is not type(None)), hint),
+            "help": None if default is None else f"default: {default}"}
+
+
+def _add_field_flags(parser: argparse.ArgumentParser, names) -> None:
+    hints = get_type_hints(RunConfig)
+    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+    for name in names:
+        parser.add_argument("--" + _FLAG_NAMES.get(name, name).replace("_", "-"), dest=name,
+                            default=None, **_flag_kwargs(hints[name], defaults[name]))
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, then the config file, then explicit flags."""
+    """Defaults, then the config file, then the subcommand's explicit flags."""
     values: dict = {}
-    config_path = getattr(args, "config", None) or os.environ.get("PIQN_CONFIG")
+    config_path = args.config or os.environ.get("PIQN_CONFIG")
     if config_path:
         try:
             with open(config_path, encoding="utf-8") as fh:
                 file_values = json.load(fh)
         except (OSError, json.JSONDecodeError) as err:
             raise UsageError(f"cannot read config {config_path}: {err}") from None
-        unknown = set(file_values) - _FIELD_NAMES
+        unknown = set(file_values) - {f.name for f in dataclasses.fields(RunConfig)}
         if unknown:
             raise UsageError(f"unknown config fields: {sorted(unknown)}")
         values.update(file_values)
-    for flag, field in _FLAG_TO_FIELD.items():
-        value = getattr(args, flag, None)
-        if value is None:
-            continue
-        if field in ("one_way", "query_interaction"):
-            value = value == "on" if isinstance(value, str) else bool(value)
-        if field == "quantity_mode" and isinstance(value, str):
-            value = value.replace("-", "_")
-        values[field] = value
+    for name in _COMMAND_FIELDS[args.command]:
+        if getattr(args, name) is not None:
+            values[name] = getattr(args, name)
     try:
         return RunConfig(**values)
     except TypeError as err:
@@ -282,22 +245,9 @@ def _load_checkpoint_validated(config: RunConfig) -> tuple[Model, DatasetMeta]:
     return model, meta
 
 
-def _check_override_consistency(args: argparse.Namespace, model: Model) -> None:
-    """Explicit structural flags must match the checkpoint they evaluate."""
-    for flag, field in (("queries", "queries"), ("hidden", "hidden"),
-                        ("layers", "word_layers"), ("base_layers", "base_layers")):
-        requested = getattr(args, flag, None)
-        if requested is not None and requested != getattr(model.config, field):
-            raise UsageError(
-                f"--{flag.replace('_', '-')} {requested} does not match the checkpoint's "
-                f"{field} = {getattr(model.config, field)}"
-            )
-
-
 def cmd_eval(config: RunConfig, args: argparse.Namespace) -> int:
     model, meta = _load_checkpoint_validated(config)
-    _check_override_consistency(args, model)
-    if not getattr(args, "data", None):
+    if not args.data:
         raise UsageError("--data PATH is required")
     examples, _ = _load_examples(args.data, meta)
     report, _ = evaluate_model(model, examples, meta,
@@ -308,8 +258,7 @@ def cmd_eval(config: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_predict(config: RunConfig, args: argparse.Namespace) -> int:
     model, meta = _load_checkpoint_validated(config)
-    _check_override_consistency(args, model)
-    if not getattr(args, "input", None):
+    if not args.input:
         raise UsageError("--input PATH is required")
     examples, _ = _load_examples(args.input, meta)
     for ex in examples:
@@ -328,8 +277,7 @@ def cmd_predict(config: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_stats(config: RunConfig, args: argparse.Namespace) -> int:
     model, meta = _load_checkpoint_validated(config)
-    _check_override_consistency(args, model)
-    if not getattr(args, "data", None):
+    if not args.data:
         raise UsageError("--data PATH is required")
     examples, _ = _load_examples(args.data, meta)
     per_sentence = []
@@ -343,17 +291,14 @@ def cmd_stats(config: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_gradcheck(config: RunConfig, args: argparse.Namespace) -> int:
-    eps = args.eps
-    if eps is None:
-        eps = 1e-5
-    if not eps > 0:
-        raise UsageError(f"--eps must be positive, got {eps}")
+def cmd_gradcheck(args: argparse.Namespace) -> int:
+    if not args.eps > 0:
+        raise UsageError(f"--eps must be positive, got {args.eps}")
     if args.seeds < 1:
         raise UsageError("--seeds must be at least 1")
     errors = []
     for seed in range(args.seeds):
-        errors.append(model_gradcheck(seed=seed, eps=eps, inject_error=args.inject_error))
+        errors.append(model_gradcheck(seed=seed, eps=args.eps, inject_error=args.inject_error))
     worst = max(errors)
     _emit({
         "max_relative_error": worst,
@@ -391,36 +336,24 @@ def cmd_datagen(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="iqner",
         description="Parallel instance-query extraction of flat and nested entities",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_train = sub.add_parser("train", help="train a model and write a checkpoint")
-    _add_common_flags(p_train)
-    p_train.add_argument("--train", default=None, help="training JSONL file")
-    p_train.add_argument("--dev", default=None, help="optional dev JSONL file")
-    p_train.add_argument("--meta", default=None, help="optional meta JSON with types")
-
-    p_eval = sub.add_parser("eval", help="score a checkpoint on a dataset")
-    _add_common_flags(p_eval)
-    p_eval.add_argument("--checkpoint", default=None)
-    p_eval.add_argument("--data", default=None)
-
-    p_pred = sub.add_parser("predict", help="decode entities for each sentence")
-    _add_common_flags(p_pred)
-    p_pred.add_argument("--checkpoint", default=None)
-    p_pred.add_argument("--input", default=None)
-
-    p_stats = sub.add_parser("stats", help="per-query affinity statistics")
-    _add_common_flags(p_stats)
-    p_stats.add_argument("--checkpoint", default=None)
-    p_stats.add_argument("--data", default=None)
+    for name, about in (("train", "train a model and write a checkpoint"),
+                        ("eval", "score a checkpoint on a dataset"),
+                        ("predict", "decode entities for each sentence"),
+                        ("stats", "per-query affinity statistics")):
+        p_cmd = sub.add_parser(name, help=about)
+        p_cmd.add_argument("--config", default=None, help="JSON config file")
+        _add_field_flags(p_cmd, _COMMAND_FIELDS[name])
+        if name != "train":
+            p_cmd.add_argument("--input" if name == "predict" else "--data", default=None)
 
     p_grad = sub.add_parser("gradcheck", help="verify gradients of the full loss")
-    _add_common_flags(p_grad)
-    p_grad.add_argument("--eps", type=float, default=None)
+    p_grad.add_argument("--eps", type=float, default=GRADCHECK_EPS)
     p_grad.add_argument("--seeds", type=int, default=10)
     p_grad.add_argument("--inject-error", action="store_true", dest="inject_error",
                         help="negative control: corrupt one gradient rule")
@@ -441,11 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "datagen":
             return cmd_datagen(args)
+        if args.command == "gradcheck":
+            return cmd_gradcheck(args)
         config = build_run_config(args)
         if args.command == "train":
             return cmd_train(config)
@@ -453,11 +387,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_eval(config, args)
         if args.command == "predict":
             return cmd_predict(config, args)
-        if args.command == "stats":
-            return cmd_stats(config, args)
-        if args.command == "gradcheck":
-            return cmd_gradcheck(config, args)
-        raise UsageError(f"unknown command {args.command}")
+        return cmd_stats(config, args)
     except BrokenPipeError:
         # the downstream consumer closed the pipe; silence interpreter-exit noise
         devnull = os.open(os.devnull, os.O_WRONLY)

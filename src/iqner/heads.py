@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, add, concat, linear, matmul, parameter, relu, reshape, sigmoid
+from .tensor import (Tensor, add, concat, linear, matmul, parameter, relu, reshape,
+                     row_softmax, sigmoid)
 
 HEAD_INIT_STD = 0.02
 
@@ -137,12 +138,6 @@ def boundary_pointer(h_q: Tensor, h_w: Tensor, heads: LayerHeads) -> BoundarySco
     )
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def entity_classifier(
     h_q: Tensor, h_w: Tensor, scores: BoundaryScores, heads: LayerHeads
 ) -> TypeDistribution:
@@ -155,7 +150,7 @@ def entity_classifier(
     right_part = matmul(scores.right, h_w)
     fused = relu(concat([query_part, left_part, right_part], axis=-1))
     logits = linear(fused, heads.type_scorer, heads.type_bias)
-    return TypeDistribution(logits=logits, probs=_softmax_rows(logits.data))
+    return TypeDistribution(logits=logits, probs=row_softmax(logits.data).data)
 
 
 def decode_entities(

@@ -18,27 +18,20 @@ import numpy as np
 
 __all__ = [
     "Tensor",
-    "ComputationRecord",
     "DimensionError",
     "DegenerateRowError",
     "NumericError",
+    "topological_order",
     "parameter",
     "no_grad",
     "add",
-    "sub",
-    "neg",
     "mul",
-    "divide",
     "matmul",
     "linear",
     "bce_with_logits",
     "softmax_cross_entropy",
     "relu",
     "sigmoid",
-    "softplus",
-    "exp",
-    "log",
-    "sqrt",
     "tsum",
     "reshape",
     "transpose",
@@ -46,7 +39,6 @@ __all__ = [
     "narrow",
     "take_rows",
     "row_softmax",
-    "row_log_softmax",
     "layer_norm",
     "backward",
     "grad_check",
@@ -114,23 +106,11 @@ class Tensor:
     def __radd__(self, other):
         return add(other, self)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(other, self)
-
-    def __truediv__(self, other):
-        return divide(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -215,32 +195,6 @@ def add(a, b) -> Tensor:
     return _tracked(data, (a, b), grad_fn)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        data = a.data - b.data
-    except ValueError:
-        raise DimensionError(f"sub: shapes {a.shape} and {b.shape} do not broadcast") from None
-    if not (_GRAD_ENABLED[-1] and (a.tracked or b.tracked)):
-        return _untracked(data)
-
-    def grad_fn(g):
-        return (
-            _unbroadcast(g, a.shape) if a.tracked else None,
-            _unbroadcast(-g, b.shape) if b.tracked else None,
-        )
-
-    return _tracked(data, (a, b), grad_fn)
-
-
-def neg(x) -> Tensor:
-    x = _as_tensor(x)
-    data = -x.data
-    if not (_GRAD_ENABLED[-1] and x.tracked):
-        return _untracked(data)
-    return _tracked(data, (x,), lambda g: (-g,))
-
-
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     try:
@@ -259,29 +213,12 @@ def mul(a, b) -> Tensor:
     return _tracked(data, (a, b), grad_fn)
 
 
-def divide(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        data = a.data / b.data
-    except ValueError:
-        raise DimensionError(f"divide: shapes {a.shape} and {b.shape} do not broadcast") from None
-    if not (_GRAD_ENABLED[-1] and (a.tracked or b.tracked)):
-        return _untracked(data)
-
-    def grad_fn(g):
-        return (
-            _unbroadcast(g / b.data, a.shape) if a.tracked else None,
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape) if b.tracked else None,
-        )
-
-    return _tracked(data, (a, b), grad_fn)
-
-
 def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    ad, bd = a.data, b.data
+    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
         raise DimensionError(f"matmul: shapes {a.shape} and {b.shape} are not compatible")
-    data = a.data @ b.data
+    data = ad @ bd
     if not (_GRAD_ENABLED[-1] and (a.tracked or b.tracked)):
         return _untracked(data)
 
@@ -297,9 +234,10 @@ def matmul(a, b) -> Tensor:
 def linear(x, w, b) -> Tensor:
     """Fused x @ w + b for a matrix x, matrix w, and vector bias b."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+    xd, wd = x.data, w.data
+    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0]:
         raise DimensionError(f"linear: shapes {x.shape} and {w.shape} are not compatible")
-    data = x.data @ w.data + b.data
+    data = xd @ wd + b.data
     if not (_GRAD_ENABLED[-1] and (x.tracked or w.tracked or b.tracked)):
         return _untracked(data)
 
@@ -322,12 +260,9 @@ def relu(x) -> Tensor:
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # exp(-|x|) never overflows: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(x) -> Tensor:
@@ -336,39 +271,6 @@ def sigmoid(x) -> Tensor:
     if not (_GRAD_ENABLED[-1] and x.tracked):
         return _untracked(y)
     return _tracked(y, (x,), lambda g: (g * y * (1.0 - y),))
-
-
-def softplus(x) -> Tensor:
-    """log(1 + exp(x)), computed without overflow."""
-    x = _as_tensor(x)
-    data = np.logaddexp(0.0, x.data)
-    if not (_GRAD_ENABLED[-1] and x.tracked):
-        return _untracked(data)
-    return _tracked(data, (x,), lambda g: (g * _stable_sigmoid(x.data),))
-
-
-def exp(x) -> Tensor:
-    x = _as_tensor(x)
-    y = np.exp(x.data)
-    if not (_GRAD_ENABLED[-1] and x.tracked):
-        return _untracked(y)
-    return _tracked(y, (x,), lambda g: (g * y,))
-
-
-def log(x) -> Tensor:
-    x = _as_tensor(x)
-    data = np.log(x.data)
-    if not (_GRAD_ENABLED[-1] and x.tracked):
-        return _untracked(data)
-    return _tracked(data, (x,), lambda g: (g / x.data,))
-
-
-def sqrt(x) -> Tensor:
-    x = _as_tensor(x)
-    y = np.sqrt(x.data)
-    if not (_GRAD_ENABLED[-1] and x.tracked):
-        return _untracked(y)
-    return _tracked(y, (x,), lambda g: (g / (2.0 * y),))
 
 
 def tsum(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -423,6 +325,8 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
 def narrow(x, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice [start, start+length) along one axis."""
     x = _as_tensor(x)
+    if start == 0 and length == x.data.shape[axis]:
+        return x  # the slice is the whole axis
     index = [slice(None)] * x.ndim
     index[axis] = slice(start, start + length)
     index = tuple(index)
@@ -488,7 +392,7 @@ def softmax_cross_entropy(logits, one_hot) -> Tensor:
     t = np.asarray(one_hot, dtype=np.float64)
     if t.shape != z.shape:
         raise DimensionError(f"targets {t.shape} do not match logits {z.shape}")
-    m = np.max(z.data, axis=-1, keepdims=True)
+    m = z.data.max(axis=-1, keepdims=True)
     _check_rows_finite_max(m)
     shifted = z.data - m
     lse = m + np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
@@ -508,14 +412,14 @@ def softmax_cross_entropy(logits, one_hot) -> Tensor:
 
 
 def _check_rows_finite_max(m: np.ndarray) -> None:
-    if np.any(np.isneginf(m)):
+    if (m == -np.inf).any():
         raise DegenerateRowError("softmax row with every entry masked to -inf")
 
 
 def row_softmax(x) -> Tensor:
     """Softmax over the last axis; -inf entries come out exactly 0."""
     x = _as_tensor(x)
-    m = np.max(x.data, axis=-1, keepdims=True)
+    m = x.data.max(axis=-1, keepdims=True)
     _check_rows_finite_max(m)
     e = np.exp(x.data - m)
     y = e / e.sum(axis=-1, keepdims=True)
@@ -529,23 +433,6 @@ def row_softmax(x) -> Tensor:
     return _tracked(y, (x,), grad_fn)
 
 
-def row_log_softmax(x) -> Tensor:
-    """Log-softmax over the last axis, stabilized by max subtraction."""
-    x = _as_tensor(x)
-    m = np.max(x.data, axis=-1, keepdims=True)
-    _check_rows_finite_max(m)
-    shifted = x.data - m
-    lse = m + np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    data = x.data - lse
-    if not (_GRAD_ENABLED[-1] and x.tracked):
-        return _untracked(data)
-
-    def grad_fn(g):
-        return (g - np.exp(data) * g.sum(axis=-1, keepdims=True),)
-
-    return _tracked(data, (x,), grad_fn)
-
-
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean and unit variance, then rescale."""
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
@@ -554,9 +441,10 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
         raise DimensionError(
             f"layer_norm: parameters {gamma.shape}/{beta.shape} do not match width {h}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
+    # sum / h is what ndarray.mean computes, without its Python-level wrapper
+    mu = x.data.sum(axis=-1, keepdims=True) / h
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / h
     inv = 1.0 / np.sqrt(var + eps)
     y = xc * inv
     data = y * gamma.data + beta.data
@@ -582,37 +470,27 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 # reverse sweep
 
 
-class ComputationRecord:
-    """Topologically ordered trace of the operations below one output tensor.
+def topological_order(root: Tensor) -> list[Tensor]:
+    """The tracked tensors below ``root``, each after every producer of its inputs.
 
-    Every operation appears after all producers of its inputs, so a single
-    reverse iteration propagates gradients correctly.
+    A single reverse iteration over this order propagates gradients correctly.
     """
-
-    __slots__ = ("ops",)
-
-    def __init__(self, ops: list[Tensor]):
-        self.ops = ops
-
-    @classmethod
-    def trace(cls, root: Tensor) -> "ComputationRecord":
-        order: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, Iterator[Tensor]]] = [(root, iter(root._parents))]
-        seen.add(id(root))
-        while stack:
-            node, parents = stack[-1]
-            advanced = False
-            for p in parents:
-                if id(p) not in seen and p.tracked:
-                    seen.add(id(p))
-                    stack.append((p, iter(p._parents)))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(node)
-                stack.pop()
-        return cls(order)
+    order: list[Tensor] = []
+    seen: set[int] = {id(root)}
+    stack: list[tuple[Tensor, Iterator[Tensor]]] = [(root, iter(root._parents))]
+    while stack:
+        node, parents = stack[-1]
+        advanced = False
+        for p in parents:
+            if id(p) not in seen and p.tracked:
+                seen.add(id(p))
+                stack.append((p, iter(p._parents)))
+                advanced = True
+                break
+        if not advanced:
+            order.append(node)
+            stack.pop()
+    return order
 
 
 def backward(loss: Tensor) -> None:
@@ -625,9 +503,8 @@ def backward(loss: Tensor) -> None:
         raise DimensionError(f"backward requires a scalar tensor, got shape {shape}")
     if not loss.tracked:
         return
-    record = ComputationRecord.trace(loss)
     grads: dict[int, np.ndarray] = {id(loss): np.ones(())}
-    for node in reversed(record.ops):
+    for node in reversed(topological_order(loss)):
         g = grads.pop(id(node), None)
         if g is None:
             continue

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -57,6 +58,10 @@ from .tensor import (
 )
 
 CHECKPOINT_FORMAT = "iqner-checkpoint-v1"
+GRADCHECK_EPS = 1e-5
+
+AssignmentMode = Literal["dynamic", "static"]
+QuantityMode = Literal["one_to_many", "one_to_one"]
 
 
 class CheckpointError(ValueError):
@@ -74,8 +79,8 @@ class TrainConfig:
     seed: int = 0
     loc_threshold: float = 0.6
     cls_threshold: float = 0.8
-    assignment_mode: str = "dynamic"
-    quantity_mode: str = "one_to_many"
+    assignment_mode: AssignmentMode = "dynamic"
+    quantity_mode: QuantityMode = "one_to_many"
     ratio: float = 0.75
     share_final_assignment: bool = False
     max_grad_norm: float | None = None
@@ -85,9 +90,9 @@ class TrainConfig:
             raise ValueError("decode thresholds must be in [0, 1]")
         if not 0.0 < self.ratio <= 1.0:
             raise ValueError(f"ratio must be in (0, 1], got {self.ratio}")
-        if self.assignment_mode not in ("dynamic", "static"):
+        if self.assignment_mode not in get_args(AssignmentMode):
             raise ValueError(f"unknown assignment mode {self.assignment_mode!r}")
-        if self.quantity_mode not in ("one_to_many", "one_to_one"):
+        if self.quantity_mode not in get_args(QuantityMode):
             raise ValueError(f"unknown quantity mode {self.quantity_mode!r}")
         if not 0.0 <= self.warmup_fraction <= 1.0:
             raise ValueError("warmup_fraction must be in [0, 1]")
@@ -141,25 +146,30 @@ class Model:
         for _, p in self.named_parameters():
             p.zero_grad()
 
+    def encode(self, token_ids) -> LayerOutputs:
+        return encode(build_input(token_ids, self.tables), len(token_ids),
+                      self.layers, self.config)
+
     def forward(
         self, token_ids
     ) -> tuple[LayerOutputs, list[tuple[BoundaryScores, TypeDistribution]]]:
         """Encode and run every word-level layer's heads."""
-        outputs = encode(build_input(token_ids, self.tables), len(token_ids),
-                         self.layers, self.config)
-        head_outs = []
-        for h_w, h_q, heads in zip(outputs.word, outputs.query, self.heads):
-            scores = boundary_pointer(h_q, h_w, heads)
-            types = entity_classifier(h_q, h_w, scores, heads)
-            head_outs.append((scores, types))
+        outputs = self.encode(token_ids)
+        head_outs = [_run_heads(h_q, h_w, heads)
+                     for h_w, h_q, heads in zip(outputs.word, outputs.query, self.heads)]
         return outputs, head_outs
 
     def predict(self, token_ids, loc_threshold: float, cls_threshold: float) -> list[Prediction]:
-        """Decode entities from the final layer only."""
+        """Decode entities from the final layer, the only one whose heads run."""
         with no_grad():
-            _, head_outs = self.forward(token_ids)
-        scores, types = head_outs[-1]
+            outputs = self.encode(token_ids)
+            scores, types = _run_heads(outputs.final_query, outputs.final_word, self.heads[-1])
         return decode_entities(scores, types, loc_threshold, cls_threshold)
+
+
+def _run_heads(h_q, h_w, heads: LayerHeads) -> tuple[BoundaryScores, TypeDistribution]:
+    scores = boundary_pointer(h_q, h_w, heads)
+    return scores, entity_classifier(h_q, h_w, scores, heads)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +526,7 @@ def load_checkpoint(path) -> tuple[Model, DatasetMeta, dict | None]:
 
 def model_gradcheck(
     seed: int,
-    eps: float = 1e-5,
+    eps: float = GRADCHECK_EPS,
     tokens: int = 3,
     queries: int = 2,
     type_count: int = 2,

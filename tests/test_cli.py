@@ -1,10 +1,12 @@
-import argparse
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from iqner.cli import RunConfig, build_parser, build_run_config, main
+from iqner.encoder import ModelConfig
+from iqner.training import TrainConfig
 from iqner.data import DatasetMeta, SyntheticSpec, generate_synthetic, save_dataset
 
 
@@ -214,6 +216,60 @@ def test_datagen_invalid_nesting_exits_2(tmp_path, capsys):
     code = main(["datagen", "--nesting", "1.5", "--out", str(tmp_path / "x.jsonl")])
     assert code == 2
     capsys.readouterr()
+
+
+TRAINING_ONLY_FLAGS = [["--one-way", "off"], ["--heads", "8"], ["--epochs", "99"],
+                       ["--out", "x.npz"], ["--max-len", "2"]]
+
+
+@pytest.mark.parametrize("command", ["eval", "predict", "stats"])
+@pytest.mark.parametrize("flag", TRAINING_ONLY_FLAGS, ids=lambda f: f[0])
+def test_decode_commands_reject_training_flags(command, flag, trained_checkpoint, corpus, capsys):
+    path, _ = corpus
+    data = "--input" if command == "predict" else "--data"
+    argv = [command, "--checkpoint", str(trained_checkpoint), data, str(path), *flag]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert flag[0] in captured.err
+    assert captured.out == ""
+
+
+def test_gradcheck_rejects_model_flags(capsys):
+    assert main(["gradcheck", "--seeds", "1", "--hidden", "999"]) == 2
+    assert "--hidden" in capsys.readouterr().err
+
+
+def test_gradcheck_reads_no_config(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("PIQN_CONFIG", str(tmp_path / "missing.json"))
+    assert main(["gradcheck", "--seeds", "1"]) == 0
+    capsys.readouterr()
+
+
+def test_train_flags_reach_config_fields():
+    model_values = {"hidden": 48, "queries": 7, "base_layers": 2, "word_layers": 3, "heads": 6,
+                    "max_len": 20, "one_way": False, "query_interaction": False, "seed": 9}
+    train_values = {"epochs": 11, "learning_rate": 0.5, "warmup_fraction": 0.25,
+                    "batch_size": 3, "seed": 9, "loc_threshold": 0.1, "cls_threshold": 0.2,
+                    "assignment_mode": "static", "quantity_mode": "one_to_one", "ratio": 0.5,
+                    "share_final_assignment": True, "max_grad_norm": 2.5}
+    argv = ["train", "--hidden", "48", "--queries", "7", "--base-layers", "2", "--layers", "3",
+            "--heads", "6", "--max-len", "20", "--one-way", "off", "--query-interaction", "off",
+            "--seed", "9", "--epochs", "11", "--lr", "0.5", "--warmup", "0.25",
+            "--batch-size", "3", "--loc-threshold", "0.1", "--cls-threshold", "0.2",
+            "--assignment-mode", "static", "--quantity-mode", "one-to-one", "--ratio", "0.5",
+            "--share-final-assignment", "--max-grad-norm", "2.5"]
+    config = build_run_config(build_parser().parse_args(argv))
+    model = config.model_config(vocab_size=30, type_count=3, max_len=config.max_len)
+    trainer = config.train_config()
+    defaults = ModelConfig()
+    assert set(model_values) == {f.name for f in dataclasses.fields(ModelConfig)} - {
+        "vocab_size", "type_count"}
+    assert set(train_values) == {f.name for f in dataclasses.fields(TrainConfig)}
+    for name, value in model_values.items():
+        assert getattr(model, name) == value != getattr(defaults, name), name
+    for name, value in train_values.items():
+        assert getattr(trainer, name) == value != getattr(TrainConfig(), name), name
+    assert (model.vocab_size, model.type_count) == (30, 3)
 
 
 def test_config_file_and_flag_precedence(tmp_path):

@@ -3,12 +3,12 @@ import pytest
 
 from iqner import tensor as T
 from iqner.tensor import (
-    ComputationRecord,
     DegenerateRowError,
     DimensionError,
     Tensor,
     backward,
     grad_check,
+    topological_order,
 )
 
 
@@ -139,9 +139,9 @@ def test_computation_record_topological_order():
     a = T.mul(x, x)
     b = T.add(a, x)
     loss = T.tsum(b)
-    record = ComputationRecord.trace(loss)
-    position = {id(node): i for i, node in enumerate(record.ops)}
-    for node in record.ops:
+    order = topological_order(loss)
+    position = {id(node): i for i, node in enumerate(order)}
+    for node in order:
         for parent in node._parents:
             if parent.tracked:
                 assert position[id(parent)] < position[id(node)]
@@ -165,13 +165,7 @@ def _scalarize(op, parts):
 UNARY_OPS = [
     ("relu", T.relu, lambda r, s: r.normal(size=s) + 0.05),
     ("sigmoid", T.sigmoid, lambda r, s: r.normal(size=s)),
-    ("softplus", T.softplus, lambda r, s: r.normal(size=s)),
-    ("exp", T.exp, lambda r, s: r.normal(size=s)),
-    ("log", T.log, lambda r, s: r.uniform(0.5, 2.0, size=s)),
-    ("sqrt", T.sqrt, lambda r, s: r.uniform(0.5, 2.0, size=s)),
-    ("neg", T.neg, lambda r, s: r.normal(size=s)),
     ("row_softmax", T.row_softmax, lambda r, s: r.normal(size=s)),
-    ("row_log_softmax", T.row_log_softmax, lambda r, s: r.normal(size=s)),
     ("sum_all", lambda x: T.tsum(x), lambda r, s: r.normal(size=s)),
     ("sum_axis", lambda x: T.tsum(x, axis=0), lambda r, s: r.normal(size=s)),
     ("reshape", lambda x: T.reshape(x, (6, 2)), lambda r, s: r.normal(size=s)),
@@ -193,10 +187,8 @@ def test_unary_op_gradients(name, op, sampler):
 BINARY_OPS = [
     ("add", T.add, (3, 4), (3, 4)),
     ("add_broadcast", T.add, (3, 4), (4,)),
-    ("sub", T.sub, (3, 4), (3, 4)),
     ("mul", T.mul, (3, 4), (3, 4)),
     ("mul_broadcast", T.mul, (3, 1), (3, 4)),
-    ("divide", T.divide, (3, 4), (3, 4)),
     ("matmul", T.matmul, (3, 4), (4, 2)),
 ]
 
@@ -206,7 +198,7 @@ def test_binary_op_gradients(name, op, sa, sb):
     for seed in range(10):
         rng = np.random.default_rng(100 + seed)
         a = Tensor(rng.normal(size=sa), tracked=True)
-        b = Tensor(rng.normal(size=sb) + (2.0 if name == "divide" else 0.0), tracked=True)
+        b = Tensor(rng.normal(size=sb), tracked=True)
         fa = _scalarize(lambda: op(a, b), None)
         assert grad_check(fa, a, 1e-5) < 1e-4, f"{name} lhs seed {seed}"
         fb = _scalarize(lambda: op(a, b), None)
@@ -250,7 +242,7 @@ def test_take_rows_repeated_ids_accumulate():
 def test_forward_outputs_finite_on_finite_inputs():
     rng = np.random.default_rng(5)
     x = Tensor(rng.normal(size=(4, 4)) * 50)
-    for op in (T.sigmoid, T.softplus, T.row_softmax, T.relu):
+    for op in (T.sigmoid, T.row_softmax, T.relu):
         assert np.all(np.isfinite(op(x).data))
 
 

@@ -11,6 +11,7 @@ from iqner.data import (
     generate_synthetic,
 )
 from iqner.encoder import ModelConfig
+from iqner import training
 from iqner.heads import BoundaryScores, TypeDistribution
 from iqner.tensor import Tensor, backward, tsum, mul
 from iqner.training import (
@@ -202,7 +203,7 @@ def test_adam_minimizes_quadratic():
     opt = AdamOptimizer([("w", w)])
     for _ in range(400):
         w.zero_grad()
-        diff = w - Tensor([3.0, 1.0])
+        diff = w + Tensor([-3.0, -1.0])
         backward(tsum(mul(diff, diff)))
         opt.step(0.1)
     assert np.allclose(w.data, [3.0, 1.0], atol=1e-3)
@@ -281,3 +282,14 @@ def test_inference_uses_only_the_final_layer():
         p.data[...] += 7.5  # earlier layer's head parameters are inference-dead
     after = model.predict(ids, 0.0, 0.0)
     assert before == after
+
+
+def test_predict_runs_only_the_final_layer_heads(monkeypatch):
+    examples, meta, config = _tiny_fixture()
+    model = Model(ModelConfig(**{**config.__dict__, "word_layers": 3}))
+    calls = []
+    pointer = training.boundary_pointer
+    monkeypatch.setattr(training, "boundary_pointer",
+                        lambda *args: calls.append(args) or pointer(*args))
+    model.predict(meta.encode(examples[0].tokens), 0.0, 0.0)
+    assert len(calls) == 1
