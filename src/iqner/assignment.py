@@ -35,7 +35,6 @@ class QuantityVector:
     """Per-entity assignable quantities q_k with their total Q."""
 
     counts: np.ndarray
-    overflow: bool = False
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=np.int64)
@@ -103,7 +102,7 @@ def allocate_quantities(
 
     Every entity gets at least floor(Q / G); the remainder goes to a seeded
     random subset. When entities outnumber Q the total is raised to one per
-    entity, flagged as overflow if that exceeds the query count.
+    entity.
     """
     if entity_count < 1 or query_count < 1:
         raise ValueError("entity and query counts must be positive")
@@ -113,10 +112,7 @@ def allocate_quantities(
         rng = np.random.default_rng(rng)
     total = assignable_total(query_count, ratio)
     if entity_count > total:
-        return QuantityVector(
-            counts=np.ones(entity_count, dtype=np.int64),
-            overflow=entity_count > query_count,
-        )
+        return QuantityVector(counts=np.ones(entity_count, dtype=np.int64))
     base, remainder = divmod(total, entity_count)
     counts = np.full(entity_count, base, dtype=np.int64)
     if remainder:

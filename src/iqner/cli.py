@@ -13,6 +13,7 @@ config file and the flags are derived from those fields: field
 from the checkpoint. Flags override a JSON config file of flat ``RunConfig``
 field names (``--config``, or the file the PIQN_CONFIG environment variable
 names), which overrides the defaults. ``gradcheck`` reads no config file.
+``datagen`` takes one flag per ``SyntheticSpec`` field, derived the same way.
 """
 
 from __future__ import annotations
@@ -59,7 +60,9 @@ GRADCHECK_TOLERANCE = 1e-4
 _FROM_DATA = ("vocab_size", "type_count")
 # Flag spellings that differ from the field name.
 _FLAG_NAMES = {"word_layers": "layers", "learning_rate": "lr", "warmup_fraction": "warmup",
-               "train_path": "train", "dev_path": "dev", "meta_path": "meta"}
+               "train_path": "train", "dev_path": "dev", "meta_path": "meta",
+               "type_count": "types", "nesting_ratio": "nesting", "min_length": "min_len",
+               "max_length": "max_len"}
 
 
 class UsageError(ValueError):
@@ -120,6 +123,7 @@ _COMMAND_FIELDS = {
     "predict": _DECODE_FIELDS,
     "stats": _DECODE_FIELDS,
 }
+_SPEC_FIELDS = [f.name for f in dataclasses.fields(SyntheticSpec)]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -152,12 +156,18 @@ def _flag_kwargs(hint, default) -> dict:
             "help": None if default is None else f"default: {default}"}
 
 
-def _add_field_flags(parser: argparse.ArgumentParser, names) -> None:
-    hints = get_type_hints(RunConfig)
-    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+def _add_field_flags(parser: argparse.ArgumentParser, cls, names) -> None:
+    """One flag per field of dataclass ``cls`` in ``names``; an unset flag is None."""
+    hints = get_type_hints(cls)
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     for name in names:
         parser.add_argument("--" + _FLAG_NAMES.get(name, name).replace("_", "-"), dest=name,
                             default=None, **_flag_kwargs(hints[name], defaults[name]))
+
+
+def _given(args: argparse.Namespace, names) -> dict:
+    """The fields among ``names`` whose flags the command line set."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
@@ -174,9 +184,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         if unknown:
             raise UsageError(f"unknown config fields: {sorted(unknown)}")
         values.update(file_values)
-    for name in _COMMAND_FIELDS[args.command]:
-        if getattr(args, name) is not None:
-            values[name] = getattr(args, name)
+    values.update(_given(args, _COMMAND_FIELDS[args.command]))
     try:
         return RunConfig(**values)
     except TypeError as err:
@@ -310,20 +318,11 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_datagen(args: argparse.Namespace) -> int:
-    spec = SyntheticSpec(
-        sentences=args.sentences,
-        vocab_size=args.vocab_size,
-        min_length=args.min_len,
-        max_length=args.max_len_gen,
-        type_count=args.types,
-        nesting_ratio=args.nesting,
-        max_entities=args.max_entities,
-    )
     try:
-        spec.validate()
+        examples, meta = generate_synthetic(SyntheticSpec(**_given(args, _SPEC_FIELDS)),
+                                            seed=args.seed)
     except DatasetError as err:
         raise UsageError(str(err)) from None
-    examples, meta = generate_synthetic(spec, seed=args.seed if args.seed is not None else 0)
     out = args.out or "dataset.jsonl"
     try:
         save_dataset(out, examples, meta)
@@ -348,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
                         ("stats", "per-query affinity statistics")):
         p_cmd = sub.add_parser(name, help=about)
         p_cmd.add_argument("--config", default=None, help="JSON config file")
-        _add_field_flags(p_cmd, _COMMAND_FIELDS[name])
+        _add_field_flags(p_cmd, RunConfig, _COMMAND_FIELDS[name])
         if name != "train":
             p_cmd.add_argument("--input" if name == "predict" else "--data", default=None)
 
@@ -359,14 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="negative control: corrupt one gradient rule")
 
     p_gen = sub.add_parser("datagen", help="write a synthetic nested-NER corpus")
-    p_gen.add_argument("--sentences", type=int, default=64)
-    p_gen.add_argument("--types", type=int, default=4)
-    p_gen.add_argument("--nesting", type=float, default=0.3)
-    p_gen.add_argument("--vocab-size", type=int, default=40, dest="vocab_size")
-    p_gen.add_argument("--min-len", type=int, default=8, dest="min_len")
-    p_gen.add_argument("--max-len", type=int, default=16, dest="max_len_gen")
-    p_gen.add_argument("--max-entities", type=int, default=4, dest="max_entities")
-    p_gen.add_argument("--seed", type=int, default=None)
+    _add_field_flags(p_gen, SyntheticSpec, _SPEC_FIELDS)
+    p_gen.add_argument("--seed", type=int, default=0, help="default: %(default)s")
     p_gen.add_argument("--out", default=None)
     p_gen.add_argument("--meta-out", default=None, dest="meta_out")
 

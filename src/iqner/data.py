@@ -1,4 +1,4 @@
-"""Sentence/annotation types, JSON-lines IO, synthetic corpora, batching.
+"""Sentence/annotation types, JSON-lines IO, and synthetic corpora.
 
 Dataset files are UTF-8 JSON lines, one sentence per line:
 
@@ -361,41 +361,3 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> tuple[list[SentenceExa
 
     meta = DatasetMeta.build(examples, types=types)
     return examples, meta
-
-
-# ---------------------------------------------------------------------------
-# batching
-
-
-@dataclass
-class Batch:
-    """Padded id matrix plus per-sentence lengths and gold annotations."""
-
-    token_ids: np.ndarray
-    lengths: list[int]
-    entities: list[list[EntityAnnotation]]
-
-    def __len__(self) -> int:
-        return len(self.lengths)
-
-
-def batch_pad(examples: list[SentenceExample], batch_size: int, meta: DatasetMeta) -> list[Batch]:
-    """Group in order and pad each batch to its own max length with PAD_ID."""
-    if not examples:
-        raise DatasetError("cannot batch an empty dataset")
-    if batch_size < 1:
-        raise DatasetError("batch_size must be positive")
-    batches = []
-    for start in range(0, len(examples), batch_size):
-        chunk = examples[start : start + batch_size]
-        width = max(len(ex) for ex in chunk)
-        ids = np.full((len(chunk), width), PAD_ID, dtype=np.int64)
-        lengths = []
-        entities = []
-        for row, ex in enumerate(chunk):
-            encoded = meta.encode(ex.tokens)
-            ids[row, : len(encoded)] = encoded
-            lengths.append(len(encoded))
-            entities.append(list(ex.entities))
-        batches.append(Batch(token_ids=ids, lengths=lengths, entities=entities))
-    return batches

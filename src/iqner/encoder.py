@@ -26,6 +26,7 @@ from .tensor import (
     narrow,
     parameter,
     relu,
+    reshape,
     row_softmax,
     take_rows,
     transpose,
@@ -209,7 +210,11 @@ def build_one_way_mask(
 
 def one_way_self_attention(x: Tensor, mask: np.ndarray, layer: TransformerLayer,
                            n_heads: int) -> Tensor:
-    """One masked multi-head attention block with post-norm residuals."""
+    """One masked multi-head attention block with post-norm residuals.
+
+    The heads are the leading axis of each attention product, so the block
+    records the same graph for every head count.
+    """
     total, hidden = x.shape
     if mask.shape != (total, total):
         raise DimensionError(f"mask shape {mask.shape} does not match sequence {total}")
@@ -219,15 +224,13 @@ def one_way_self_attention(x: Tensor, mask: np.ndarray, layer: TransformerLayer,
     # no key bias: a per-row constant in the scores is a softmax no-op
     k = matmul(x, layer.wk)
     v = linear(x, layer.wv, layer.bv)
-    mask_t = Tensor(mask)
-    parts = []
-    for i in range(n_heads):
-        qi = narrow(q, 1, i * head_dim, head_dim)
-        ki = narrow(k, 1, i * head_dim, head_dim)
-        vi = narrow(v, 1, i * head_dim, head_dim)
-        scores = add(matmul(qi, transpose(ki)), mask_t)
-        parts.append(matmul(row_softmax(scores), vi))
-    context = concat(parts, axis=-1) if n_heads > 1 else parts[0]
+    # queries and values as (heads, T, head_dim), keys as (heads, head_dim, T)
+    split = (total, n_heads, head_dim)
+    q = transpose(reshape(q, split), (1, 0, 2))
+    k = transpose(reshape(k, split), (1, 2, 0))
+    v = transpose(reshape(v, split), (1, 0, 2))
+    weights = row_softmax(add(matmul(q, k), Tensor(mask)))
+    context = reshape(transpose(matmul(weights, v), (1, 0, 2)), (total, hidden))
     attended = linear(context, layer.wo, layer.bo)
     x = layer_norm(add(x, attended), layer.ln1_gamma, layer.ln1_beta)
     ff = linear(relu(linear(x, layer.w1, layer.b1)), layer.w2, layer.b2)

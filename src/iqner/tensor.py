@@ -214,9 +214,11 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """Matrix product over the last two axes; any leading axes must be equal."""
     a, b = _as_tensor(a), _as_tensor(b)
     ad, bd = a.data, b.data
-    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
+    if (ad.ndim < 2 or bd.ndim != ad.ndim or ad.shape[:-2] != bd.shape[:-2]
+            or ad.shape[-1] != bd.shape[-2]):
         raise DimensionError(f"matmul: shapes {a.shape} and {b.shape} are not compatible")
     data = ad @ bd
     if not (_GRAD_ENABLED[-1] and (a.tracked or b.tracked)):
@@ -224,8 +226,8 @@ def matmul(a, b) -> Tensor:
 
     def grad_fn(g):
         return (
-            g @ b.data.T if a.tracked else None,
-            a.data.T @ g if b.tracked else None,
+            g @ b.data.swapaxes(-1, -2) if a.tracked else None,
+            a.data.swapaxes(-1, -2) @ g if b.tracked else None,
         )
 
     return _tracked(data, (a, b), grad_fn)
@@ -297,14 +299,17 @@ def reshape(x, shape: tuple[int, ...]) -> Tensor:
     return _tracked(data, (x,), lambda g: (g.reshape(x.shape),))
 
 
-def transpose(x) -> Tensor:
+def transpose(x, axes: Sequence[int] | None = None) -> Tensor:
+    """Permute the axes into the order ``axes``; by default reverse them."""
     x = _as_tensor(x)
-    if x.ndim != 2:
-        raise DimensionError(f"transpose: expected a matrix, got shape {x.shape}")
-    data = x.data.T
+    try:
+        data = x.data.transpose(axes)
+    except ValueError:
+        raise DimensionError(f"transpose: axes {axes} do not permute shape {x.shape}") from None
     if not (_GRAD_ENABLED[-1] and x.tracked):
         return _untracked(data)
-    return _tracked(data, (x,), lambda g: (g.T,))
+    inverse = None if axes is None else tuple(np.argsort([a % x.ndim for a in axes]))
+    return _tracked(data, (x,), lambda g: (g.transpose(inverse),))
 
 
 def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from typing import Literal, get_args
 
 import numpy as np
@@ -98,23 +98,6 @@ class TrainConfig:
             raise ValueError("warmup_fraction must be in [0, 1]")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
-
-
-@dataclass
-class LossReport:
-    """Per-layer boundary and classification loss values."""
-
-    boundary: list[float] = field(default_factory=list)
-    classification: list[float] = field(default_factory=list)
-
-    @property
-    def total(self) -> float:
-        return total_loss(self)
-
-
-def total_loss(report: LossReport) -> float:
-    """Sum of boundary and classification losses over all layers."""
-    return float(sum(report.boundary) + sum(report.classification))
 
 
 class Model:
@@ -227,19 +210,15 @@ def sentence_loss(
     head_outs: list[tuple[BoundaryScores, TypeDistribution]],
     labels_per_layer: list[list[EntityAnnotation | None]],
     sentence_length: int,
-) -> tuple[Tensor, LossReport]:
+) -> Tensor:
     """Total per-sentence loss: boundary + classification at every layer."""
-    report = LossReport()
     total: Tensor | None = None
     for (scores, types), labels in zip(head_outs, labels_per_layer):
-        l_b = boundary_loss(scores, labels, sentence_length)
-        l_t = classification_loss(types, labels)
-        report.boundary.append(l_b.item())
-        report.classification.append(l_t.item())
-        layer_total = add(l_b, l_t)
+        layer_total = add(boundary_loss(scores, labels, sentence_length),
+                          classification_loss(types, labels))
         total = layer_total if total is None else add(total, layer_total)
     assert total is not None
-    return total, report
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +359,7 @@ def train_epoch(
             labels = assign_labels_per_layer(
                 head_outs, golds[idx], config, model.config.queries, rng
             )
-            loss, _ = sentence_loss(head_outs, labels, len(encoded[idx]))
+            loss = sentence_loss(head_outs, labels, len(encoded[idx]))
             batch_total = loss if batch_total is None else add(batch_total, loss)
             final_scores, final_types = head_outs[-1]
             predictions[idx] = decode_entities(
@@ -499,13 +478,19 @@ def load_checkpoint(path) -> tuple[Model, DatasetMeta, dict | None]:
     header = json.loads(bytes(archive["header"].tobytes()).decode("utf-8"))
     if header.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"unsupported checkpoint format {header.get('format')!r}")
-    config = ModelConfig(**header["config"])
-    model = Model(config)
+    unknown = set(header["config"]) - {f.name for f in fields(ModelConfig)}
+    if unknown:
+        raise CheckpointError(f"checkpoint config has unknown keys {sorted(unknown)}")
+    model = Model(ModelConfig(**header["config"]))
     for name, p in model.named_parameters():
         key = f"param/{name}"
         if key not in archive:
             raise CheckpointError(f"checkpoint missing parameter {name}")
-        p.data[...] = archive[key]
+        value = archive[key]
+        if value.shape != p.shape:
+            raise CheckpointError(
+                f"checkpoint parameter {name} has shape {value.shape}, the model needs {p.shape}")
+        p.data[...] = value
     meta = DatasetMeta(
         types=list(header["types"]),
         vocab={word: idx for idx, word in enumerate(header["words"])},

@@ -33,14 +33,12 @@ def test_allocate_balanced_division():
     q = allocate_quantities(3, 60, 0.75, rng=0)
     assert q.total == 45
     assert np.array_equal(q.counts, [15, 15, 15])
-    assert not q.overflow
 
 
 def test_allocate_entities_exceed_total():
     q = allocate_quantities(50, 60, 0.75, rng=0)
     assert q.total == 50
     assert np.all(q.counts == 1)
-    assert not q.overflow
 
 
 def test_allocate_remainder_respects_floor():
@@ -55,8 +53,8 @@ def test_allocate_remainder_respects_floor():
 
 def test_allocate_overflow_flagged_when_entities_exceed_queries():
     q = allocate_quantities(7, 4, 0.75, rng=1)
-    assert q.overflow
     assert q.total == 7
+    assert np.all(q.counts == 1)
 
 
 def test_allocate_validates_ratio():

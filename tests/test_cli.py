@@ -135,6 +135,37 @@ def test_eval_unknown_type_exits_2(trained_checkpoint, tmp_path, capsys):
     capsys.readouterr()
 
 
+def _tampered_checkpoint(source, target, edit):
+    """Copy a checkpoint's arrays, header decoded to a dict, through ``edit``."""
+    with np.load(source) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    header = json.loads(arrays["header"].tobytes().decode("utf-8"))
+    edit(arrays, header)
+    arrays["header"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
+    np.savez(target, **arrays)
+    return target
+
+
+def test_checkpoint_unknown_config_key_exits_2(trained_checkpoint, corpus, tmp_path, capsys):
+    ckpt = _tampered_checkpoint(trained_checkpoint, tmp_path / "bad.npz",
+                                lambda arrays, header: header["config"].update(bogus=1))
+    code = main(["eval", "--checkpoint", str(ckpt), "--data", str(corpus[0])])
+    assert code == 2
+    assert "bogus" in capsys.readouterr().err
+
+
+def test_checkpoint_wrong_parameter_shape_exits_2(trained_checkpoint, corpus, tmp_path,
+                                                  capsys):
+    def shrink(arrays, header):
+        arrays["param/layer0.wq"] = np.zeros((3, 3))
+
+    ckpt = _tampered_checkpoint(trained_checkpoint, tmp_path / "bad.npz", shrink)
+    code = main(["predict", "--checkpoint", str(ckpt), "--input", str(corpus[0])])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "layer0.wq" in err and "(3, 3)" in err and "(16, 16)" in err
+
+
 def test_predict_lines_align(trained_checkpoint, corpus, capsys):
     path, _ = corpus
     code = main(["predict", "--checkpoint", str(trained_checkpoint), "--input", str(path),
@@ -215,6 +246,27 @@ def test_datagen_deterministic_and_counts(tmp_path, capsys):
 def test_datagen_invalid_nesting_exits_2(tmp_path, capsys):
     code = main(["datagen", "--nesting", "1.5", "--out", str(tmp_path / "x.jsonl")])
     assert code == 2
+    capsys.readouterr()
+
+
+DATAGEN_FLAGS = {"sentences": "--sentences", "vocab_size": "--vocab-size",
+                 "min_length": "--min-len", "max_length": "--max-len", "type_count": "--types",
+                 "nesting_ratio": "--nesting", "max_entities": "--max-entities"}
+
+
+def test_datagen_flags_reach_spec_fields(tmp_path, capsys):
+    assert set(DATAGEN_FLAGS) == {f.name for f in dataclasses.fields(SyntheticSpec)}
+    changed = {"sentences": 5, "vocab_size": 30, "min_length": 6, "max_length": 9,
+               "type_count": 3, "nesting_ratio": 0.5, "max_entities": 3}
+    # every knob set away from its default, then no knob and no seed at all
+    for values, seed_flag, seed in ((changed, ["--seed", "4"], 4), ({}, [], 0)):
+        argv = ["datagen", "--out", str(tmp_path / "cli.jsonl"), *seed_flag]
+        for name, value in values.items():
+            argv += [DATAGEN_FLAGS[name], str(value)]
+        assert main(argv) == 0
+        examples, meta = generate_synthetic(SyntheticSpec(**values), seed=seed)
+        save_dataset(tmp_path / "lib.jsonl", examples, meta)
+        assert (tmp_path / "cli.jsonl").read_bytes() == (tmp_path / "lib.jsonl").read_bytes()
     capsys.readouterr()
 
 

@@ -1,18 +1,14 @@
 import json
 
-import numpy as np
 import pytest
 
 from iqner.data import (
-    PAD_ID,
     AnnotationError,
-    Batch,
     DatasetError,
     DatasetMeta,
     EntityAnnotation,
     SentenceExample,
     SyntheticSpec,
-    batch_pad,
     generate_synthetic,
     load_dataset,
     load_meta,
@@ -127,41 +123,6 @@ def test_generator_markers_match_types():
             else:
                 assert ex.tokens[e.left] == f"b{e.type_id}"
                 assert ex.tokens[e.right] == f"e{e.type_id}"
-
-
-def test_batch_padding_shape():
-    meta = DatasetMeta(types=["X"], vocab={"<pad>": 0, "<unk>": 1, "a": 2, "b": 3})
-    examples = [
-        SentenceExample(tokens=["a", "b", "a"]),
-        SentenceExample(tokens=["b"] * 5),
-    ]
-    batches = batch_pad(examples, batch_size=2, meta=meta)
-    assert len(batches) == 1
-    batch = batches[0]
-    assert batch.token_ids.shape == (2, 5)
-    assert batch.lengths == [3, 5]
-    assert np.all(batch.token_ids[0, 3:] == PAD_ID)
-
-
-def test_batch_sizes():
-    meta = DatasetMeta(types=["X"], vocab={"<pad>": 0, "<unk>": 1, "a": 2})
-    examples = [SentenceExample(tokens=["a"]) for _ in range(5)]
-    batches = batch_pad(examples, batch_size=2, meta=meta)
-    assert [len(b) for b in batches] == [2, 2, 1]
-    singles = batch_pad(examples, batch_size=1, meta=meta)
-    assert len(singles) == 5
-
-
-def test_batch_keeps_gold_and_pad_outside_spans():
-    spec = SyntheticSpec(sentences=12)
-    examples, meta = generate_synthetic(spec, seed=4)
-    batches = batch_pad(examples, batch_size=4, meta=meta)
-    flat = [e for b in batches for e in b.entities]
-    assert flat == [ex.entities for ex in examples]
-    for batch in batches:
-        for length, entities in zip(batch.lengths, batch.entities):
-            for e in entities:
-                assert e.right < length
 
 
 def test_unknown_token_maps_to_unk():

@@ -205,3 +205,58 @@ def test_attention_block_gradients():
     assert grad_check(f, layer.wq, 1e-5) < 1e-4
     assert grad_check(f, layer.w1, 1e-5) < 1e-4
     assert grad_check(f, layer.ln1_gamma, 1e-5) < 1e-4
+
+
+def per_head_attention(x, mask, layer, n_heads):
+    """Reference block that slices the projections and loops over the heads."""
+    d = x.shape[1] // n_heads
+    q = T.mul(T.linear(x, layer.wq, layer.bq), 1.0 / math.sqrt(d))
+    k = T.matmul(x, layer.wk)
+    v = T.linear(x, layer.wv, layer.bv)
+    parts = []
+    for i in range(n_heads):
+        qi, ki, vi = (T.narrow(t, 1, i * d, d) for t in (q, k, v))
+        scores = T.add(T.matmul(qi, T.transpose(ki)), Tensor(mask))
+        parts.append(T.matmul(T.row_softmax(scores), vi))
+    attended = T.linear(T.concat(parts, axis=-1), layer.wo, layer.bo)
+    x = T.layer_norm(T.add(x, attended), layer.ln1_gamma, layer.ln1_beta)
+    ff = T.linear(T.relu(T.linear(x, layer.w1, layer.b1)), layer.w2, layer.b2)
+    return T.layer_norm(T.add(x, ff), layer.ln2_gamma, layer.ln2_beta)
+
+
+def test_attention_heads_match_per_head_reference():
+    for seed in range(4):
+        for n_heads in (1, 2, 4):
+            rng = np.random.default_rng(seed)
+            hidden = n_heads * int(rng.integers(1, 5))
+            n, m = int(rng.integers(1, 7)), int(rng.integers(0, 5))
+            layer = TransformerLayer.init(hidden, rng)
+            for _, p in layer.named("layer"):
+                p.data[...] = rng.normal(0.0, 0.5, size=p.shape)
+            x = Tensor(rng.normal(size=(n + m, hidden)), tracked=True)
+            mask = build_one_way_mask(n, m)
+            weights = Tensor(rng.normal(size=x.shape))
+            leaves = [x] + [p for _, p in layer.named("layer")]
+            grads = []
+            outs = []
+            for block in (one_way_self_attention, per_head_attention):
+                for p in leaves:
+                    p.zero_grad()
+                out = block(x, mask, layer, n_heads)
+                T.backward(T.tsum(T.mul(out, weights)))
+                outs.append(out.data)
+                grads.append([p.grad for p in leaves])
+            assert np.array_equal(outs[0], outs[1])
+            for fast, ref in zip(*grads):
+                assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_attention_graph_size_is_independent_of_head_count():
+    sizes = set()
+    for n_heads in (1, 4):
+        rng = np.random.default_rng(2)
+        layer = TransformerLayer.init(8, rng)
+        x = Tensor(rng.normal(size=(5, 8)), tracked=True)
+        out = one_way_self_attention(x, build_one_way_mask(3, 2), layer, n_heads)
+        sizes.add(len(T.topological_order(T.tsum(out))))
+    assert len(sizes) == 1

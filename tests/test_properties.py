@@ -77,7 +77,6 @@ def test_allocation_floor_and_total(entities, queries, ratio, seed):
     else:
         assert q.total == total
         assert np.all(q.counts >= total // entities)
-    assert q.overflow == (q.total > queries)
 
 
 @st.composite

@@ -35,6 +35,17 @@ def test_matmul_shape_mismatch_names_both_shapes():
         T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
 
+def test_matmul_rejects_mismatched_leading_axes_and_vectors():
+    for sa, sb in (((2, 3, 4), (3, 4, 5)), ((3, 4), (2, 4, 5)), ((4,), (4, 5)), ((3, 4), (4,))):
+        with pytest.raises(DimensionError):
+            T.matmul(Tensor(np.zeros(sa)), Tensor(np.zeros(sb)))
+
+
+def test_transpose_rejects_axes_that_do_not_permute():
+    with pytest.raises(DimensionError):
+        T.transpose(Tensor(np.zeros((2, 3))), (0, 0))
+
+
 def test_row_softmax_uniform():
     out = T.row_softmax(Tensor([0.0, 0.0, 0.0, 0.0]))
     assert np.allclose(out.data, 0.25, atol=0)
@@ -170,6 +181,8 @@ UNARY_OPS = [
     ("sum_axis", lambda x: T.tsum(x, axis=0), lambda r, s: r.normal(size=s)),
     ("reshape", lambda x: T.reshape(x, (6, 2)), lambda r, s: r.normal(size=s)),
     ("transpose", T.transpose, lambda r, s: r.normal(size=s)),
+    ("transpose_axes", lambda x: T.transpose(T.reshape(x, (3, 2, 2)), (1, -1, 0)),
+     lambda r, s: r.normal(size=s)),
     ("narrow", lambda x: T.narrow(x, 1, 1, 2), lambda r, s: r.normal(size=s)),
 ]
 
@@ -190,6 +203,7 @@ BINARY_OPS = [
     ("mul", T.mul, (3, 4), (3, 4)),
     ("mul_broadcast", T.mul, (3, 1), (3, 4)),
     ("matmul", T.matmul, (3, 4), (4, 2)),
+    ("matmul_batched", T.matmul, (2, 3, 4), (2, 4, 5)),
 ]
 
 

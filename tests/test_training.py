@@ -16,7 +16,6 @@ from iqner.heads import BoundaryScores, TypeDistribution
 from iqner.tensor import Tensor, backward, tsum, mul
 from iqner.training import (
     AdamOptimizer,
-    LossReport,
     Model,
     TrainConfig,
     assign_labels_per_layer,
@@ -27,7 +26,6 @@ from iqner.training import (
     model_gradcheck,
     save_checkpoint,
     sentence_loss,
-    total_loss,
     train,
     CheckpointError,
 )
@@ -103,10 +101,16 @@ def test_classification_loss_single_query_half():
     )
 
 
-def test_total_loss_arithmetic():
-    assert total_loss(LossReport(boundary=[1.0], classification=[2.0])) == 3.0
-    assert total_loss(LossReport(boundary=[0.0, 0.0], classification=[0.0, 0.0])) == 0.0
-    assert total_loss(LossReport(boundary=[1.0, 3.0], classification=[2.0, 4.0])) == 10.0
+def test_sentence_loss_sums_both_losses_over_layers():
+    n, m, classes = 4, 2, 3
+    half = (scores_from_logits(np.zeros((m, n)), np.zeros((m, n))),
+            types_from_logits(np.zeros((m, classes))))
+    labels = [[EntityAnnotation(0, 1, 0), None], [None, None]]
+    loss = sentence_loss([half, half], labels, n)
+    assert isinstance(loss, Tensor)
+    # 2n boundary terms of log 2 for the one labeled query, m log(classes) per layer
+    expected = 2 * n * math.log(2) + 2 * m * math.log(classes)
+    assert loss.item() == pytest.approx(expected, abs=1e-9)
 
 
 def _stub_head_outs_for_cost():
