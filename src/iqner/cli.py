@@ -142,18 +142,54 @@ def _spelled(values: dict):
     return parse
 
 
+def _optional_base(hint):
+    """``T`` for a field of type ``T | None``, else the hint itself."""
+    args = get_args(hint)
+    if type(None) in args:
+        return next(t for t in args if t is not type(None))
+    return hint
+
+
+def _text_parser(hint):
+    """How a flag, or a string in a config file, is read for a field of type ``hint``."""
+    if hint is bool:
+        return _spelled({"on": True, "off": False})
+    if get_origin(hint) is Literal:
+        return _spelled({value.replace("_", "-"): value for value in get_args(hint)})
+    return _optional_base(hint)
+
+
 def _flag_kwargs(hint, default) -> dict:
     """How a flag for a field of type ``hint`` is spelled, parsed and described."""
+    kwargs = {"type": _text_parser(hint)}
     if hint is bool:
         # a bare switch means on, as in `--share-final-assignment`
-        return {"type": _spelled({"on": True, "off": False}), "metavar": "on|off",
-                "nargs": "?", "const": True, "help": f"default: {'on' if default else 'off'}"}
+        return {**kwargs, "metavar": "on|off", "nargs": "?", "const": True,
+                "help": f"default: {'on' if default else 'off'}"}
     if get_origin(hint) is Literal:
-        spelled = {value.replace("_", "-"): value for value in get_args(hint)}
-        return {"type": _spelled(spelled), "metavar": "|".join(spelled),
+        return {**kwargs, "metavar": "|".join(v.replace("_", "-") for v in get_args(hint)),
                 "help": f"default: {default.replace('_', '-')}"}
-    return {"type": next((t for t in get_args(hint) if t is not type(None)), hint),
-            "help": None if default is None else f"default: {default}"}
+    return {**kwargs, "help": None if default is None else f"default: {default}"}
+
+
+def _config_value(name: str, hint, value):
+    """A config-file value for field ``name``: kept when it already has the
+    field's type, else parsed from a string as the field's flag would be."""
+    base = _optional_base(hint)
+    if value is None and base is not hint:
+        return value
+    if get_origin(base) is Literal:
+        if value in get_args(base):
+            return value
+    elif type(value) is base or (base is float and type(value) is int):
+        return base(value)
+    if isinstance(value, str):
+        try:
+            return _text_parser(hint)(value)
+        except (ValueError, argparse.ArgumentTypeError):
+            pass
+    kind = "|".join(get_args(base)) if get_origin(base) is Literal else base.__name__
+    raise UsageError(f"config field {name}: expected {kind}, got {value!r}")
 
 
 def _add_field_flags(parser: argparse.ArgumentParser, cls, names) -> None:
@@ -180,10 +216,14 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
                 file_values = json.load(fh)
         except (OSError, json.JSONDecodeError) as err:
             raise UsageError(f"cannot read config {config_path}: {err}") from None
-        unknown = set(file_values) - {f.name for f in dataclasses.fields(RunConfig)}
+        if not isinstance(file_values, dict):
+            raise UsageError(f"config {config_path} must hold one JSON object")
+        hints = get_type_hints(RunConfig)
+        unknown = set(file_values) - set(hints)
         if unknown:
             raise UsageError(f"unknown config fields: {sorted(unknown)}")
-        values.update(file_values)
+        values.update({name: _config_value(name, hints[name], value)
+                       for name, value in file_values.items()})
     values.update(_given(args, _COMMAND_FIELDS[args.command]))
     try:
         return RunConfig(**values)
@@ -196,9 +236,9 @@ def _emit(payload: dict) -> None:
     sys.stdout.flush()
 
 
-def _load_examples(path, meta):
+def _load_examples(path, meta, max_len: int | None = None):
     try:
-        return load_dataset(path, meta=meta)
+        return load_dataset(path, meta=meta, max_len=max_len)
     except FileNotFoundError:
         raise UsageError(f"no such file: {path}") from None
     except (DatasetError, AnnotationError) as err:
@@ -226,14 +266,17 @@ def cmd_train(config: RunConfig) -> int:
         type_count=meta.type_count,
         max_len=max(config.max_len, longest),
     )
+    # read the dev file before training, so a bad line fails before any epoch
+    dev_examples = None
+    if config.dev_path:
+        dev_examples, _ = _load_examples(config.dev_path, meta, model_config.max_len)
     model = Model(model_config)
     optimizer = AdamOptimizer(model.named_parameters())
     train(model, examples, meta, config.train_config(), on_epoch=_emit,
           optimizer=optimizer)
     out = config.out or "model.npz"
     save_checkpoint(out, model, meta, optimizer)
-    if config.dev_path:
-        dev_examples, _ = _load_examples(config.dev_path, meta)
+    if dev_examples is not None:
         report, _ = evaluate_model(model, dev_examples, meta,
                                    config.loc_threshold, config.cls_threshold)
         _emit({"dev": report.to_dict()})
@@ -257,7 +300,7 @@ def cmd_eval(config: RunConfig, args: argparse.Namespace) -> int:
     model, meta = _load_checkpoint_validated(config)
     if not args.data:
         raise UsageError("--data PATH is required")
-    examples, _ = _load_examples(args.data, meta)
+    examples, _ = _load_examples(args.data, meta, model.config.max_len)
     report, _ = evaluate_model(model, examples, meta,
                                config.loc_threshold, config.cls_threshold)
     _emit(report.to_dict())
@@ -268,7 +311,7 @@ def cmd_predict(config: RunConfig, args: argparse.Namespace) -> int:
     model, meta = _load_checkpoint_validated(config)
     if not args.input:
         raise UsageError("--input PATH is required")
-    examples, _ = _load_examples(args.input, meta)
+    examples, _ = _load_examples(args.input, meta, model.config.max_len)
     for ex in examples:
         predictions = model.predict(meta.encode(ex.tokens),
                                     config.loc_threshold, config.cls_threshold)
@@ -287,7 +330,7 @@ def cmd_stats(config: RunConfig, args: argparse.Namespace) -> int:
     model, meta = _load_checkpoint_validated(config)
     if not args.data:
         raise UsageError("--data PATH is required")
-    examples, _ = _load_examples(args.data, meta)
+    examples, _ = _load_examples(args.data, meta, model.config.max_len)
     per_sentence = []
     for ex in examples:
         predictions = model.predict(meta.encode(ex.tokens),

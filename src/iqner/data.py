@@ -129,14 +129,14 @@ def save_meta(path: str | Path, types: list[str]) -> None:
 
 
 def load_dataset(
-    path: str | Path, meta: DatasetMeta | None = None
+    path: str | Path, meta: DatasetMeta | None = None, max_len: int | None = None
 ) -> tuple[list[SentenceExample], DatasetMeta]:
     """Parse a JSON-lines file; build or validate against the given metadata.
 
     Without ``meta``, the type inventory is collected in first-appearance
     order and the vocabulary is built from the file's tokens. With ``meta``,
     tokens map through its vocabulary (unknowns allowed) and unknown type
-    names are rejected.
+    names are rejected. With ``max_len``, a longer sentence is rejected.
     """
     records = []
     with open(path, encoding="utf-8") as fh:
@@ -153,6 +153,9 @@ def load_dataset(
             tokens = obj["tokens"]
             if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
                 raise DatasetError(f"{path}:{lineno}: 'tokens' must be a list of strings")
+            if max_len is not None and len(tokens) > max_len:
+                raise DatasetError(
+                    f"{path}:{lineno}: sentence length {len(tokens)} exceeds maximum {max_len}")
             entities = obj.get("entities", [])
             if not isinstance(entities, list):
                 raise DatasetError(f"{path}:{lineno}: 'entities' must be a list")

@@ -4,7 +4,9 @@ The token sequence and the learnable query bank are concatenated into one
 sequence and pushed through transformer layers whose attention carries a
 one-way mask: sentence positions cannot attend to query positions, so the
 sentence encoding stays independent of the query bank. Word-level layers
-expose their split outputs for per-layer auxiliary heads.
+expose their split outputs for per-layer auxiliary heads. A batch of
+sentences is padded to the longest one and encoded at once; a key-padding
+mask keeps the pads out of every real position's attention.
 """
 
 from __future__ import annotations
@@ -156,10 +158,15 @@ class TransformerLayer:
 
 @dataclass
 class LayerOutputs:
-    """Split encodings after each word-level layer: H_w (N x h), H_q (M x h)."""
+    """Split encodings after each word-level layer: H_w (..., N, h), H_q (..., M, h).
+
+    ``word_mask`` is (B, 1, N) with 1 at real words and 0 at pads, for the
+    heads to zero pad columns with; None when no sentence is padded.
+    """
 
     word: list[Tensor] = field(default_factory=list)
     query: list[Tensor] = field(default_factory=list)
+    word_mask: np.ndarray | None = None
 
     @property
     def final_word(self) -> Tensor:
@@ -173,10 +180,37 @@ class LayerOutputs:
         return len(self.word)
 
 
+def pad_batch(batch) -> tuple[np.ndarray, np.ndarray]:
+    """Token ids of several sentences as one (B, N_max) array, and their lengths.
+
+    Pad positions hold id 0; the attention and head masks keep them out of
+    every real position's result, so any valid id would do.
+    """
+    lengths = np.array([len(ids) for ids in batch], dtype=np.int64)
+    if lengths.size == 0 or lengths.min() == 0:
+        raise LengthError("empty sentence")
+    ids = np.zeros((lengths.size, lengths.max()), dtype=np.int64)
+    for row, sentence in zip(ids, batch):
+        row[: len(sentence)] = sentence
+    return ids, lengths
+
+
+def pad_positions(lengths: np.ndarray) -> np.ndarray | None:
+    """(B, N_max) True at pad positions, or None when no sentence is padded."""
+    n = lengths.max()
+    if lengths.min() == n:
+        return None
+    return np.arange(n) >= lengths[:, None]
+
+
 def build_input(token_ids, tables: EmbeddingTables) -> Tensor:
-    """Summed token+position+type embeddings for the (N+M) joint sequence."""
+    """Summed token+position+type embeddings of the joint word+query sequence.
+
+    One sentence's (N,) ids give (N+M, h); a padded (B, N) batch gives
+    (B, N+M, h), each sentence's words first and its M queries after them.
+    """
     ids = np.asarray(token_ids, dtype=np.int64)
-    n = len(ids)
+    n = ids.shape[-1]
     if n == 0:
         raise LengthError("empty sentence")
     if n > tables.pos_word.shape[0]:
@@ -186,7 +220,10 @@ def build_input(token_ids, tables: EmbeddingTables) -> Tensor:
     word_side = add(add(take_rows(tables.word, ids), narrow(tables.pos_word, 0, 0, n)),
                     tables.type_word)
     query_side = add(add(tables.query, tables.pos_query), tables.type_query)
-    return concat([word_side, query_side], axis=0)
+    if ids.ndim > 1:  # one copy of the query rows per sentence
+        m = query_side.shape[0]
+        query_side = take_rows(query_side, np.broadcast_to(np.arange(m), ids.shape[:-1] + (m,)))
+    return concat([word_side, query_side], axis=-2)
 
 
 def build_one_way_mask(
@@ -208,15 +245,42 @@ def build_one_way_mask(
     return mask
 
 
-def one_way_self_attention(x: Tensor, mask: np.ndarray, layer: TransformerLayer,
+def attention_mask(lengths: np.ndarray, config: ModelConfig) -> np.ndarray:
+    """The one-way mask over N_max words, plus -inf at every pad key column.
+
+    (T, T) when no sentence is padded, else (B, 1, T, T), which broadcasts
+    over the heads. A pad column is then -inf in every row, so no real
+    position attends to a pad.
+    """
+    n = int(lengths.max())
+    m = config.queries
+    mask = build_one_way_mask(n, m, config.query_interaction, config.one_way)
+    pads = pad_positions(lengths)
+    if pads is None:
+        return mask
+    keys = np.zeros((len(pads), n + m))
+    keys[:, :n][pads] = NEG_INF
+    return mask + keys[:, None, None, :]
+
+
+# Axis orders, by the number of leading axes, that take (..., T, heads, head_dim)
+# to queries and values as (..., heads, T, head_dim) (an order that is its own
+# inverse) and to keys as (..., heads, head_dim, T).
+_HEAD_AXES = {0: ((1, 0, 2), (1, 2, 0)), 1: ((0, 2, 1, 3), (0, 2, 3, 1))}
+
+
+def one_way_self_attention(x: Tensor, mask, layer: TransformerLayer,
                            n_heads: int) -> Tensor:
     """One masked multi-head attention block with post-norm residuals.
 
-    The heads are the leading axis of each attention product, so the block
-    records the same graph for every head count.
+    ``x`` is one sequence (T, h) or a batch (B, T, h); ``mask``, an array or
+    an untracked Tensor, broadcasts against the (..., heads, T, T) scores.
+    The heads are an axis of each attention product, so the block records
+    the same graph for every head count.
     """
-    total, hidden = x.shape
-    if mask.shape != (total, total):
+    lead = x.shape[:-2]
+    total, hidden = x.shape[-2:]
+    if mask.shape[-2:] != (total, total):
         raise DimensionError(f"mask shape {mask.shape} does not match sequence {total}")
     head_dim = hidden // n_heads
     # scaling by sqrt(head_dim) folds into the query projection output
@@ -224,13 +288,13 @@ def one_way_self_attention(x: Tensor, mask: np.ndarray, layer: TransformerLayer,
     # no key bias: a per-row constant in the scores is a softmax no-op
     k = matmul(x, layer.wk)
     v = linear(x, layer.wv, layer.bv)
-    # queries and values as (heads, T, head_dim), keys as (heads, head_dim, T)
-    split = (total, n_heads, head_dim)
-    q = transpose(reshape(q, split), (1, 0, 2))
-    k = transpose(reshape(k, split), (1, 2, 0))
-    v = transpose(reshape(v, split), (1, 0, 2))
-    weights = row_softmax(add(matmul(q, k), Tensor(mask)))
-    context = reshape(transpose(matmul(weights, v), (1, 0, 2)), (total, hidden))
+    split = lead + (total, n_heads, head_dim)
+    heads_first, keys_first = _HEAD_AXES[len(lead)]
+    q = transpose(reshape(q, split), heads_first)
+    k = transpose(reshape(k, split), keys_first)
+    v = transpose(reshape(v, split), heads_first)
+    weights = row_softmax(add(matmul(q, k), mask))
+    context = reshape(transpose(matmul(weights, v), heads_first), x.shape)
     attended = linear(context, layer.wo, layer.bo)
     x = layer_norm(add(x, attended), layer.ln1_gamma, layer.ln1_beta)
     ff = linear(relu(linear(x, layer.w1, layer.b1)), layer.w2, layer.b2)
@@ -239,26 +303,37 @@ def one_way_self_attention(x: Tensor, mask: np.ndarray, layer: TransformerLayer,
 
 def encode(
     h0: Tensor,
-    sentence_length: int,
+    sentence_length,
     layers: list[TransformerLayer],
     config: ModelConfig,
 ) -> LayerOutputs:
-    """Run base layers then word-level layers, splitting after each of the latter."""
-    n = sentence_length
+    """Run base layers then word-level layers, splitting after each of the latter.
+
+    ``h0`` is one sentence's (N+M, h) input with its length N, or a padded
+    batch's (B, N+M, h) input with one length per sentence, N the longest.
+    """
+    lengths = np.atleast_1d(np.asarray(sentence_length, dtype=np.int64))
+    n = int(lengths.max())
     m = config.queries
-    if h0.shape[0] != n + m:
-        raise DimensionError(f"input rows {h0.shape[0]} != N+M = {n + m}")
+    sentences = h0.shape[0] if h0.ndim == 3 else 1
+    if h0.ndim not in (2, 3) or sentences != lengths.size:
+        raise DimensionError(f"input of shape {h0.shape} for {lengths.size} sentence lengths")
+    if h0.shape[-2] != n + m:
+        raise DimensionError(f"input rows {h0.shape[-2]} != N+M = {n + m}")
     if len(layers) != config.base_layers + config.word_layers:
         raise DimensionError(
             f"{len(layers)} layers for B={config.base_layers}, L={config.word_layers}"
         )
-    mask = build_one_way_mask(n, m, config.query_interaction, config.one_way)
+    mask = Tensor(attention_mask(lengths, config))
     x = h0
     for layer in layers[: config.base_layers]:
         x = one_way_self_attention(x, mask, layer, config.heads)
     outputs = LayerOutputs()
+    pads = pad_positions(lengths)
+    if pads is not None:
+        outputs.word_mask = (~pads)[:, None, :].astype(np.float64)
     for layer in layers[config.base_layers :]:
         x = one_way_self_attention(x, mask, layer, config.heads)
-        outputs.word.append(narrow(x, 0, 0, n))
-        outputs.query.append(narrow(x, 0, n, m))
+        outputs.word.append(narrow(x, -2, 0, n))
+        outputs.query.append(narrow(x, -2, n, m))
     return outputs

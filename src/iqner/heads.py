@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (Tensor, add, concat, linear, matmul, parameter, relu, reshape,
+from .tensor import (Tensor, concat, linear, matmul, mul, pair_relu_score, parameter, relu,
                      row_softmax, sigmoid)
 
 HEAD_INIT_STD = 0.02
@@ -79,10 +79,11 @@ class LayerHeads:
 
 @dataclass
 class BoundaryScores:
-    """Per-query, per-word boundary logits and probabilities (M x N each).
+    """Per-query, per-word boundary logits and probabilities ((..., M, N) each).
 
     Probabilities stay on the autodiff graph: the classifier consumes them
-    as attention-like weights over the word encodings.
+    as attention-like weights over the word encodings. In a padded batch
+    they are 0 at pad words.
     """
 
     left_logits: Tensor
@@ -90,17 +91,37 @@ class BoundaryScores:
     left: Tensor
     right: Tensor
 
+    def sentence(self, index: int, length: int) -> "BoundaryScores":
+        """Sentence ``index``'s unpadded (M, length) maps, as values off the graph."""
+        return BoundaryScores(*(Tensor(t.data[index, :, :length]) for t in
+                                (self.left_logits, self.right_logits, self.left, self.right)))
 
-@dataclass
+
 class TypeDistribution:
-    """Class logits (on-graph) and the row-stochastic probabilities."""
+    """Class logits (on-graph) and the row-stochastic probabilities.
 
-    logits: Tensor
-    probs: np.ndarray
+    Unless given, the probabilities are the row softmax of the logits,
+    computed when first read: the losses read only the logits.
+    """
+
+    def __init__(self, logits: Tensor, probs: np.ndarray | None = None):
+        self.logits = logits
+        self._probs = probs
+
+    @property
+    def probs(self) -> np.ndarray:
+        if self._probs is None:
+            self._probs = row_softmax(self.logits.data).data
+        return self._probs
 
     @property
     def none_id(self) -> int:
-        return self.probs.shape[1] - 1
+        return self.logits.shape[-1] - 1
+
+    def sentence(self, index: int) -> "TypeDistribution":
+        """Sentence ``index``'s (M, C) distribution, as values off the graph."""
+        probs = None if self._probs is None else self._probs[index]
+        return TypeDistribution(Tensor(self.logits.data[index]), probs)
 
 
 @dataclass(frozen=True)
@@ -116,26 +137,25 @@ class Prediction:
     type_prob: float
 
 
-def _fused_boundary(h_q: Tensor, h_w: Tensor, head: BoundaryHead) -> Tensor:
-    m, hidden = h_q.shape
-    n = h_w.shape[0]
-    query_part = reshape(matmul(h_q, head.w_query), (m, 1, hidden))
-    word_part = reshape(matmul(h_w, head.w_word), (1, n, hidden))
-    fused = relu(add(query_part, word_part))
-    logits = linear(reshape(fused, (m * n, hidden)), head.scorer, head.bias)
-    return reshape(logits, (m, n))
+def _boundary_logits(h_q: Tensor, h_w: Tensor, head: BoundaryHead) -> Tensor:
+    return pair_relu_score(matmul(h_q, head.w_query), matmul(h_w, head.w_word),
+                           head.scorer, head.bias)
 
 
-def boundary_pointer(h_q: Tensor, h_w: Tensor, heads: LayerHeads) -> BoundaryScores:
-    """Probability of each word being the queried entity's left/right boundary."""
-    left_logits = _fused_boundary(h_q, h_w, heads.left)
-    right_logits = _fused_boundary(h_q, h_w, heads.right)
-    return BoundaryScores(
-        left_logits=left_logits,
-        right_logits=right_logits,
-        left=sigmoid(left_logits),
-        right=sigmoid(right_logits),
-    )
+def boundary_pointer(h_q: Tensor, h_w: Tensor, heads: LayerHeads,
+                     word_mask: np.ndarray | None = None) -> BoundaryScores:
+    """Probability of each word being the queried entity's left/right boundary.
+
+    ``h_q`` is (..., M, h) and ``h_w`` (..., N, h). ``word_mask`` (..., 1, N),
+    1 at real words and 0 at pads, zeroes the pads' probabilities.
+    """
+    left_logits = _boundary_logits(h_q, h_w, heads.left)
+    right_logits = _boundary_logits(h_q, h_w, heads.right)
+    left, right = sigmoid(left_logits), sigmoid(right_logits)
+    if word_mask is not None:
+        left, right = mul(left, word_mask), mul(right, word_mask)
+    return BoundaryScores(left_logits=left_logits, right_logits=right_logits,
+                          left=left, right=right)
 
 
 def entity_classifier(
@@ -150,7 +170,7 @@ def entity_classifier(
     right_part = matmul(scores.right, h_w)
     fused = relu(concat([query_part, left_part, right_part], axis=-1))
     logits = linear(fused, heads.type_scorer, heads.type_bias)
-    return TypeDistribution(logits=logits, probs=row_softmax(logits.data).data)
+    return TypeDistribution(logits)
 
 
 def decode_entities(

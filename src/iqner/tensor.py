@@ -28,6 +28,7 @@ __all__ = [
     "mul",
     "matmul",
     "linear",
+    "pair_relu_score",
     "bce_with_logits",
     "softmax_cross_entropy",
     "relu",
@@ -213,11 +214,21 @@ def mul(a, b) -> Tensor:
     return _tracked(data, (a, b), grad_fn)
 
 
+def _rows(x: np.ndarray) -> np.ndarray:
+    """The array as a matrix of its last axis, leading axes flattened."""
+    return x.reshape(-1, x.shape[-1])
+
+
 def matmul(a, b) -> Tensor:
-    """Matrix product over the last two axes; any leading axes must be equal."""
+    """Matrix product over the last two axes.
+
+    The leading axes must be equal, or ``b`` is one matrix shared by every
+    matrix of ``a``.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
     ad, bd = a.data, b.data
-    if (ad.ndim < 2 or bd.ndim != ad.ndim or ad.shape[:-2] != bd.shape[:-2]
+    shared = bd.ndim == 2 and ad.ndim > 2
+    if (ad.ndim < 2 or not (shared or (bd.ndim == ad.ndim and ad.shape[:-2] == bd.shape[:-2]))
             or ad.shape[-1] != bd.shape[-2]):
         raise DimensionError(f"matmul: shapes {a.shape} and {b.shape} are not compatible")
     data = ad @ bd
@@ -225,19 +236,20 @@ def matmul(a, b) -> Tensor:
         return _untracked(data)
 
     def grad_fn(g):
-        return (
-            g @ b.data.swapaxes(-1, -2) if a.tracked else None,
-            a.data.swapaxes(-1, -2) @ g if b.tracked else None,
-        )
+        if shared:  # one product over the stacked rows, not one per leading index
+            gb = _rows(a.data).T @ _rows(g) if b.tracked else None
+        else:
+            gb = a.data.swapaxes(-1, -2) @ g if b.tracked else None
+        return (g @ b.data.swapaxes(-1, -2) if a.tracked else None, gb)
 
     return _tracked(data, (a, b), grad_fn)
 
 
 def linear(x, w, b) -> Tensor:
-    """Fused x @ w + b for a matrix x, matrix w, and vector bias b."""
+    """Fused x @ w + b for x (..., k), a matrix w (k, n), and a vector bias b."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     xd, wd = x.data, w.data
-    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0]:
+    if xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0]:
         raise DimensionError(f"linear: shapes {x.shape} and {w.shape} are not compatible")
     data = xd @ wd + b.data
     if not (_GRAD_ENABLED[-1] and (x.tracked or w.tracked or b.tracked)):
@@ -246,11 +258,57 @@ def linear(x, w, b) -> Tensor:
     def grad_fn(g):
         return (
             g @ w.data.T if x.tracked else None,
-            x.data.T @ g if w.tracked else None,
+            _rows(x.data).T @ _rows(g) if w.tracked else None,
             _unbroadcast(g, b.shape) if b.tracked else None,
         )
 
     return _tracked(data, (x, w, b), grad_fn)
+
+
+def pair_relu_score(a, b, w, bias) -> Tensor:
+    """relu(a_i + b_j) @ w + bias for every row i of ``a`` and row j of ``b``.
+
+    ``a`` is (..., M, h) and ``b`` (..., N, h) with equal leading axes, ``w``
+    is (h, 1) and ``bias`` (1,); the result is (..., M, N). The (..., M, N, h)
+    sums live only inside the forward and the backward call: backward
+    recomputes them from ``a`` and ``b`` instead of keeping them until then.
+    """
+    a, b, w, bias = _as_tensor(a), _as_tensor(b), _as_tensor(w), _as_tensor(bias)
+    ad, bd = a.data, b.data
+    h = ad.shape[-1]
+    if (ad.ndim < 2 or bd.ndim != ad.ndim or ad.shape[:-2] != bd.shape[:-2]
+            or bd.shape[-1] != h or w.shape != (h, 1) or bias.shape != (1,)):
+        raise DimensionError(f"pair_relu_score: shapes {a.shape}, {b.shape}, {w.shape} "
+                             f"and {bias.shape} are not compatible")
+    out_shape = ad.shape[:-1] + bd.shape[-2:-1]
+
+    def pair_sums() -> np.ndarray:
+        return ad[..., :, None, :] + bd[..., None, :, :]
+
+    fused = pair_sums()
+    np.maximum(fused, 0.0, out=fused)
+    data = (_rows(fused) @ w.data + bias.data).reshape(out_shape)
+    if not (_GRAD_ENABLED[-1] and (a.tracked or b.tracked or w.tracked or bias.tracked)):
+        return _untracked(data)
+
+    def grad_fn(g):
+        fused = pair_sums()
+        active = fused > 0.0
+        gw = None
+        if w.tracked:
+            np.maximum(fused, 0.0, out=fused)
+            gw = _rows(fused).T @ g.reshape(-1, 1)
+        # the gradient of the sums overwrites them: g_ij * w where the relu is active
+        np.multiply(g[..., None], w.data[:, 0], out=fused)
+        fused *= active
+        return (
+            fused.sum(axis=-2) if a.tracked else None,
+            fused.sum(axis=-3) if b.tracked else None,
+            gw,
+            g.sum().reshape(1) if bias.tracked else None,
+        )
+
+    return _tracked(data, (a, b, w, bias), grad_fn)
 
 
 def relu(x) -> Tensor:
@@ -363,18 +421,18 @@ def take_rows(x, ids) -> Tensor:
     return _tracked(data, (x,), grad_fn)
 
 
-def bce_with_logits(logits, targets, row_mask=None) -> Tensor:
+def bce_with_logits(logits, targets, mask=None) -> Tensor:
     """Summed binary cross entropy from logits against {0,1} targets.
 
     Computed as t*softplus(-z) + (1-t)*softplus(z), which never overflows
-    and is exactly zero at saturated correct logits. ``row_mask`` (rows x 1)
-    excludes rows from the sum.
+    and is exactly zero at saturated correct logits. ``mask`` (0/1,
+    broadcast against the logits) excludes entries from the sum.
     """
     z = _as_tensor(logits)
     t = np.asarray(targets, dtype=np.float64)
     if t.shape != z.shape:
         raise DimensionError(f"bce targets {t.shape} do not match logits {z.shape}")
-    mask = None if row_mask is None else np.asarray(row_mask, dtype=np.float64)
+    mask = None if mask is None else np.asarray(mask, dtype=np.float64)
     per = t * np.logaddexp(0.0, -z.data) + (1.0 - t) * np.logaddexp(0.0, z.data)
     if mask is not None:
         per = per * mask

@@ -1,18 +1,19 @@
 """Model assembly, losses with per-layer supervision, and the training loop.
 
-Each word-level layer carries its own pointer/classifier heads. Per training
-step, labels are assigned to queries dynamically (or statically in the
-ablation), boundary and classification losses are summed over layers, and
-sentence losses are averaged per batch. Inference decodes the final layer
-only.
+Each word-level layer carries its own pointer/classifier heads. A training
+step encodes its mini-batch as one padded batch and builds one autodiff
+graph for it. Labels are assigned to each sentence's queries dynamically
+(or statically in the ablation), boundary and classification losses are
+summed over layers and sentences, and the sum is averaged per batch.
+Inference decodes the final layer only, one sentence as a batch of one.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
-from typing import Literal, get_args
+from dataclasses import asdict, dataclass
+from typing import Literal, get_args, get_type_hints
 
 import numpy as np
 
@@ -29,10 +30,11 @@ from .encoder import (
     LayerOutputs,
     ModelConfig,
     TransformerLayer,
+    attention_mask,
     build_input,
-    build_one_way_mask,
     encode,
     one_way_self_attention,
+    pad_batch,
 )
 from .evaluation import EvalReport, evaluate_corpus
 from .heads import (
@@ -129,89 +131,116 @@ class Model:
         for _, p in self.named_parameters():
             p.zero_grad()
 
-    def encode(self, token_ids) -> LayerOutputs:
-        return encode(build_input(token_ids, self.tables), len(token_ids),
-                      self.layers, self.config)
+    def encode(self, batch) -> LayerOutputs:
+        """Encode the sentences (token id arrays) as one padded batch."""
+        ids, lengths = pad_batch(batch)
+        return encode(build_input(ids, self.tables), lengths, self.layers, self.config)
+
+    def forward_batch(
+        self, batch
+    ) -> tuple[LayerOutputs, list[tuple[BoundaryScores, TypeDistribution]]]:
+        """Encode a padded batch and run every word-level layer's heads on it."""
+        outputs = self.encode(batch)
+        head_outs = [_run_heads(h_q, h_w, heads, outputs.word_mask)
+                     for h_w, h_q, heads in zip(outputs.word, outputs.query, self.heads)]
+        return outputs, head_outs
 
     def forward(
         self, token_ids
     ) -> tuple[LayerOutputs, list[tuple[BoundaryScores, TypeDistribution]]]:
-        """Encode and run every word-level layer's heads."""
-        outputs = self.encode(token_ids)
-        head_outs = [_run_heads(h_q, h_w, heads)
-                     for h_w, h_q, heads in zip(outputs.word, outputs.query, self.heads)]
-        return outputs, head_outs
+        """One sentence as a batch of one: its encodings, and each layer's
+        (M, N) head outputs off the graph, as assignment and decode read them."""
+        outputs, head_outs = self.forward_batch([token_ids])
+        return outputs, _sentence_outputs(head_outs, 0, len(token_ids))
 
     def predict(self, token_ids, loc_threshold: float, cls_threshold: float) -> list[Prediction]:
         """Decode entities from the final layer, the only one whose heads run."""
         with no_grad():
-            outputs = self.encode(token_ids)
+            outputs = self.encode([token_ids])
             scores, types = _run_heads(outputs.final_query, outputs.final_word, self.heads[-1])
-        return decode_entities(scores, types, loc_threshold, cls_threshold)
+        return decode_entities(scores.sentence(0, len(token_ids)), types.sentence(0),
+                               loc_threshold, cls_threshold)
 
 
-def _run_heads(h_q, h_w, heads: LayerHeads) -> tuple[BoundaryScores, TypeDistribution]:
-    scores = boundary_pointer(h_q, h_w, heads)
+def _run_heads(h_q, h_w, heads: LayerHeads,
+               word_mask: np.ndarray | None = None) -> tuple[BoundaryScores, TypeDistribution]:
+    scores = boundary_pointer(h_q, h_w, heads, word_mask)
     return scores, entity_classifier(h_q, h_w, scores, heads)
+
+
+def _sentence_outputs(head_outs, index: int, length: int):
+    """Each layer's head outputs for one sentence of a padded batch, unpadded."""
+    return [(scores.sentence(index, length), types.sentence(index))
+            for scores, types in head_outs]
 
 
 # ---------------------------------------------------------------------------
 # losses
+#
+# Each loss takes one sentence's (M, N) outputs with its labels and length,
+# or a padded batch's (B, M, N) outputs with a list of labels and a list of
+# lengths, one per sentence; the single sentence is a batch of one.
 
 
-def boundary_loss(
-    scores: BoundaryScores,
-    labels: list[EntityAnnotation | None],
-    sentence_length: int,
-) -> Tensor:
+def boundary_loss(scores: BoundaryScores, labels, sentence_length) -> Tensor:
     """Binary cross entropy of both boundary maps against one-hot targets.
 
-    Queries labeled None carry no boundary target and are excluded; the
-    classification loss alone supervises them.
+    Only real words count. Queries labeled None carry no boundary target and
+    are excluded; the classification loss alone supervises them.
     """
-    m, n = scores.left.shape
-    if n != sentence_length:
-        raise AnnotationError(f"scores cover {n} words, sentence has {sentence_length}")
-    row_mask = np.zeros((m, 1))
-    left_target = np.zeros((m, n))
-    right_target = np.zeros((m, n))
-    for i, label in enumerate(labels):
-        if label is None:
-            continue
-        if label.right >= n:
-            raise AnnotationError(f"label span ({label.left}, {label.right}) outside {n} words")
-        row_mask[i, 0] = 1.0
-        left_target[i, label.left] = 1.0
-        right_target[i, label.right] = 1.0
-    if not row_mask.any():
+    shape = scores.left_logits.shape
+    if len(shape) == 2:
+        labels, sentence_length = [labels], [sentence_length]
+    *_, m, n = shape
+    longest = max(sentence_length)
+    if n != longest:
+        raise AnnotationError(f"scores cover {n} words, the longest sentence has {longest}")
+    mask = np.zeros((len(labels), m, n))
+    left_target = np.zeros((len(labels), m, n))
+    right_target = np.zeros((len(labels), m, n))
+    labeled = False
+    for b, (sentence_labels, length) in enumerate(zip(labels, sentence_length)):
+        for i, label in enumerate(sentence_labels):
+            if label is None:
+                continue
+            if label.right >= length:
+                raise AnnotationError(
+                    f"label span ({label.left}, {label.right}) outside {length} words")
+            labeled = True
+            mask[b, i, :length] = 1.0
+            left_target[b, i, label.left] = 1.0
+            right_target[b, i, label.right] = 1.0
+    if not labeled:
         return Tensor(0.0)
-    return add(
-        bce_with_logits(scores.left_logits, left_target, row_mask),
-        bce_with_logits(scores.right_logits, right_target, row_mask),
-    )
+    mask = mask.reshape(shape)
+    return add(bce_with_logits(scores.left_logits, left_target.reshape(shape), mask),
+               bce_with_logits(scores.right_logits, right_target.reshape(shape), mask))
 
 
-def classification_loss(
-    types: TypeDistribution, labels: list[EntityAnnotation | None]
-) -> Tensor:
+def classification_loss(types: TypeDistribution, labels) -> Tensor:
     """Cross entropy over the type inventory plus None, summed over queries."""
-    m, classes = types.logits.shape
+    shape = types.logits.shape
+    if len(shape) == 2:
+        labels = [labels]
+    *_, m, classes = shape
     none_id = classes - 1
-    one_hot = np.zeros((m, classes))
-    for i, label in enumerate(labels):
-        target = none_id if label is None else label.type_id
-        if target >= classes:
-            raise AnnotationError(f"label type {target} outside {classes} classes")
-        one_hot[i, target] = 1.0
-    return softmax_cross_entropy(types.logits, one_hot)
+    one_hot = np.zeros((len(labels), m, classes))
+    for b, sentence_labels in enumerate(labels):
+        for i, label in enumerate(sentence_labels):
+            target = none_id if label is None else label.type_id
+            if target >= classes:
+                raise AnnotationError(f"label type {target} outside {classes} classes")
+            one_hot[b, i, target] = 1.0
+    return softmax_cross_entropy(types.logits, one_hot.reshape(shape))
 
 
 def sentence_loss(
     head_outs: list[tuple[BoundaryScores, TypeDistribution]],
-    labels_per_layer: list[list[EntityAnnotation | None]],
-    sentence_length: int,
+    labels_per_layer: list,
+    sentence_length,
 ) -> Tensor:
-    """Total per-sentence loss: boundary + classification at every layer."""
+    """Total loss of a sentence or a padded batch: boundary + classification
+    at every layer. ``labels_per_layer[layer]`` is what the two losses take."""
     total: Tensor | None = None
     for (scores, types), labels in zip(head_outs, labels_per_layer):
         layer_total = add(boundary_loss(scores, labels, sentence_length),
@@ -303,15 +332,6 @@ class AdamOptimizer:
             v = self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * (g * g)
             p.data -= lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
 
-    def state(self) -> dict:
-        return {"step": self.step_count, "m": self.m, "v": self.v}
-
-    def load_state(self, state: dict) -> None:
-        self.step_count = int(state["step"])
-        for name in self.m:
-            self.m[name][...] = state["m"][name]
-            self.v[name][...] = state["v"][name]
-
 
 def linear_warmup_decay(step: int, total_steps: int, peak: float,
                         warmup_fraction: float) -> float:
@@ -353,20 +373,19 @@ def train_epoch(
     for start in range(0, len(order), config.batch_size):
         batch = order[start : start + config.batch_size]
         model.zero_grad()
-        batch_total: Tensor | None = None
-        for idx in batch:
-            _, head_outs = model.forward(encoded[idx])
-            labels = assign_labels_per_layer(
-                head_outs, golds[idx], config, model.config.queries, rng
-            )
-            loss = sentence_loss(head_outs, labels, len(encoded[idx]))
-            batch_total = loss if batch_total is None else add(batch_total, loss)
-            final_scores, final_types = head_outs[-1]
+        lengths = [len(encoded[idx]) for idx in batch]
+        _, head_outs = model.forward_batch([encoded[idx] for idx in batch])
+        labels = []  # [sentence][layer][query]
+        for b, idx in enumerate(batch):
+            sentence_outs = _sentence_outputs(head_outs, b, lengths[b])
+            labels.append(assign_labels_per_layer(
+                sentence_outs, golds[idx], config, model.config.queries, rng))
+            final_scores, final_types = sentence_outs[-1]
             predictions[idx] = decode_entities(
                 final_scores, final_types, config.loc_threshold, config.cls_threshold
             )
-        assert batch_total is not None
-        batch_mean = mul(batch_total, 1.0 / len(batch))
+        loss = sentence_loss(head_outs, list(zip(*labels)), lengths)
+        batch_mean = mul(loss, 1.0 / len(batch))
         value = batch_mean.item()
         if not math.isfinite(value):
             raise NumericError(f"non-finite loss at epoch {epoch}, step {step}")
@@ -467,8 +486,12 @@ def save_checkpoint(path, model: Model, meta: DatasetMeta,
         np.savez(fh, **arrays)
 
 
-def load_checkpoint(path) -> tuple[Model, DatasetMeta, dict | None]:
-    """Rebuild the model, metadata, and optional optimizer state."""
+def load_checkpoint(path) -> tuple[Model, DatasetMeta, None]:
+    """Rebuild the model and metadata.
+
+    Nothing resumes training, so the Adam moments a checkpoint may hold are
+    not read; the third value, kept for callers that unpack three, is None.
+    """
     try:
         archive = np.load(path)
     except (OSError, ValueError) as err:
@@ -478,31 +501,29 @@ def load_checkpoint(path) -> tuple[Model, DatasetMeta, dict | None]:
     header = json.loads(bytes(archive["header"].tobytes()).decode("utf-8"))
     if header.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"unsupported checkpoint format {header.get('format')!r}")
-    unknown = set(header["config"]) - {f.name for f in fields(ModelConfig)}
+    expected = get_type_hints(ModelConfig)
+    unknown = set(header["config"]) - set(expected)
     if unknown:
         raise CheckpointError(f"checkpoint config has unknown keys {sorted(unknown)}")
+    for key, value in header["config"].items():
+        if type(value) is not expected[key]:  # a bool is no int here
+            raise CheckpointError(f"checkpoint config {key} is {value!r}, "
+                                  f"expected {expected[key].__name__}")
     model = Model(ModelConfig(**header["config"]))
     for name, p in model.named_parameters():
         key = f"param/{name}"
         if key not in archive:
-            raise CheckpointError(f"checkpoint missing parameter {name}")
+            raise CheckpointError(f"checkpoint missing {key}")
         value = archive[key]
         if value.shape != p.shape:
             raise CheckpointError(
-                f"checkpoint parameter {name} has shape {value.shape}, the model needs {p.shape}")
+                f"checkpoint {key} has shape {value.shape}, the model needs {p.shape}")
         p.data[...] = value
     meta = DatasetMeta(
         types=list(header["types"]),
         vocab={word: idx for idx, word in enumerate(header["words"])},
     )
-    opt_state = None
-    if "optimizer_step" in header:
-        opt_state = {
-            "step": header["optimizer_step"],
-            "m": {name: archive[f"adam_m/{name}"] for name, _ in model.named_parameters()},
-            "v": {name: archive[f"adam_v/{name}"] for name, _ in model.named_parameters()},
-        }
-    return model, meta, opt_state
+    return model, meta, None
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +584,9 @@ def model_gradcheck(
     labels = assign_labels_per_layer(
         head_outs, gold, train_config, queries, np.random.default_rng(seed)
     )
-    mask = build_one_way_mask(tokens, queries, config.query_interaction, config.one_way)
+    # the training path's batch of one: (1, N+M, h) activations
+    batch_ids = token_ids[None]
+    mask = Tensor(attention_mask(np.array([tokens]), config))
     depth = len(model.layers)
     leak = model.layers[0].wq
 
@@ -571,8 +594,7 @@ def model_gradcheck(
         heads = model.heads[tau]
         scores = boundary_pointer(h_q, h_w, heads)
         types = entity_classifier(h_q, h_w, scores, heads)
-        return add(boundary_loss(scores, labels[tau], tokens),
-                   classification_loss(types, labels[tau]))
+        return sentence_loss([(scores, types)], [[labels[tau]]], [tokens])
 
     def run(x, start: int, live_head: int | None) -> Tensor:
         """Loss with layers [start, depth) live and earlier stages constant.
@@ -587,10 +609,10 @@ def model_gradcheck(
                 while start <= index:
                     x = one_way_self_attention(x, mask, model.layers[start], config.heads)
                     start += 1
-                piece = layer_loss(tau, narrow(x, 0, 0, tokens), narrow(x, 0, tokens, queries))
+                piece = layer_loss(tau, narrow(x, -2, 0, tokens), narrow(x, -2, tokens, queries))
             elif tau == live_head:
                 h = entering[index + 1]
-                piece = layer_loss(tau, narrow(h, 0, 0, tokens), narrow(h, 0, tokens, queries))
+                piece = layer_loss(tau, narrow(h, -2, 0, tokens), narrow(h, -2, tokens, queries))
             else:
                 piece = Tensor(cached_losses[tau])
             total = piece if total is None else add(total, piece)
@@ -602,7 +624,7 @@ def model_gradcheck(
     def stage_cache():
         """Activations entering each layer plus per-layer loss values."""
         with no_grad():
-            x = build_input(token_ids, model.tables)
+            x = build_input(batch_ids, model.tables)
             acts = [x]
             losses = []
             for index, layer in enumerate(model.layers):
@@ -611,8 +633,8 @@ def model_gradcheck(
                 if index >= base_layers:
                     tau = index - base_layers
                     losses.append(
-                        layer_loss(tau, narrow(x, 0, 0, tokens),
-                                   narrow(x, 0, tokens, queries)).item()
+                        layer_loss(tau, narrow(x, -2, 0, tokens),
+                                   narrow(x, -2, tokens, queries)).item()
                     )
         return acts, losses
 
@@ -620,7 +642,7 @@ def model_gradcheck(
 
     def make_loss_fn(start: int, live_head: int | None):
         if start == 0:
-            return lambda _: run(build_input(token_ids, model.tables), 0, None)
+            return lambda _: run(build_input(batch_ids, model.tables), 0, None)
         return lambda _: run(entering[start].detach(), start, live_head)
 
     worst = 0.0

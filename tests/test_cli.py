@@ -374,3 +374,91 @@ def test_train_numeric_divergence_exits_3(corpus, tmp_path, capsys):
                  "--base-layers", "1", "--heads", "2", "--lr", "1e200"])
     assert code == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("key,value,expected", [("hidden", "16", "int"), ("queries", 4.0, "int"),
+                                                ("heads", True, "int"), ("one_way", 1, "bool")])
+def test_checkpoint_config_value_of_wrong_type_exits_2(key, value, expected, trained_checkpoint,
+                                                       corpus, tmp_path, capsys):
+    ckpt = _tampered_checkpoint(trained_checkpoint, tmp_path / "bad.npz",
+                                lambda arrays, header: header["config"].update({key: value}))
+    code = main(["predict", "--checkpoint", str(ckpt), "--input", str(corpus[0])])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert key in err and expected in err
+
+
+def test_checkpoint_moments_are_never_read(trained_checkpoint, corpus, tmp_path, capsys):
+    def spoil_moments(arrays, header):
+        del arrays["adam_m/emb.word"]
+        arrays["adam_v/layer0.wq"] = np.zeros((3, 3))
+
+    ckpt = _tampered_checkpoint(trained_checkpoint, tmp_path / "bad-moments.npz", spoil_moments)
+    code = main(["predict", "--checkpoint", str(ckpt), "--input", str(corpus[0])])
+    assert code == 0
+    capsys.readouterr()
+
+
+def test_train_checks_dev_lengths_before_training(corpus, tmp_path, capsys):
+    dev = tmp_path / "dev.jsonl"
+    lines = [{"tokens": ["w0", "w1"]}, {"tokens": ["w3"] * 70}]
+    dev.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    out = tmp_path / "model.npz"
+    code = main(["train", "--train", str(corpus[0]), "--dev", str(dev), "--out", str(out),
+                 "--epochs", "1", "--hidden", "8", "--queries", "2", "--layers", "1",
+                 "--heads", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert f"{dev}:2:" in captured.err and "70" in captured.err
+
+
+@pytest.mark.parametrize("field,value,parsed", [
+    ("one_way", "off", False), ("one_way", False, False), ("share_final_assignment", "on", True),
+    ("hidden", "48", 48), ("epochs", 3, 3), ("learning_rate", 1, 1.0),
+    ("quantity_mode", "one-to-one", "one_to_one"), ("quantity_mode", "one_to_one", "one_to_one"),
+    ("max_grad_norm", None, None),
+])
+def test_config_file_values_parse_like_flags(field, value, parsed, tmp_path):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({field: value}))
+    config = build_run_config(build_parser().parse_args(["train", "--config", str(config_path)]))
+    assert getattr(config, field) == parsed and type(getattr(config, field)) is type(parsed)
+
+
+def test_config_file_switch_off_trains_without_the_mask(corpus, tmp_path, capsys):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({"one_way": "off"}))
+    out = tmp_path / "model.npz"
+    code = main(["train", "--config", str(config_path), "--train", str(corpus[0]),
+                 "--out", str(out), "--epochs", "1", "--hidden", "8", "--queries", "2",
+                 "--layers", "1", "--heads", "1"])
+    assert code == 0
+    capsys.readouterr()
+    with np.load(out) as archive:
+        header = json.loads(archive["header"].tobytes().decode("utf-8"))
+    assert header["config"]["one_way"] is False
+
+
+@pytest.mark.parametrize("field,value", [("one_way", "maybe"), ("one_way", 0), ("hidden", "4.5"),
+                                         ("hidden", 48.0), ("quantity_mode", "many"),
+                                         ("assignment_mode", 1), ("epochs", True)])
+def test_config_file_bad_value_exits_2_naming_the_field(field, value, corpus, tmp_path, capsys):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({field: value}))
+    assert main(["train", "--config", str(config_path), "--train", str(corpus[0])]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and field in captured.err
+
+
+@pytest.mark.parametrize("command", ["predict", "eval", "stats"])
+def test_decode_commands_check_every_length_before_output(command, trained_checkpoint, tmp_path,
+                                                          capsys):
+    data = tmp_path / "long.jsonl"
+    lines = [{"tokens": ["w0", "w1"]}, {"tokens": ["w2"] * 5}, {"tokens": ["w3"] * 70}]
+    data.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    flag = "--input" if command == "predict" else "--data"
+    assert main([command, "--checkpoint", str(trained_checkpoint), flag, str(data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{data}:3:" in captured.err and "70" in captured.err

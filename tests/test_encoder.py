@@ -10,10 +10,12 @@ from iqner.encoder import (
     ModelConfig,
     TransformerLayer,
     VocabError,
+    attention_mask,
     build_input,
     build_one_way_mask,
     encode,
     one_way_self_attention,
+    pad_batch,
 )
 from iqner.tensor import Tensor, grad_check
 
@@ -260,3 +262,73 @@ def test_attention_graph_size_is_independent_of_head_count():
         out = one_way_self_attention(x, build_one_way_mask(3, 2), layer, n_heads)
         sizes.add(len(T.topological_order(T.tsum(out))))
     assert len(sizes) == 1
+
+
+def _encode_batch(config, tables, layers, batch):
+    ids, lengths = pad_batch(batch)
+    return encode(build_input(ids, tables), lengths, layers, config)
+
+
+def test_pad_batch_layout_and_errors():
+    ids, lengths = pad_batch([[3, 4], [5], [6, 7, 8]])
+    assert ids.tolist() == [[3, 4, 0], [5, 0, 0], [6, 7, 8]]
+    assert lengths.tolist() == [2, 1, 3]
+    with pytest.raises(LengthError):
+        pad_batch([[1], []])
+
+
+def test_attention_mask_blocks_pad_columns_in_every_row():
+    for one_way in (True, False):
+        for interaction in (True, False):
+            config = small_config(queries=2, one_way=one_way, query_interaction=interaction)
+            mask = attention_mask(np.array([3, 1, 2]), config)
+            assert mask.shape == (3, 1, 5, 5)
+            base = build_one_way_mask(3, 2, interaction, one_way)
+            for b, n in enumerate([3, 1, 2]):
+                assert np.all(mask[b, 0, :, n:3] == -np.inf)
+                assert np.array_equal(mask[b, 0, :, :n], base[:, :n])
+                assert np.array_equal(mask[b, 0, :, 3:], base[:, 3:])
+    assert attention_mask(np.array([2, 2]), small_config()).shape == (5, 5)  # nothing padded
+
+
+def test_padded_batch_matches_each_sentence_alone():
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        one_way, interaction = bool(seed % 2), seed < 2
+        config = small_config(heads=int(rng.choice([1, 2, 4])), queries=int(rng.integers(1, 5)),
+                              one_way=one_way, query_interaction=interaction)
+        tables, layers = make_model_params(config, seed=seed)
+        batch = [rng.integers(0, config.vocab_size, size=int(rng.integers(1, 8)))
+                 for _ in range(int(rng.integers(2, 5)))]
+        outputs = _encode_batch(config, tables, layers, batch)
+        for b, ids in enumerate(batch):
+            alone = encode(build_input(ids, tables), len(ids), layers, config)
+            for layer in range(config.word_layers):
+                word = outputs.word[layer].data[b, :len(ids)]
+                assert np.allclose(word, alone.word[layer].data, rtol=0, atol=1e-12)
+                assert np.allclose(outputs.query[layer].data[b], alone.query[layer].data,
+                                   rtol=0, atol=1e-12)
+
+
+def test_one_way_invariance_on_padded_batches():
+    for seed in range(6):
+        rng = np.random.default_rng(500 + seed)
+        config = small_config(queries=3, heads=2)
+        tables, layers = make_model_params(config, seed=seed)
+        batch = [rng.integers(0, config.vocab_size, size=int(rng.integers(1, 9)))
+                 for _ in range(3)]
+        lengths = [len(ids) for ids in batch]
+        before = _encode_batch(config, tables, layers, batch)
+        tables.query.data[...] = rng.normal(0.0, 0.5, size=tables.query.shape)
+        tables.pos_query.data[...] = rng.normal(0.0, 0.5, size=tables.pos_query.shape)
+        after = _encode_batch(config, tables, layers, batch)
+        for b, n in enumerate(lengths):
+            for old, new in zip(before.word, after.word):
+                assert np.max(np.abs(old.data[b, :n] - new.data[b, :n])) < 1e-9
+        open_config = small_config(queries=3, heads=2, one_way=False)
+        open_before = _encode_batch(open_config, tables, layers, batch)
+        tables.query.data[...] = rng.normal(0.0, 0.5, size=tables.query.shape)
+        open_after = _encode_batch(open_config, tables, layers, batch)
+        for b, n in enumerate(lengths):
+            diff = np.max(np.abs(open_before.word[-1].data[b, :n] - open_after.word[-1].data[b, :n]))
+            assert diff > 1e-6

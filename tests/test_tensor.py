@@ -158,6 +158,60 @@ def test_computation_record_topological_order():
                 assert position[id(parent)] < position[id(node)]
 
 
+def _composed_pair_score(a, b, w, bias):
+    """What ``pair_relu_score`` fuses: a broadcast add, a relu and a linear map."""
+    *lead, m, h = a.shape
+    n = b.shape[-2]
+    pairs = T.relu(T.add(T.reshape(a, (*lead, m, 1, h)), T.reshape(b, (*lead, 1, n, h))))
+    return T.reshape(T.linear(pairs, w, bias), (*lead, m, n))
+
+
+def _pair_score_leaves(rng, lead):
+    m, n, h = (int(v) for v in rng.integers(1, 7, size=3))
+    shapes = ((*lead, m, h), (*lead, n, h), (h, 1), (1,))
+    return [Tensor(rng.normal(size=shape), tracked=True) for shape in shapes]
+
+
+def test_pair_relu_score_matches_composed_ops():
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        lead = () if seed % 2 else (int(rng.integers(1, 4)),)
+        leaves = _pair_score_leaves(rng, lead)
+        weights = None
+        outs, grads = [], []
+        for op in (T.pair_relu_score, _composed_pair_score):
+            for p in leaves:
+                p.zero_grad()
+            out = op(*leaves)
+            if weights is None:
+                weights = Tensor(rng.normal(size=out.shape))
+            backward(T.tsum(T.mul(out, weights)))
+            outs.append(out.data)
+            grads.append([p.grad for p in leaves])
+        assert outs[0].shape == outs[1].shape
+        assert np.max(np.abs(outs[0] - outs[1])) <= 1e-12 * np.max(np.abs(outs[1]))
+        for fused, composed in zip(*grads):
+            assert np.max(np.abs(fused - composed)) <= 1e-10 * np.max(np.abs(composed))
+
+
+def test_pair_relu_score_gradients():
+    for seed in range(4):
+        rng = np.random.default_rng(100 + seed)
+        leaves = _pair_score_leaves(rng, (2,))
+        for leaf in leaves:
+            err = grad_check(_scalarize(lambda: T.pair_relu_score(*leaves), None), leaf, 1e-5)
+            assert err < 1e-4, f"seed {seed}: {err}"
+
+
+def test_pair_relu_score_rejects_incompatible_shapes():
+    a, b = Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 5, 4)))
+    w, bias = Tensor(np.zeros((4, 1))), Tensor(np.zeros(1))
+    for args in ((a, Tensor(np.zeros((3, 5, 4))), w, bias), (a, Tensor(np.zeros((2, 5, 3))), w, bias),
+                 (a, b, Tensor(np.zeros((4, 2))), bias), (a, b, w, Tensor(np.zeros(2)))):
+        with pytest.raises(DimensionError):
+            T.pair_relu_score(*args)
+
+
 def _scalarize(op, parts):
     """Random fixed projection to a scalar so grad_check sees every output."""
     rng = np.random.default_rng(1234)
@@ -204,6 +258,7 @@ BINARY_OPS = [
     ("mul_broadcast", T.mul, (3, 1), (3, 4)),
     ("matmul", T.matmul, (3, 4), (4, 2)),
     ("matmul_batched", T.matmul, (2, 3, 4), (2, 4, 5)),
+    ("matmul_shared", T.matmul, (2, 3, 4), (4, 5)),
 ]
 
 
@@ -230,6 +285,19 @@ def test_structural_op_gradients():
         ids = rng.integers(0, 5, size=4)
         f2 = _scalarize(lambda: T.take_rows(table, ids), None)
         assert grad_check(f2, table, 1e-5) < 1e-4
+
+
+def test_linear_over_leading_axes_gradients_and_value():
+    for seed in range(6):
+        rng = np.random.default_rng(250 + seed)
+        x = Tensor(rng.normal(size=(2, 3, 4)), tracked=True)
+        w = Tensor(rng.normal(size=(4, 5)), tracked=True)
+        b = Tensor(rng.normal(size=5), tracked=True)
+        for p in (x, w, b):
+            f = _scalarize(lambda: T.linear(x, w, b), None)
+            assert grad_check(f, p, 1e-5) < 1e-4
+        rows = np.concatenate([T.linear(Tensor(x.data[i]), w, b).data[None] for i in range(2)])
+        assert np.array_equal(T.linear(x, w, b).data, rows)
 
 
 def test_layer_norm_gradients_and_value():

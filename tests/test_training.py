@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -251,7 +252,13 @@ def test_checkpoint_round_trip(tmp_path):
     loaded, loaded_meta, opt_state = load_checkpoint(path)
     assert loaded_meta.types == meta.types
     assert loaded_meta.vocab == meta.vocab
-    assert opt_state["step"] == 17
+    assert opt_state is None  # the moments are written, never read back
+    with np.load(path) as archive:
+        header = json.loads(archive["header"].tobytes().decode("utf-8"))
+        assert header["optimizer_step"] == 17
+        for name in opt.m:
+            assert np.array_equal(archive[f"adam_m/{name}"], opt.m[name])
+            assert np.array_equal(archive[f"adam_v/{name}"], opt.v[name])
     for (name_a, a), (name_b, b) in zip(model.named_parameters(), loaded.named_parameters()):
         assert name_a == name_b
         assert np.array_equal(a.data, b.data)
@@ -297,3 +304,104 @@ def test_predict_runs_only_the_final_layer_heads(monkeypatch):
                         lambda *args: calls.append(args) or pointer(*args))
     model.predict(meta.encode(examples[0].tokens), 0.0, 0.0)
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# one graph per padded batch
+
+
+def _random_labels(rng, lengths, queries, type_count, depth):
+    """[layer][sentence][query] labels: a random span inside the sentence, or None."""
+    def label(n):
+        if rng.random() < 0.4:
+            return None
+        left = int(rng.integers(n))
+        return EntityAnnotation(left, int(rng.integers(left, n)), int(rng.integers(type_count)))
+    return [[[label(n) for _ in range(queries)] for n in lengths] for _ in range(depth)]
+
+
+def test_batched_loss_and_gradients_equal_the_per_sentence_sum():
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        heads = int(rng.choice([1, 2, 4]))
+        config = ModelConfig(hidden=heads * int(rng.integers(2, 5)),
+                             queries=int(rng.integers(1, 6)), base_layers=1,
+                             word_layers=int(rng.integers(1, 3)), heads=heads, vocab_size=12,
+                             max_len=10, type_count=int(rng.integers(1, 4)),
+                             one_way=seed % 4 != 1, query_interaction=seed % 4 != 2, seed=seed)
+        model = Model(config)
+        for _, p in model.named_parameters():
+            p.data[...] += rng.normal(0.0, 0.3, size=p.shape)
+        lengths = [int(n) for n in rng.integers(1, 11, size=int(rng.integers(2, 5)))]
+        lengths[0] = 10 if lengths[1] < 10 else 1  # unequal lengths, so some are padded
+        batch = [rng.integers(0, 12, size=n) for n in lengths]
+        labels = _random_labels(rng, lengths, config.queries, config.type_count,
+                                config.word_layers)
+
+        model.zero_grad()
+        expected = 0.0
+        for b, ids in enumerate(batch):
+            _, head_outs = model.forward_batch([ids])
+            loss = sentence_loss(head_outs, [layer[b:b + 1] for layer in labels], [len(ids)])
+            backward(loss)
+            expected += loss.item()
+        per_sentence = {name: p.grad.copy() for name, p in model.named_parameters()}
+
+        model.zero_grad()
+        _, head_outs = model.forward_batch(batch)
+        loss = sentence_loss(head_outs, labels, lengths)
+        backward(loss)
+        assert abs(loss.item() - expected) <= 1e-10 * abs(expected)
+        for name, p in model.named_parameters():
+            ref = per_sentence[name]
+            assert np.max(np.abs(p.grad - ref)) <= 1e-10 * np.max(np.abs(ref)), name
+
+
+def test_pad_columns_never_reach_decode_or_assignment():
+    from iqner.assignment import compute_cost_matrix
+    from iqner.heads import decode_entities
+    from iqner.tensor import no_grad
+
+    examples, meta, config = _tiny_fixture()
+    model = Model(ModelConfig(**{**config.__dict__, "word_layers": 2}))
+    batch = [meta.encode(ex.tokens)[:n] for ex, n in zip(examples, (3, 7, 5))]
+    with no_grad():
+        _, head_outs = model.forward_batch(batch)
+    for b, ids in enumerate(batch):
+        n = len(ids)
+        gold = [EntityAnnotation(0, n - 1, 0), EntityAnnotation(n - 1, n - 1, 1)]
+        before = training._sentence_outputs(head_outs, b, n)
+        for scores, _ in head_outs:
+            assert not scores.left.data[b, :, n:].any() and not scores.right.data[b, :, n:].any()
+            # make every pad the most probable boundary of every query
+            scores.left.data[b, :, n:] = 1.0
+            scores.right.data[b, :, n:] = 1.0
+        after = training._sentence_outputs(head_outs, b, n)
+        _, alone = model.forward(ids)
+        for (s0, t0), (s1, t1), (s2, t2) in zip(before, after, alone):
+            assert s1.left.shape == (config.queries, n)
+            assert np.array_equal(s0.left.data, s1.left.data)
+            assert np.array_equal(s0.right.data, s1.right.data)
+            assert np.array_equal(compute_cost_matrix(s0, t0, gold), compute_cost_matrix(s1, t1, gold))
+            assert np.allclose(compute_cost_matrix(s1, t1, gold), compute_cost_matrix(s2, t2, gold),
+                               rtol=0, atol=1e-12)
+        predictions = decode_entities(*after[-1], 0.0, 0.0)
+        assert predictions == decode_entities(*before[-1], 0.0, 0.0)
+        assert all(p.right < n for p in predictions)
+
+
+def test_batch_graph_size_does_not_grow_with_the_batch():
+    from iqner.tensor import topological_order
+
+    examples, meta, config = _tiny_fixture()
+    model = Model(config)
+    sizes = set()
+    for size in (2, 4, 8):
+        batch = [meta.encode(ex.tokens) for ex in examples[:size]]
+        assert len({len(ids) for ids in batch}) > 1
+        _, head_outs = model.forward_batch(batch)
+        lengths = [len(ids) for ids in batch]
+        labels = _random_labels(np.random.default_rng(size), lengths, config.queries,
+                                config.type_count, config.word_layers)
+        sizes.add(len(topological_order(sentence_loss(head_outs, labels, lengths))))
+    assert len(sizes) == 1
