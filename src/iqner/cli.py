@@ -43,7 +43,6 @@ from .evaluation import query_affinity_stats
 from .tensor import NumericError
 from .training import (
     GRADCHECK_EPS,
-    AdamOptimizer,
     CheckpointError,
     Model,
     TrainConfig,
@@ -270,12 +269,16 @@ def cmd_train(config: RunConfig) -> int:
     dev_examples = None
     if config.dev_path:
         dev_examples, _ = _load_examples(config.dev_path, meta, model_config.max_len)
+    m = model_config.queries
+    dropped = [len(ex.entities) - m for ex in examples if len(ex.entities) > m]
+    if dropped:
+        print(f"warning: {len(dropped)} training sentences have more than {m} gold entities; "
+              f"{sum(dropped)} entities are dropped, and each keeps its first {m} "
+              f"in occurrence order", file=sys.stderr)
     model = Model(model_config)
-    optimizer = AdamOptimizer(model.named_parameters())
-    train(model, examples, meta, config.train_config(), on_epoch=_emit,
-          optimizer=optimizer)
+    train(model, examples, meta, config.train_config(), on_epoch=_emit)
     out = config.out or "model.npz"
-    save_checkpoint(out, model, meta, optimizer)
+    save_checkpoint(out, model, meta)
     if dev_examples is not None:
         report, _ = evaluate_model(model, dev_examples, meta,
                                    config.loc_threshold, config.cls_threshold)

@@ -11,7 +11,6 @@ mask keeps the pads out of every real position's attention.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,18 +19,15 @@ from .tensor import (
     DimensionError,
     Tensor,
     add,
+    attention,
     concat,
     layer_norm,
     linear,
     matmul,
-    mul,
     narrow,
     parameter,
     relu,
-    reshape,
-    row_softmax,
     take_rows,
-    transpose,
 )
 
 QUERY_INIT_STD = 0.02
@@ -263,39 +259,20 @@ def attention_mask(lengths: np.ndarray, config: ModelConfig) -> np.ndarray:
     return mask + keys[:, None, None, :]
 
 
-# Axis orders, by the number of leading axes, that take (..., T, heads, head_dim)
-# to queries and values as (..., heads, T, head_dim) (an order that is its own
-# inverse) and to keys as (..., heads, head_dim, T).
-_HEAD_AXES = {0: ((1, 0, 2), (1, 2, 0)), 1: ((0, 2, 1, 3), (0, 2, 3, 1))}
-
-
 def one_way_self_attention(x: Tensor, mask, layer: TransformerLayer,
                            n_heads: int) -> Tensor:
     """One masked multi-head attention block with post-norm residuals.
 
-    ``x`` is one sequence (T, h) or a batch (B, T, h); ``mask``, an array or
-    an untracked Tensor, broadcasts against the (..., heads, T, T) scores.
-    The heads are an axis of each attention product, so the block records
-    the same graph for every head count.
+    ``x`` is one sequence (T, h) or a batch (B, T, h); ``mask``, an array,
+    broadcasts against the (..., heads, T, T) scores.
+    The attention itself is one op, so the block records the same graph for
+    every head count.
     """
-    lead = x.shape[:-2]
-    total, hidden = x.shape[-2:]
-    if mask.shape[-2:] != (total, total):
-        raise DimensionError(f"mask shape {mask.shape} does not match sequence {total}")
-    head_dim = hidden // n_heads
-    # scaling by sqrt(head_dim) folds into the query projection output
-    q = mul(linear(x, layer.wq, layer.bq), 1.0 / math.sqrt(head_dim))
+    q = linear(x, layer.wq, layer.bq)
     # no key bias: a per-row constant in the scores is a softmax no-op
     k = matmul(x, layer.wk)
     v = linear(x, layer.wv, layer.bv)
-    split = lead + (total, n_heads, head_dim)
-    heads_first, keys_first = _HEAD_AXES[len(lead)]
-    q = transpose(reshape(q, split), heads_first)
-    k = transpose(reshape(k, split), keys_first)
-    v = transpose(reshape(v, split), heads_first)
-    weights = row_softmax(add(matmul(q, k), mask))
-    context = reshape(transpose(matmul(weights, v), heads_first), x.shape)
-    attended = linear(context, layer.wo, layer.bo)
+    attended = linear(attention(q, k, v, mask, n_heads), layer.wo, layer.bo)
     x = layer_norm(add(x, attended), layer.ln1_gamma, layer.ln1_beta)
     ff = linear(relu(linear(x, layer.w1, layer.b1)), layer.w2, layer.b2)
     return layer_norm(add(x, ff), layer.ln2_gamma, layer.ln2_beta)
@@ -324,7 +301,7 @@ def encode(
         raise DimensionError(
             f"{len(layers)} layers for B={config.base_layers}, L={config.word_layers}"
         )
-    mask = Tensor(attention_mask(lengths, config))
+    mask = attention_mask(lengths, config)
     x = h0
     for layer in layers[: config.base_layers]:
         x = one_way_self_attention(x, mask, layer, config.heads)

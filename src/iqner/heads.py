@@ -193,21 +193,17 @@ def decode_entities(
     left = scores.left.data
     right = scores.right.data
     type_probs = types.probs
-    none_id = types.none_id
+    rows = np.arange(left.shape[0])
+    l, r, t = left.argmax(axis=1), right.argmax(axis=1), type_probs.argmax(axis=1)
+    lp, rp, tp = left[rows, l], right[rows, r], type_probs[rows, t]
+    dropped = ((t == types.none_id) | (np.minimum(lp, rp) < loc_threshold)
+               | (tp < cls_threshold) | (l > r))
     best_by_span: dict[tuple[int, int], Prediction] = {}
-    for i in range(left.shape[0]):
-        l = int(np.argmax(left[i]))
-        r = int(np.argmax(right[i]))
-        t = int(np.argmax(type_probs[i]))
-        if t == none_id:
-            continue
-        lp, rp, tp = float(left[i, l]), float(right[i, r]), float(type_probs[i, t])
-        if min(lp, rp) < loc_threshold or tp < cls_threshold:
-            continue
-        if l > r:
-            continue
-        candidate = Prediction(i, l, r, t, lp, rp, tp)
-        kept = best_by_span.get((l, r))
+    kept_rows = np.flatnonzero(~dropped)
+    for fields in zip(*(a.tolist() for a in (kept_rows, l[kept_rows], r[kept_rows], t[kept_rows],
+                                             lp[kept_rows], rp[kept_rows], tp[kept_rows]))):
+        candidate = Prediction(*fields)  # in query order, so the first query wins ties
+        kept = best_by_span.get((candidate.left, candidate.right))
         if kept is None or candidate.type_prob > kept.type_prob:
-            best_by_span[(l, r)] = candidate
+            best_by_span[(candidate.left, candidate.right)] = candidate
     return sorted(best_by_span.values(), key=lambda p: p.query_id)

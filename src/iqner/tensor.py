@@ -34,12 +34,11 @@ __all__ = [
     "relu",
     "sigmoid",
     "tsum",
-    "reshape",
-    "transpose",
     "concat",
     "narrow",
     "take_rows",
     "row_softmax",
+    "attention",
     "layer_norm",
     "backward",
     "grad_check",
@@ -66,7 +65,7 @@ class Tensor:
     every tracked leaf. Untracked tensors are plain values.
     """
 
-    __slots__ = ("data", "grad", "tracked", "_parents", "_grad_fn")
+    __slots__ = ("data", "grad", "tracked", "_parents", "_grad_fn", "__weakref__")
 
     def __init__(self, data, tracked: bool = False):
         self.data = np.array(data, dtype=np.float64, copy=True, order="C")
@@ -349,27 +348,6 @@ def tsum(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
     return _tracked(data, (x,), grad_fn)
 
 
-def reshape(x, shape: tuple[int, ...]) -> Tensor:
-    x = _as_tensor(x)
-    data = x.data.reshape(shape)
-    if not (_GRAD_ENABLED[-1] and x.tracked):
-        return _untracked(data)
-    return _tracked(data, (x,), lambda g: (g.reshape(x.shape),))
-
-
-def transpose(x, axes: Sequence[int] | None = None) -> Tensor:
-    """Permute the axes into the order ``axes``; by default reverse them."""
-    x = _as_tensor(x)
-    try:
-        data = x.data.transpose(axes)
-    except ValueError:
-        raise DimensionError(f"transpose: axes {axes} do not permute shape {x.shape}") from None
-    if not (_GRAD_ENABLED[-1] and x.tracked):
-        return _untracked(data)
-    inverse = None if axes is None else tuple(np.argsort([a % x.ndim for a in axes]))
-    return _tracked(data, (x,), lambda g: (g.transpose(inverse),))
-
-
 def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
     parts = tuple(_as_tensor(p) for p in parts)
     data = np.concatenate([p.data for p in parts], axis=axis)
@@ -479,21 +457,81 @@ def _check_rows_finite_max(m: np.ndarray) -> None:
         raise DegenerateRowError("softmax row with every entry masked to -inf")
 
 
+def _softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, in place in ``x``, which it returns."""
+    m = x.max(axis=-1, keepdims=True)
+    _check_rows_finite_max(m)
+    x -= m
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
+
+
+def _softmax_rows_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The gradient of the softmax input, from ``g`` at its output ``y``."""
+    return (g - (g * y).sum(axis=-1, keepdims=True)) * y
+
+
 def row_softmax(x) -> Tensor:
     """Softmax over the last axis; -inf entries come out exactly 0."""
     x = _as_tensor(x)
-    m = x.data.max(axis=-1, keepdims=True)
-    _check_rows_finite_max(m)
-    e = np.exp(x.data - m)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = _softmax_rows(x.data.copy())
     if not (_GRAD_ENABLED[-1] and x.tracked):
         return _untracked(y)
+    return _tracked(y, (x,), lambda g: (_softmax_rows_grad(g, y),))
+
+
+def attention(q, k, v, mask, heads: int) -> Tensor:
+    """Masked multi-head scaled dot-product attention: softmax(q k^T / sqrt(d) + mask) v.
+
+    ``q``, ``k`` and ``v`` are (..., T, h) projections whose last axis holds
+    ``heads`` slices of d = h / heads; the result is the (..., T, h) context,
+    heads side by side. ``mask``, an array of additive 0 / -inf entries,
+    broadcasts against the (..., heads, T, T) scores.
+    Scores, mask, softmax and weights share one buffer, and the backward
+    keeps only the head-split q, k, v and the weights.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    shape = q.shape
+    if q.ndim < 2 or k.shape != shape or v.shape != shape or heads < 1 or shape[-1] % heads:
+        raise DimensionError(f"attention: shapes {q.shape}, {k.shape} and {v.shape} "
+                             f"do not split into {heads} heads")
+    mask = np.asarray(mask, dtype=np.float64)
+    lead, total, head_dim = shape[:-2], shape[-2], shape[-1] // heads
+    scores_shape = lead + (heads, total, total)
+    if mask.ndim > len(scores_shape) or any(
+            m not in (1, s) for m, s in zip(mask.shape[::-1], scores_shape[::-1])):
+        raise DimensionError(f"attention: mask shape {mask.shape} does not fit "
+                             f"scores of shape {scores_shape}")
+    axes = len(lead)
+    heads_first = (*range(axes), axes + 1, axes, axes + 2)  # its own inverse
+
+    def split(x: np.ndarray) -> np.ndarray:
+        """(..., T, h) as a (..., heads, T, d) view."""
+        return x.reshape(lead + (total, heads, head_dim)).transpose(heads_first)
+
+    def merge(x: np.ndarray) -> np.ndarray:
+        return x.transpose(heads_first).reshape(shape)
+
+    scale = 1.0 / math.sqrt(head_dim)
+    qh, kh, vh = split(q.data * scale), split(k.data), split(v.data)
+    weights = qh @ kh.swapaxes(-1, -2)
+    weights += mask
+    _softmax_rows(weights)
+    data = merge(weights @ vh)
+    if not (_GRAD_ENABLED[-1] and (q.tracked or k.tracked or v.tracked)):
+        return _untracked(data)
 
     def grad_fn(g):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        return ((g - inner) * y,)
+        gh = split(g)
+        gs = _softmax_rows_grad(gh @ vh.swapaxes(-1, -2), weights)
+        return (
+            merge(gs @ kh) * scale if q.tracked else None,
+            merge((qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)) if k.tracked else None,
+            merge(weights.swapaxes(-1, -2) @ gh) if v.tracked else None,
+        )
 
-    return _tracked(y, (x,), grad_fn)
+    return _tracked(data, (q, k, v), grad_fn)
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:

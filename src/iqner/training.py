@@ -349,6 +349,42 @@ def linear_warmup_decay(step: int, total_steps: int, peak: float,
 # training loop
 
 
+def train_step(
+    model: Model,
+    batch: list[np.ndarray],
+    golds: list[list[EntityAnnotation]],
+    optimizer: AdamOptimizer,
+    config: TrainConfig,
+    rng: np.random.Generator,
+    lr: float,
+) -> tuple[float, list[list[Prediction]]]:
+    """One optimizer step on a mini-batch of encoded sentences and their gold.
+
+    Builds the batch graph, assigns labels, decodes the final layer, and
+    runs backward and the Adam step. Returns the batch-mean loss and each
+    sentence's predictions; the graph dies with this call.
+    """
+    model.zero_grad()
+    lengths = [len(ids) for ids in batch]
+    _, head_outs = model.forward_batch(batch)
+    labels = []  # [sentence][layer][query]
+    predictions = []
+    for b, gold in enumerate(golds):
+        sentence_outs = _sentence_outputs(head_outs, b, lengths[b])
+        labels.append(assign_labels_per_layer(
+            sentence_outs, gold, config, model.config.queries, rng))
+        final_scores, final_types = sentence_outs[-1]
+        predictions.append(decode_entities(
+            final_scores, final_types, config.loc_threshold, config.cls_threshold))
+    batch_mean = mul(sentence_loss(head_outs, list(zip(*labels)), lengths), 1.0 / len(batch))
+    value = batch_mean.item()
+    if not math.isfinite(value):
+        raise NumericError("non-finite loss")
+    backward(batch_mean)
+    optimizer.step(lr, config.max_grad_norm)
+    return value, predictions
+
+
 def train_epoch(
     model: Model,
     encoded: list[np.ndarray],
@@ -372,26 +408,15 @@ def train_epoch(
     lr = linear_warmup_decay(step, total_steps, config.learning_rate, config.warmup_fraction)
     for start in range(0, len(order), config.batch_size):
         batch = order[start : start + config.batch_size]
-        model.zero_grad()
-        lengths = [len(encoded[idx]) for idx in batch]
-        _, head_outs = model.forward_batch([encoded[idx] for idx in batch])
-        labels = []  # [sentence][layer][query]
-        for b, idx in enumerate(batch):
-            sentence_outs = _sentence_outputs(head_outs, b, lengths[b])
-            labels.append(assign_labels_per_layer(
-                sentence_outs, golds[idx], config, model.config.queries, rng))
-            final_scores, final_types = sentence_outs[-1]
-            predictions[idx] = decode_entities(
-                final_scores, final_types, config.loc_threshold, config.cls_threshold
-            )
-        loss = sentence_loss(head_outs, list(zip(*labels)), lengths)
-        batch_mean = mul(loss, 1.0 / len(batch))
-        value = batch_mean.item()
-        if not math.isfinite(value):
-            raise NumericError(f"non-finite loss at epoch {epoch}, step {step}")
-        backward(batch_mean)
         lr = linear_warmup_decay(step, total_steps, config.learning_rate, config.warmup_fraction)
-        optimizer.step(lr, config.max_grad_norm)
+        try:
+            value, batch_predictions = train_step(
+                model, [encoded[idx] for idx in batch], [golds[idx] for idx in batch],
+                optimizer, config, rng, lr)
+        except NumericError as err:
+            raise NumericError(f"{err} at epoch {epoch}, step {step}") from None
+        for idx, sentence_predictions in zip(batch, batch_predictions):
+            predictions[idx] = sentence_predictions
         losses.append(value)
         step += 1
     report = evaluate_corpus(predictions, golds)
@@ -411,21 +436,18 @@ def train(
     config: TrainConfig,
     on_epoch=None,
     stop_f1: float | None = None,
-    optimizer: AdamOptimizer | None = None,
 ) -> list[dict]:
     """Full training run; deterministic given the config seed.
 
     ``stop_f1`` optionally ends training early once the epoch's train F1
-    reaches the given value. Passing an optimizer lets the caller keep its
-    moment state (for checkpointing).
+    reaches the given value.
     """
     if not examples:
         raise ValueError("cannot train on an empty dataset")
     encoded = [meta.encode(ex.tokens) for ex in examples]
     golds = [list(ex.entities) for ex in examples]
     rng = np.random.default_rng(config.seed)
-    if optimizer is None:
-        optimizer = AdamOptimizer(model.named_parameters())
+    optimizer = AdamOptimizer(model.named_parameters())
     batches_per_epoch = math.ceil(len(examples) / config.batch_size)
     total_steps = config.epochs * batches_per_epoch
     history = []
@@ -462,10 +484,11 @@ def evaluate_model(
 # checkpointing
 
 
-def save_checkpoint(path, model: Model, meta: DatasetMeta,
-                    optimizer: AdamOptimizer | None = None) -> None:
-    """Single-file archive: format tag, config, vocabulary, parameters,
-    and (when given) optimizer state."""
+def save_checkpoint(path, model: Model, meta: DatasetMeta) -> None:
+    """Single-file archive: format tag, config, vocabulary and parameters.
+
+    Nothing resumes training, so the Adam moments are not written.
+    """
     words = [None] * len(meta.vocab)
     for word, idx in meta.vocab.items():
         words[idx] = word
@@ -476,11 +499,6 @@ def save_checkpoint(path, model: Model, meta: DatasetMeta,
         "words": words,
     }
     arrays = {f"param/{name}": p.data for name, p in model.named_parameters()}
-    if optimizer is not None:
-        header["optimizer_step"] = optimizer.step_count
-        for name in optimizer.m:
-            arrays[f"adam_m/{name}"] = optimizer.m[name]
-            arrays[f"adam_v/{name}"] = optimizer.v[name]
     arrays["header"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
@@ -489,8 +507,8 @@ def save_checkpoint(path, model: Model, meta: DatasetMeta,
 def load_checkpoint(path) -> tuple[Model, DatasetMeta, None]:
     """Rebuild the model and metadata.
 
-    Nothing resumes training, so the Adam moments a checkpoint may hold are
-    not read; the third value, kept for callers that unpack three, is None.
+    The Adam moments that older checkpoints hold are not read; the third
+    value, kept for callers that unpack three, is None.
     """
     try:
         archive = np.load(path)
@@ -586,7 +604,7 @@ def model_gradcheck(
     )
     # the training path's batch of one: (1, N+M, h) activations
     batch_ids = token_ids[None]
-    mask = Tensor(attention_mask(np.array([tokens]), config))
+    mask = attention_mask(np.array([tokens]), config)
     depth = len(model.layers)
     leak = model.layers[0].wq
 

@@ -67,6 +67,29 @@ def test_train_static_mode_runs(corpus, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_train_reports_entities_beyond_the_query_count(tmp_path, capsys):
+    lines = [{"tokens": ["a", "b", "c", "d"], "entities": [
+                 {"start": i, "end": i, "type": "T"} for i in range(4)]},
+             {"tokens": ["a", "b"], "entities": [{"start": 0, "end": 1, "type": "T"}]},
+             {"tokens": ["c", "d", "a"], "entities": [
+                 {"start": 0, "end": 0, "type": "T"}, {"start": 1, "end": 2, "type": "T"},
+                 {"start": 2, "end": 2, "type": "T"}]}]
+    path = tmp_path / "train.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    argv = ["train", "--train", str(path), "--out", str(tmp_path / "m.npz"), "--epochs", "1",
+            "--hidden", "8", "--layers", "1", "--heads", "1"]
+    assert main(argv + ["--queries", "2"]) == 0
+    truncated = capsys.readouterr()
+    notes = [line for line in truncated.err.splitlines() if "dropped" in line]
+    assert len(notes) == 1
+    assert "2 training sentences" in notes[0] and "3 entities" in notes[0]
+    assert "first 2 in occurrence order" in notes[0]
+    assert main(argv + ["--queries", "4"]) == 0
+    whole = capsys.readouterr()
+    assert "dropped" not in whole.err
+    assert _parse_lines(truncated.out)[0].keys() == _parse_lines(whole.out)[0].keys()
+
+
 def test_train_meta_order_sets_type_ids(tmp_path, capsys):
     spec = SyntheticSpec(sentences=4, vocab_size=24, min_length=5, max_length=8,
                          type_count=2, nesting_ratio=0.0, max_entities=2)
@@ -390,6 +413,12 @@ def test_checkpoint_config_value_of_wrong_type_exits_2(key, value, expected, tra
 
 def test_checkpoint_moments_are_never_read(trained_checkpoint, corpus, tmp_path, capsys):
     def spoil_moments(arrays, header):
+        # moments as older checkpoints wrote them, one missing, one misshapen
+        header["optimizer_step"] = 3
+        for key in [key for key in arrays if key.startswith("param/")]:
+            name = key[len("param/"):]
+            arrays[f"adam_m/{name}"] = np.zeros_like(arrays[key])
+            arrays[f"adam_v/{name}"] = np.zeros_like(arrays[key])
         del arrays["adam_m/emb.word"]
         arrays["adam_v/layer0.wq"] = np.zeros((3, 3))
 

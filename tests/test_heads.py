@@ -179,6 +179,42 @@ def test_decode_never_two_predictions_per_span_and_monotone():
         previous = len(preds)
 
 
+def reference_decode(scores, types, loc_threshold, cls_threshold):
+    """Query-by-query decoding, the loop ``decode_entities`` replaces."""
+    left, right, type_probs = scores.left.data, scores.right.data, types.probs
+    best_by_span = {}
+    for i in range(left.shape[0]):
+        l, r, t = int(np.argmax(left[i])), int(np.argmax(right[i])), int(np.argmax(type_probs[i]))
+        if t == types.none_id:
+            continue
+        lp, rp, tp = float(left[i, l]), float(right[i, r]), float(type_probs[i, t])
+        if min(lp, rp) < loc_threshold or tp < cls_threshold or l > r:
+            continue
+        candidate = Prediction(i, l, r, t, lp, rp, tp)
+        kept = best_by_span.get((l, r))
+        if kept is None or candidate.type_prob > kept.type_prob:
+            best_by_span[(l, r)] = candidate
+    return sorted(best_by_span.values(), key=lambda p: p.query_id)
+
+
+def test_decode_matches_the_query_loop_on_ties_and_threshold_edges():
+    # probabilities on a coarse grid tie within rows (argmax), across queries
+    # sharing a span (type probability), and with the thresholds
+    grid = np.array([0.1, 0.4, 0.6, 0.8, 0.9])
+    kept = 0
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        m, n, classes = int(rng.integers(1, 13)), int(rng.integers(1, 5)), int(rng.integers(2, 5))
+        scores = _scores_from_probs(rng.choice(grid, size=(m, n)), rng.choice(grid, size=(m, n)))
+        types = _types_from_probs(rng.choice(grid, size=(m, classes)))
+        loc, cls = (float(v) for v in rng.choice(np.append(grid, 0.0), size=2))
+        preds = decode_entities(scores, types, loc, cls)
+        assert preds == reference_decode(scores, types, loc, cls)
+        assert all(type(v) in (int, float) for p in preds for v in vars(p).values())
+        kept += len(preds)
+    assert kept > 100
+
+
 def test_decode_validates_thresholds():
     scores = _scores_from_probs([_peaked(3, 0, 0.9)], [_peaked(3, 1, 0.9)])
     types = _types_from_probs([[0.9, 0.05, 0.05]])

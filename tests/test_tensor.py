@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from iqner import tensor as T
+from iqner.encoder import ModelConfig, attention_mask, build_one_way_mask
 from iqner.tensor import (
     DegenerateRowError,
     DimensionError,
@@ -39,11 +42,6 @@ def test_matmul_rejects_mismatched_leading_axes_and_vectors():
     for sa, sb in (((2, 3, 4), (3, 4, 5)), ((3, 4), (2, 4, 5)), ((4,), (4, 5)), ((3, 4), (4,))):
         with pytest.raises(DimensionError):
             T.matmul(Tensor(np.zeros(sa)), Tensor(np.zeros(sb)))
-
-
-def test_transpose_rejects_axes_that_do_not_permute():
-    with pytest.raises(DimensionError):
-        T.transpose(Tensor(np.zeros((2, 3))), (0, 0))
 
 
 def test_row_softmax_uniform():
@@ -158,12 +156,37 @@ def test_computation_record_topological_order():
                 assert position[id(parent)] < position[id(node)]
 
 
+# Composed references are built from exact copying ops (narrow, tsum over one
+# entry, take_rows, concat) plus the arithmetic they check.
+
+
+def _unstack(x):
+    """The tracked slices x[0], x[1], ... of the leading axis."""
+    return [T.tsum(T.narrow(x, 0, i, 1), axis=0) for i in range(x.shape[0])]
+
+
+def _stack(parts):
+    return T.concat([T.take_rows(p, np.arange(p.shape[0])[None]) for p in parts], axis=0)
+
+
+def _transposed(t):
+    """A tracked (T, d) matrix as (d, T)."""
+    rows = np.arange(t.shape[0])[None]
+    return T.concat([T.take_rows(T.tsum(T.narrow(t, 1, j, 1), axis=1), rows)
+                     for j in range(t.shape[1])], axis=0)
+
+
 def _composed_pair_score(a, b, w, bias):
     """What ``pair_relu_score`` fuses: a broadcast add, a relu and a linear map."""
-    *lead, m, h = a.shape
-    n = b.shape[-2]
-    pairs = T.relu(T.add(T.reshape(a, (*lead, m, 1, h)), T.reshape(b, (*lead, 1, n, h))))
-    return T.reshape(T.linear(pairs, w, bias), (*lead, m, n))
+    def one(a, b):
+        m, n = a.shape[0], b.shape[0]
+        pairs = T.relu(T.add(T.take_rows(a, np.repeat(np.arange(m)[:, None], n, axis=1)),
+                             T.take_rows(b, np.tile(np.arange(n), (m, 1)))))
+        return T.tsum(T.linear(pairs, w, bias), axis=-1)
+
+    if a.ndim == 2:
+        return one(a, b)
+    return _stack([one(*parts) for parts in zip(_unstack(a), _unstack(b))])
 
 
 def _pair_score_leaves(rng, lead):
@@ -212,6 +235,91 @@ def test_pair_relu_score_rejects_incompatible_shapes():
             T.pair_relu_score(*args)
 
 
+def _composed_attention(q, k, v, mask, heads):
+    """What ``attention`` fuses, one sentence and one head at a time."""
+    d = q.shape[-1] // heads
+
+    def one(q, k, v, mask):
+        parts = []
+        for i in range(heads):
+            qi, ki, vi = (T.narrow(t, 1, i * d, d) for t in (q, k, v))
+            scores = T.add(T.matmul(T.mul(qi, 1.0 / math.sqrt(d)), _transposed(ki)), Tensor(mask))
+            parts.append(T.matmul(T.row_softmax(scores), vi))
+        return T.concat(parts, axis=-1)
+
+    if q.ndim == 2:
+        return one(q, k, v, mask)
+    total = q.shape[-2]
+    masks = np.broadcast_to(mask, (q.shape[0], 1, total, total))[:, 0]
+    return _stack([one(*parts, m) for *parts, m in zip(*map(_unstack, (q, k, v)), masks)])
+
+
+def _attention_case(seed):
+    """Random q, k, v leaves, a head count and a mask: the one-way mask of one
+    sentence, or a batch's mask with pad columns, with the queries blind to
+    each other in some cases and without the one-way block in others."""
+    rng = np.random.default_rng(seed)
+    heads = (1, 2, 4)[seed % 3]
+    width = heads * int(rng.integers(1, 4))
+    n, m = int(rng.integers(1, 6)), int(rng.integers(0, 4))
+    kind = seed % 4
+    config = ModelConfig(hidden=width, queries=m or 1, heads=heads, one_way=kind != 3,
+                         query_interaction=kind != 2)
+    if kind == 0:  # one sentence, no batch axis
+        lead, mask = (), build_one_way_mask(n, m)
+    else:
+        lengths = rng.integers(1, n + 1, size=int(rng.integers(1, 4)))
+        lengths[0] = n
+        m = config.queries
+        lead, mask = (len(lengths),), attention_mask(lengths, config)
+    leaves = [Tensor(rng.normal(size=(*lead, n + m, width)), tracked=True) for _ in range(3)]
+    return leaves, mask, heads
+
+
+def test_attention_matches_composed_ops():
+    for seed in range(24):
+        (q, k, v), mask, heads = _attention_case(seed)
+        weights = None
+        outs, grads = [], []
+        for op in (T.attention, _composed_attention):
+            for p in (q, k, v):
+                p.zero_grad()
+            out = op(q, k, v, mask, heads)
+            if weights is None:
+                weights = Tensor(np.random.default_rng(seed).normal(size=out.shape))
+            backward(T.tsum(T.mul(out, weights)))
+            outs.append(out.data)
+            grads.append([p.grad for p in (q, k, v)])
+        assert outs[0].shape == outs[1].shape == q.shape
+        assert np.max(np.abs(outs[0] - outs[1])) <= 1e-12 * np.max(np.abs(outs[1]))
+        for fused, composed in zip(*grads):
+            assert np.max(np.abs(fused - composed)) <= 1e-10 * np.max(np.abs(composed))
+
+
+def test_attention_gradients():
+    for seed in range(8):
+        (q, k, v), mask, heads = _attention_case(40 + seed)
+        for leaf in (q, k, v):
+            f = _scalarize(lambda: T.attention(q, k, v, mask, heads), None)
+            err = grad_check(f, leaf, 1e-5)
+            assert err < 1e-4, f"seed {seed}: {err}"
+
+
+def test_attention_rejects_bad_shapes_and_empty_rows():
+    x = Tensor(np.zeros((2, 5, 4)))
+    for mask in (np.zeros((4, 4)), np.zeros((3, 1, 5, 5)), np.zeros((2, 2, 2, 5, 5))):
+        with pytest.raises(DimensionError):
+            T.attention(x, x, x, mask, 2)
+    with pytest.raises(DimensionError):
+        T.attention(x, Tensor(np.zeros((2, 4, 4))), x, np.zeros((5, 5)), 2)
+    with pytest.raises(DimensionError):
+        T.attention(x, x, x, np.zeros((5, 5)), 3)
+    blind = np.zeros((5, 5))
+    blind[2] = -np.inf
+    with pytest.raises(DegenerateRowError):
+        T.attention(x, x, x, blind, 2)
+
+
 def _scalarize(op, parts):
     """Random fixed projection to a scalar so grad_check sees every output."""
     rng = np.random.default_rng(1234)
@@ -233,10 +341,6 @@ UNARY_OPS = [
     ("row_softmax", T.row_softmax, lambda r, s: r.normal(size=s)),
     ("sum_all", lambda x: T.tsum(x), lambda r, s: r.normal(size=s)),
     ("sum_axis", lambda x: T.tsum(x, axis=0), lambda r, s: r.normal(size=s)),
-    ("reshape", lambda x: T.reshape(x, (6, 2)), lambda r, s: r.normal(size=s)),
-    ("transpose", T.transpose, lambda r, s: r.normal(size=s)),
-    ("transpose_axes", lambda x: T.transpose(T.reshape(x, (3, 2, 2)), (1, -1, 0)),
-     lambda r, s: r.normal(size=s)),
     ("narrow", lambda x: T.narrow(x, 1, 1, 2), lambda r, s: r.normal(size=s)),
 ]
 

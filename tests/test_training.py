@@ -1,5 +1,6 @@
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from iqner.data import (
 from iqner.encoder import ModelConfig
 from iqner import training
 from iqner.heads import BoundaryScores, TypeDistribution
-from iqner.tensor import Tensor, backward, tsum, mul
+from iqner.tensor import Tensor, backward, tsum, mul, topological_order
 from iqner.training import (
     AdamOptimizer,
     Model,
@@ -239,6 +240,28 @@ def test_train_rejects_empty_dataset():
         train(Model(config), [], meta, TrainConfig(epochs=1))
 
 
+def test_a_step_graph_is_freed_before_the_next_step_is_built(monkeypatch):
+    examples, meta, config = _tiny_fixture()
+    forward_batch = Model.forward_batch
+    previous = []  # weak references to the last step's tracked non-leaf tensors
+    steps = []
+
+    def watched(self, batch):
+        alive = sum(ref() is not None for ref in previous)
+        assert alive == 0, f"{alive} of {len(previous)} tracked tensors of step {len(steps)} alive"
+        steps.append(len(batch))
+        outputs, head_outs = forward_batch(self, batch)
+        previous[:] = [weakref.ref(node)
+                       for scores, types in head_outs
+                       for root in (scores.left, scores.right, types.logits)
+                       for node in topological_order(root) if node._parents]
+        return outputs, head_outs
+
+    monkeypatch.setattr(Model, "forward_batch", watched)
+    train(Model(config), examples, meta, TrainConfig(epochs=2, batch_size=4, seed=1))
+    assert len(steps) > 2 and previous
+
+
 def test_checkpoint_round_trip(tmp_path):
     examples, meta, config = _tiny_fixture()
     model = Model(config)
@@ -246,19 +269,16 @@ def test_checkpoint_round_trip(tmp_path):
     history = train(model, examples, meta, tconfig)
     assert history
     path = tmp_path / "model.npz"
-    opt = AdamOptimizer(model.named_parameters())
-    opt.step_count = 17
-    save_checkpoint(path, model, meta, opt)
+    save_checkpoint(path, model, meta)
     loaded, loaded_meta, opt_state = load_checkpoint(path)
     assert loaded_meta.types == meta.types
     assert loaded_meta.vocab == meta.vocab
-    assert opt_state is None  # the moments are written, never read back
+    assert opt_state is None
     with np.load(path) as archive:
         header = json.loads(archive["header"].tobytes().decode("utf-8"))
-        assert header["optimizer_step"] == 17
-        for name in opt.m:
-            assert np.array_equal(archive[f"adam_m/{name}"], opt.m[name])
-            assert np.array_equal(archive[f"adam_v/{name}"], opt.v[name])
+        assert "optimizer_step" not in header
+        assert sorted(archive.files) == sorted(
+            ["header"] + [f"param/{name}" for name, _ in model.named_parameters()])
     for (name_a, a), (name_b, b) in zip(model.named_parameters(), loaded.named_parameters()):
         assert name_a == name_b
         assert np.array_equal(a.data, b.data)
