@@ -109,9 +109,9 @@ class RunConfig(_Knobs):
     def train_config(self) -> TrainConfig:
         return TrainConfig(**self._values(TrainConfig))
 
-    def model_config(self, vocab_size: int, type_count: int, max_len: int) -> ModelConfig:
-        return ModelConfig(**{**self._values(ModelConfig), "max_len": max_len},
-                           vocab_size=vocab_size, type_count=type_count)
+    def model_config(self, vocab_size: int, type_count: int) -> ModelConfig:
+        return ModelConfig(**self._values(ModelConfig), vocab_size=vocab_size,
+                           type_count=type_count)
 
 
 _DECODE_FIELDS = ("checkpoint", "loc_threshold", "cls_threshold")
@@ -247,6 +247,7 @@ def _load_examples(path, meta, max_len: int | None = None):
 def cmd_train(config: RunConfig) -> int:
     if not config.train_path:
         raise UsageError("--train PATH is required")
+    train_config = config.train_config()
     meta = None
     if config.meta_path:
         try:
@@ -260,11 +261,9 @@ def cmd_train(config: RunConfig) -> int:
     if not examples:
         raise UsageError(f"training file {config.train_path} is empty")
     longest = max(len(ex) for ex in examples)
-    model_config = config.model_config(
-        vocab_size=meta.vocab_size,
-        type_count=meta.type_count,
-        max_len=max(config.max_len, longest),
-    )
+    model_config = config.model_config(meta.vocab_size, meta.type_count)
+    # the position table grows to fit the longest training sentence
+    model_config = dataclasses.replace(model_config, max_len=max(config.max_len, longest))
     # read the dev file before training, so a bad line fails before any epoch
     dev_examples = None
     if config.dev_path:
@@ -276,7 +275,7 @@ def cmd_train(config: RunConfig) -> int:
               f"{sum(dropped)} entities are dropped, and each keeps its first {m} "
               f"in occurrence order", file=sys.stderr)
     model = Model(model_config)
-    train(model, examples, meta, config.train_config(), on_epoch=_emit)
+    train(model, examples, meta, train_config, on_epoch=_emit)
     out = config.out or "model.npz"
     save_checkpoint(out, model, meta)
     if dev_examples is not None:

@@ -183,10 +183,12 @@ def load_dataset(
             name = ent["type"]
             if name not in resolved_types:
                 raise AnnotationError(f"{path}:{lineno}: unknown entity type {name!r}")
+            start, end = ent["start"], ent["end"]
+            if type(start) is not int or type(end) is not int:  # a bool is no int here
+                raise DatasetError(f"{path}:{lineno}: entity start and end must be integers, "
+                                   f"got {start!r} and {end!r}")
             try:
-                gold.append(
-                    EntityAnnotation(int(ent["start"]), int(ent["end"]), resolved_types.index(name))
-                )
+                gold.append(EntityAnnotation(start, end, resolved_types.index(name)))
             except AnnotationError as err:
                 raise AnnotationError(f"{path}:{lineno}: {err}") from None
         try:

@@ -62,12 +62,18 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.hidden % self.heads != 0:
-            raise ValueError(f"hidden {self.hidden} not divisible by {self.heads} heads")
-        if min(self.queries, self.word_layers, self.base_layers) < 1:
-            raise ValueError("queries, word_layers, and base_layers must all be >= 1")
-        if min(self.hidden, self.heads, self.vocab_size, self.max_len, self.type_count) < 1:
-            raise ValueError("model dimensions must be positive")
+        for name in ("hidden", "queries", "base_layers", "word_layers", "heads",
+                     "vocab_size", "max_len", "type_count"):
+            require(self, name, getattr(self, name) >= 1, ">= 1")
+        require(self, "heads", self.hidden % self.heads == 0, f"a divisor of hidden {self.hidden}")
+        require(self, "seed", self.seed >= 0, ">= 0")
+
+
+def require(config, name: str, ok: bool, rule: str) -> None:
+    """Raise a ValueError naming field ``name`` of ``config``, its value and
+    the rule it breaks, unless ``ok``."""
+    if not ok:
+        raise ValueError(f"{name} must be {rule}, got {getattr(config, name)!r}")
 
 
 @dataclass

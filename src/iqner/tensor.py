@@ -92,11 +92,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        """A view of the same values, cut off from the graph."""
-        out = _untracked(self.data)
-        return out
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, tracked={self.tracked})"
 

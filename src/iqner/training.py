@@ -35,6 +35,7 @@ from .encoder import (
     encode,
     one_way_self_attention,
     pad_batch,
+    require,
 )
 from .evaluation import EvalReport, evaluate_corpus
 from .heads import (
@@ -88,18 +89,18 @@ class TrainConfig:
     max_grad_norm: float | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.loc_threshold <= 1.0 or not 0.0 <= self.cls_threshold <= 1.0:
-            raise ValueError("decode thresholds must be in [0, 1]")
-        if not 0.0 < self.ratio <= 1.0:
-            raise ValueError(f"ratio must be in (0, 1], got {self.ratio}")
-        if self.assignment_mode not in get_args(AssignmentMode):
-            raise ValueError(f"unknown assignment mode {self.assignment_mode!r}")
-        if self.quantity_mode not in get_args(QuantityMode):
-            raise ValueError(f"unknown quantity mode {self.quantity_mode!r}")
-        if not 0.0 <= self.warmup_fraction <= 1.0:
-            raise ValueError("warmup_fraction must be in [0, 1]")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be positive")
+        for name in ("epochs", "batch_size"):
+            require(self, name, getattr(self, name) >= 1, ">= 1")
+        for name in ("loc_threshold", "cls_threshold", "warmup_fraction"):
+            require(self, name, 0.0 <= getattr(self, name) <= 1.0, "in [0, 1]")
+        require(self, "ratio", 0.0 < self.ratio <= 1.0, "in (0, 1]")
+        require(self, "learning_rate", 0.0 <= self.learning_rate < math.inf, "finite and >= 0")
+        require(self, "max_grad_norm",
+                self.max_grad_norm is None or 0.0 < self.max_grad_norm < math.inf,
+                "None or finite and > 0")
+        require(self, "seed", self.seed >= 0, ">= 0")
+        for name, hint in (("assignment_mode", AssignmentMode), ("quantity_mode", QuantityMode)):
+            require(self, name, getattr(self, name) in get_args(hint), " or ".join(get_args(hint)))
 
 
 class Model:
@@ -319,7 +320,7 @@ class AdamOptimizer:
         grads = {name: p.grad for name, p in self.params if p.grad is not None}
         if max_grad_norm is not None:
             norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-            if norm > max_grad_norm > 0:
+            if norm > max_grad_norm:
                 scale = max_grad_norm / norm
                 grads = {name: g * scale for name, g in grads.items()}
         bias1 = 1.0 - self.beta1 ** self.step_count
@@ -516,18 +517,39 @@ def load_checkpoint(path) -> tuple[Model, DatasetMeta, None]:
         raise CheckpointError(f"cannot read checkpoint {path}: {err}") from None
     if "header" not in archive:
         raise CheckpointError(f"{path} is not a model checkpoint")
-    header = json.loads(bytes(archive["header"].tobytes()).decode("utf-8"))
+    try:
+        header = json.loads(bytes(archive["header"].tobytes()).decode("utf-8"))
+    except ValueError as err:  # bad UTF-8 or bad JSON
+        raise CheckpointError(f"checkpoint header is not JSON: {err}") from None
+    if not isinstance(header, dict):
+        raise CheckpointError("checkpoint header must be a JSON object")
     if header.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"unsupported checkpoint format {header.get('format')!r}")
+    for key in ("config", "types", "words"):
+        if key not in header:
+            raise CheckpointError(f"checkpoint header has no {key!r}")
+    settings = header["config"]
+    if not isinstance(settings, dict):
+        raise CheckpointError(f"checkpoint config must be a JSON object, got {settings!r}")
     expected = get_type_hints(ModelConfig)
-    unknown = set(header["config"]) - set(expected)
+    unknown = set(settings) - set(expected)
     if unknown:
         raise CheckpointError(f"checkpoint config has unknown keys {sorted(unknown)}")
-    for key, value in header["config"].items():
+    for key, value in settings.items():
         if type(value) is not expected[key]:  # a bool is no int here
             raise CheckpointError(f"checkpoint config {key} is {value!r}, "
                                   f"expected {expected[key].__name__}")
-    model = Model(ModelConfig(**header["config"]))
+    try:
+        config = ModelConfig(**settings)
+    except ValueError as err:
+        raise CheckpointError(f"checkpoint config {err}") from None
+    for key, size in (("types", config.type_count), ("words", config.vocab_size)):
+        names = header[key]
+        if not (isinstance(names, list) and all(isinstance(name, str) for name in names)
+                and len(set(names)) == len(names) == size):
+            raise CheckpointError(f"checkpoint {key} must be a list of {size} distinct "
+                                  f"strings, as its config sets")
+    model = Model(config)
     for name, p in model.named_parameters():
         key = f"param/{name}"
         if key not in archive:
@@ -537,10 +559,8 @@ def load_checkpoint(path) -> tuple[Model, DatasetMeta, None]:
             raise CheckpointError(
                 f"checkpoint {key} has shape {value.shape}, the model needs {p.shape}")
         p.data[...] = value
-    meta = DatasetMeta(
-        types=list(header["types"]),
-        vocab={word: idx for idx, word in enumerate(header["words"])},
-    )
+    meta = DatasetMeta(types=header["types"],
+                       vocab={word: idx for idx, word in enumerate(header["words"])})
     return model, meta, None
 
 
@@ -548,44 +568,28 @@ def load_checkpoint(path) -> tuple[Model, DatasetMeta, None]:
 # full-loss gradient verification
 
 
-def model_gradcheck(
-    seed: int,
-    eps: float = GRADCHECK_EPS,
-    tokens: int = 3,
-    queries: int = 2,
-    type_count: int = 2,
-    hidden: int = 8,
-    base_layers: int = 1,
-    word_layers: int = 2,
-    inject_error: bool = False,
-) -> float:
+def model_gradcheck(seed: int, eps: float = GRADCHECK_EPS, inject_error: bool = False) -> float:
     """Max relative error of the full multi-layer loss over every parameter.
 
-    The label assignment is computed once at the evaluation point and then
-    frozen: within a training step the assignment is a constant, and freezing
-    it keeps the checked function smooth. Parameters are resampled to a
-    generic O(1) scale so no coordinate sits at the finite-difference noise
-    floor. ``inject_error`` adds a value-only dependence on one parameter
-    (a deliberately missing gradient rule) as a negative control.
+    The model has 3 words, 2 queries, 2 types, h=8, one head, one base and
+    two word layers. The label assignment is computed once at the evaluation
+    point and then frozen: within a training step the assignment is a
+    constant, and freezing it keeps the checked function smooth. Parameters
+    are resampled to a generic O(1) scale so no coordinate sits at the
+    finite-difference noise floor. ``inject_error`` adds a value-only
+    dependence on one parameter (a deliberately missing gradient rule) as a
+    negative control.
 
-    Pipeline stages that are constants with respect to the checked parameter
-    (layer prefixes, other layers' losses) are cached; recomputing them would
-    produce bitwise-identical values, so the reported errors are unchanged.
+    Each parameter is checked on the loss terms downstream of it: the
+    embeddings and layer i on the word-layer losses from layer i on, a head
+    on its own layer's loss. The terms left out are constant in it.
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
+    tokens, queries, type_count = 3, 2, 2
     rng = np.random.default_rng(seed)
-    config = ModelConfig(
-        hidden=hidden,
-        queries=queries,
-        base_layers=base_layers,
-        word_layers=word_layers,
-        heads=1,
-        vocab_size=tokens + 2,
-        max_len=tokens,
-        type_count=type_count,
-        seed=seed,
-    )
+    config = ModelConfig(hidden=8, queries=queries, base_layers=1, word_layers=2, heads=1,
+                         vocab_size=tokens + 2, max_len=tokens, type_count=type_count, seed=seed)
     model = Model(config, rng)
     for name, p in model.named_parameters():
         if name.endswith("gamma"):
@@ -597,80 +601,37 @@ def model_gradcheck(
         EntityAnnotation(0, tokens - 1, int(rng.integers(type_count))),
         EntityAnnotation(1, 1, int(rng.integers(type_count))),
     ]
-    train_config = TrainConfig(seed=seed)
     _, head_outs = model.forward(token_ids)
-    labels = assign_labels_per_layer(
-        head_outs, gold, train_config, queries, np.random.default_rng(seed)
-    )
+    labels = assign_labels_per_layer(head_outs, gold, TrainConfig(seed=seed), queries,
+                                     np.random.default_rng(seed))
     # the training path's batch of one: (1, N+M, h) activations
     batch_ids = token_ids[None]
     mask = attention_mask(np.array([tokens]), config)
-    depth = len(model.layers)
-    leak = model.layers[0].wq
+    base = config.base_layers
+    with no_grad():  # entering[i] enters layer i; the last is the last layer's output
+        entering = [build_input(batch_ids, model.tables)]
+        for layer in model.layers:
+            entering.append(one_way_self_attention(entering[-1], mask, layer, config.heads))
 
-    def layer_loss(tau: int, h_w, h_q) -> Tensor:
-        heads = model.heads[tau]
-        scores = boundary_pointer(h_q, h_w, heads)
-        types = entity_classifier(h_q, h_w, scores, heads)
-        return sentence_loss([(scores, types)], [[labels[tau]]], [tokens])
+    def head_loss(tau: int, x) -> Tensor:
+        h_w, h_q = narrow(x, -2, 0, tokens), narrow(x, -2, tokens, queries)
+        return sentence_loss([_run_heads(h_q, h_w, model.heads[tau])], [[labels[tau]]], [tokens])
 
-    def run(x, start: int, live_head: int | None) -> Tensor:
-        """Loss with layers [start, depth) live and earlier stages constant.
-
-        ``live_head`` recomputes that layer's loss from its cached encoding
-        (for checking head parameters, which the encoder does not see).
-        """
-        total: Tensor | None = None
-        for tau in range(word_layers):
-            index = base_layers + tau
-            if index >= start:
-                while start <= index:
-                    x = one_way_self_attention(x, mask, model.layers[start], config.heads)
-                    start += 1
-                piece = layer_loss(tau, narrow(x, -2, 0, tokens), narrow(x, -2, tokens, queries))
-            elif tau == live_head:
-                h = entering[index + 1]
-                piece = layer_loss(tau, narrow(h, -2, 0, tokens), narrow(h, -2, tokens, queries))
-            else:
-                piece = Tensor(cached_losses[tau])
-            total = piece if total is None else add(total, piece)
-        assert total is not None
+    def loss_from(start: int, x) -> Tensor:
+        """The losses of the word layers that ``layers[start:]`` reach from ``x``."""
+        total = None
+        for i in range(start, len(model.layers)):
+            x = one_way_self_attention(x, mask, model.layers[i], config.heads)
+            if i >= base:
+                piece = head_loss(i - base, x)
+                total = piece if total is None else add(total, piece)
         if inject_error:
-            total = add(total, Tensor(0.05 * float(leak.data.sum())))
+            total = add(total, Tensor(0.05 * float(model.layers[0].wq.data.sum())))
         return total
 
-    def stage_cache():
-        """Activations entering each layer plus per-layer loss values."""
-        with no_grad():
-            x = build_input(batch_ids, model.tables)
-            acts = [x]
-            losses = []
-            for index, layer in enumerate(model.layers):
-                x = one_way_self_attention(x, mask, layer, config.heads)
-                acts.append(x)
-                if index >= base_layers:
-                    tau = index - base_layers
-                    losses.append(
-                        layer_loss(tau, narrow(x, -2, 0, tokens),
-                                   narrow(x, -2, tokens, queries)).item()
-                    )
-        return acts, losses
-
-    entering, cached_losses = stage_cache()
-
-    def make_loss_fn(start: int, live_head: int | None):
-        if start == 0:
-            return lambda _: run(build_input(batch_ids, model.tables), 0, None)
-        return lambda _: run(entering[start].detach(), start, live_head)
-
-    worst = 0.0
-    for name, p in model.named_parameters():
-        if name.startswith("emb."):
-            start, live_head = 0, None
-        elif name.startswith("layer"):
-            start, live_head = int(name.split(".")[0][len("layer"):]), None
-        else:
-            start, live_head = depth, int(name.split(".")[0][len("head"):])
-        err = grad_check(make_loss_fn(start, live_head), p, eps)
-        worst = max(worst, err)
-    return worst
+    stages = [(model.tables.named(), lambda _: loss_from(0, build_input(batch_ids, model.tables)))]
+    stages += [(layer.named(""), lambda _, i=i: loss_from(i, entering[i]))
+               for i, layer in enumerate(model.layers)]
+    stages += [(heads.named(""), lambda _, tau=tau: head_loss(tau, entering[base + tau + 1]))
+               for tau, heads in enumerate(model.heads)]
+    return max(grad_check(loss, p, eps) for params, loss in stages for _, p in params)

@@ -159,11 +159,12 @@ def test_eval_unknown_type_exits_2(trained_checkpoint, tmp_path, capsys):
 
 
 def _tampered_checkpoint(source, target, edit):
-    """Copy a checkpoint's arrays, header decoded to a dict, through ``edit``."""
+    """Copy a checkpoint's arrays, header decoded to a dict, through ``edit``,
+    which may return a header to write in its place."""
     with np.load(source) as archive:
         arrays = {key: archive[key] for key in archive.files}
     header = json.loads(arrays["header"].tobytes().decode("utf-8"))
-    edit(arrays, header)
+    header = edit(arrays, header) or header
     arrays["header"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
     np.savez(target, **arrays)
     return target
@@ -334,7 +335,7 @@ def test_train_flags_reach_config_fields():
             "--assignment-mode", "static", "--quantity-mode", "one-to-one", "--ratio", "0.5",
             "--share-final-assignment", "--max-grad-norm", "2.5"]
     config = build_run_config(build_parser().parse_args(argv))
-    model = config.model_config(vocab_size=30, type_count=3, max_len=config.max_len)
+    model = config.model_config(vocab_size=30, type_count=3)
     trainer = config.train_config()
     defaults = ModelConfig()
     assert set(model_values) == {f.name for f in dataclasses.fields(ModelConfig)} - {
@@ -409,6 +410,61 @@ def test_checkpoint_config_value_of_wrong_type_exits_2(key, value, expected, tra
     assert code == 2
     err = capsys.readouterr().err
     assert key in err and expected in err
+
+
+def _drop(key):
+    def edit(arrays, header):
+        del header[key]
+    return edit
+
+
+@pytest.mark.parametrize("edit,named", [
+    (_drop("config"), "'config'"), (_drop("types"), "'types'"), (_drop("words"), "'words'"),
+    (lambda arrays, header: [header], "header must be a JSON object"),
+    (lambda arrays, header: {**header, "config": [1]}, "config must be a JSON object"),
+    (lambda arrays, header: {**header, "types": "T0"}, "types"),
+    (lambda arrays, header: {**header, "types": header["types"][:1]}, "types"),
+    (lambda arrays, header: {**header, "types": header["types"][:1] * 2}, "types"),
+    (lambda arrays, header: {**header, "words": dict.fromkeys(header["words"], 0)}, "words"),
+    (lambda arrays, header: {**header, "words": header["words"] + ["extra"]}, "words"),
+    (lambda arrays, header: header["config"].update(heads=0), "heads must be >= 1, got 0"),
+    (lambda arrays, header: header["config"].update(heads=3), "heads must be a divisor"),
+])
+def test_checkpoint_malformed_header_exits_2_naming_the_key(edit, named, trained_checkpoint,
+                                                             corpus, tmp_path, capsys):
+    ckpt = _tampered_checkpoint(trained_checkpoint, tmp_path / "bad.npz", edit)
+    code = main(["predict", "--checkpoint", str(ckpt), "--input", str(corpus[0])])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: checkpoint") and named in captured.err
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--heads", "0"], "heads must be >= 1, got 0"),
+    (["--heads", "3"], "heads must be a divisor of hidden 16, got 3"),
+    (["--lr", "nan"], "learning_rate must be finite and >= 0, got nan"),
+    (["--lr", "inf"], "learning_rate must be finite and >= 0, got inf"),
+    (["--lr", "-1"], "learning_rate must be finite and >= 0, got -1.0"),
+    (["--max-grad-norm", "0"], "max_grad_norm must be None or finite and > 0, got 0.0"),
+    (["--max-grad-norm", "-1"], "max_grad_norm must be None or finite and > 0, got -1.0"),
+    (["--seed", "-1"], "seed must be >= 0, got -1"),
+    (["--max-len", "0"], "max_len must be >= 1, got 0"),
+])
+def test_train_bad_config_value_exits_2_naming_the_field(flags, named, corpus, tmp_path,
+                                                         capsys):
+    out = tmp_path / "model.npz"
+    argv = ["train", "--train", str(corpus[0]), "--out", str(out), "--epochs", "1",
+            "--hidden", "16", "--queries", "2", "--layers", "1"]
+    assert main(argv + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == f"error: {named}\n"
+    # the same value from a config file
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({named.split()[0]: flags[1]}))
+    assert main(argv + ["--config", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {named}\n"
 
 
 def test_checkpoint_moments_are_never_read(trained_checkpoint, corpus, tmp_path, capsys):

@@ -49,6 +49,18 @@ def test_load_parse_error_names_line(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("bound", [None, [0], "x", "0", 0.7, 1.0, True, False, {"v": 0}])
+@pytest.mark.parametrize("key", ["start", "end"])
+def test_load_rejects_entity_bounds_that_are_not_integers(key, bound, tmp_path):
+    path = tmp_path / "d.jsonl"
+    entity = {"start": 0, "end": 1, "type": "ORG", key: bound}
+    path.write_text('{"tokens":["a","b"]}\n' + json.dumps({"tokens": ["a", "b"],
+                                                           "entities": [entity]}) + "\n")
+    with pytest.raises(DatasetError) as err:
+        load_dataset(path)
+    assert str(err.value).startswith(f"{path}:2: entity start and end must be integers")
+
+
 def test_duplicate_triples_rejected():
     with pytest.raises(AnnotationError):
         SentenceExample(tokens=["a", "b"], entities=[EntityAnnotation(0, 1, 0), EntityAnnotation(0, 1, 0)])

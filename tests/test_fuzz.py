@@ -1,0 +1,223 @@
+"""Malformed inputs, generated by hypothesis, driven through ``main``.
+
+Each bad dataset line, checkpoint header and config file must exit 2 with
+one ``error:`` line that names the line, key or field, and print nothing on
+stdout.
+"""
+
+import contextlib
+import io
+import json
+import math
+from typing import Literal, get_args, get_origin, get_type_hints
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from iqner.cli import RunConfig, main
+from iqner.data import SyntheticSpec, generate_synthetic, save_dataset
+from iqner.encoder import ModelConfig
+from iqner.training import Model, save_checkpoint
+
+FUZZ = settings(max_examples=40, deadline=None, derandomize=True)
+
+SENTENCES = 3
+MAX_LEN = 16
+TOKENS = ["w0", "w1", "w2"]
+TYPES = ["T0", "T1"]
+
+json_scalars = (st.none() | st.booleans() | st.integers(-10, 10)
+                | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=5))
+json_values = st.recursive(json_scalars, lambda inner: st.lists(inner, max_size=3)
+                           | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                           max_leaves=6)
+not_objects = json_values.filter(lambda v: not isinstance(v, dict))
+not_integers = json_values.filter(lambda v: type(v) is not int)
+# one line of text, neither blank nor a JSON object
+line_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r"),
+                    min_size=1, max_size=20).filter(
+                        lambda t: t.strip() and not t.strip().startswith("{"))
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """A corpus and an untrained checkpoint whose inventory matches it."""
+    root = tmp_path_factory.mktemp("fuzz")
+    spec = SyntheticSpec(sentences=SENTENCES, vocab_size=20, min_length=4, max_length=6,
+                         type_count=len(TYPES), max_entities=2)
+    examples, meta = generate_synthetic(spec, seed=0)
+    corpus = root / "corpus.jsonl"
+    save_dataset(corpus, examples, meta)
+    config = ModelConfig(hidden=8, queries=2, base_layers=1, word_layers=1, heads=1,
+                         vocab_size=meta.vocab_size, max_len=MAX_LEN,
+                         type_count=meta.type_count)
+    checkpoint = root / "model.npz"
+    save_checkpoint(checkpoint, Model(config), meta)
+    return root, corpus, checkpoint
+
+
+def _run(argv):
+    """Exit code, stdout and stderr of ``main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_rejected(argv, named):
+    code, out, err = _run(argv)
+    assert (code, out) == (2, ""), err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert named in err, err
+
+
+# ---------------------------------------------------------------------------
+# dataset lines
+
+
+def _entity(start=0, end=1, type_="T0"):
+    return {"start": start, "end": end, "type": type_}
+
+
+bad_entities = st.one_of(
+    not_objects,
+    st.sampled_from(["start", "end", "type"]).map(
+        lambda key: {k: v for k, v in _entity().items() if k != key}),
+    st.tuples(st.sampled_from(["start", "end"]), not_integers).map(
+        lambda kv: _entity(**{kv[0]: kv[1]})),
+    st.integers(-5, -1).map(lambda start: _entity(start=start)),
+    st.integers(len(TOKENS), 40).map(lambda end: _entity(end=end)),
+    st.integers(1, 2).map(lambda start: _entity(start=start, end=0)),
+    json_values.filter(lambda name: name not in TYPES).map(lambda name: _entity(type_=name)),
+)
+bad_records = st.one_of(
+    not_objects,
+    st.just({"entities": []}),
+    not_objects.filter(lambda v: not (isinstance(v, list) and all(isinstance(t, str) for t in v)))
+    .map(lambda tokens: {"tokens": tokens}),
+    st.just({"tokens": []}),
+    st.integers(MAX_LEN + 1, 3 * MAX_LEN).map(lambda n: {"tokens": ["w0"] * n}),
+    not_objects.filter(lambda v: not isinstance(v, list)).map(
+        lambda entities: {"tokens": TOKENS, "entities": entities}),
+    bad_entities.map(lambda entity: {"tokens": TOKENS, "entities": [entity]}),
+)
+
+
+@FUZZ
+@given(lineno=st.integers(1, SENTENCES),
+       line=line_text | bad_records.map(json.dumps))
+def test_predict_rejects_a_bad_dataset_line_by_its_number(files, lineno, line):
+    root, corpus, checkpoint = files
+    lines = corpus.read_text(encoding="utf-8").splitlines()
+    lines[lineno - 1] = line
+    data = root / "bad.jsonl"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _assert_rejected(["predict", "--checkpoint", str(checkpoint), "--input", str(data)],
+                     f"{data}:{lineno}:")
+
+
+# ---------------------------------------------------------------------------
+# checkpoint headers
+
+_MODEL_HINTS = get_type_hints(ModelConfig)
+
+
+def _bad_config_value(key):
+    wrong_type = json_values.filter(lambda v: type(v) is not _MODEL_HINTS[key])
+    if _MODEL_HINTS[key] is not int:
+        return wrong_type
+    return wrong_type | st.integers(-5, -1 if key == "seed" else 0)
+
+
+def _distinct_strings(value, size):
+    return (isinstance(value, list) and all(isinstance(name, str) for name in value)
+            and len(set(value)) == len(value) == size)
+
+
+def _header_edits(header):
+    """(edited header, the text its error must hold) for one malformed part."""
+    sizes = {"types": header["config"]["type_count"], "words": header["config"]["vocab_size"]}
+    dropped = st.sampled_from(["config", "types", "words"]).map(
+        lambda key: ({k: v for k, v in header.items() if k != key}, repr(key)))
+    names = st.sampled_from(["types", "words"]).flatmap(
+        lambda key: json_values.filter(lambda v: not _distinct_strings(v, sizes[key])).map(
+            lambda v: ({**header, key: v}, key)))
+    config = not_objects.map(lambda v: ({**header, "config": v}, "config"))
+    field = st.sampled_from(sorted(_MODEL_HINTS)).flatmap(
+        lambda key: _bad_config_value(key).map(
+            lambda v: ({**header, "config": {**header["config"], key: v}}, key)))
+    unknown = st.text(min_size=1, max_size=5).filter(lambda k: k not in _MODEL_HINTS).map(
+        lambda key: ({**header, "config": {**header["config"], key: 1}}, repr(key)))
+    fmt = json_values.filter(lambda v: v != header["format"]).map(
+        lambda v: ({**header, "format": v}, "format"))
+    whole = not_objects.map(lambda v: (v, "header"))
+    return st.one_of(dropped, names, config, field, unknown, fmt, whole)
+
+
+@FUZZ
+@given(data=st.data())
+def test_predict_rejects_a_malformed_checkpoint_header_by_its_key(files, data):
+    root, corpus, checkpoint = files
+    with np.load(checkpoint) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    header, named = data.draw(_header_edits(json.loads(arrays["header"].tobytes())))
+    arrays["header"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
+    bad = root / "bad.npz"
+    np.savez(bad, **arrays)
+    _assert_rejected(["predict", "--checkpoint", str(bad), "--input", str(corpus)], named)
+
+
+# ---------------------------------------------------------------------------
+# config files
+
+_RUN_HINTS = get_type_hints(RunConfig)
+letters = st.text("xyz", min_size=1, max_size=4)  # parses as no number, switch or mode
+containers = st.lists(json_scalars, max_size=2) | st.dictionaries(st.text(max_size=2),
+                                                                  json_scalars, max_size=2)
+
+
+def _bad_field_value(name):
+    """A JSON value that field ``name`` of a config file must refuse."""
+    hint = _RUN_HINTS[name]
+    args = get_args(hint)
+    optional = type(None) in args
+    base = next(t for t in args if t is not type(None)) if optional else hint
+    wrong = [containers]
+    if base is not str:
+        wrong.append(letters)
+    if not optional:
+        wrong.append(st.none())
+    if base is not bool:
+        wrong.append(st.booleans())
+    if base in (bool, str) or get_origin(base) is Literal:
+        wrong.append(st.integers(-3, 3) | st.floats(-3, 3))
+    if base is int:
+        wrong.append(st.floats(-3, 3))
+    if base in (int, float):  # every number knob excludes negatives
+        wrong.append(st.integers(-5, -1))
+    if base is float:  # and infinities and NaN
+        wrong.append(st.floats(max_value=-1e-9) | st.sampled_from([math.inf, -math.inf, math.nan]))
+    return st.one_of(wrong)
+
+
+@FUZZ
+@given(data=st.data())
+def test_train_rejects_a_bad_config_file_value_by_its_field(files, data):
+    root, corpus, _ = files
+    name = data.draw(st.sampled_from(sorted(_RUN_HINTS)))
+    config = root / "config.json"
+    config.write_text(json.dumps({name: data.draw(_bad_field_value(name))}))
+    _assert_rejected(["train", "--config", str(config), "--train", str(corpus),
+                      "--out", str(root / "never.npz")], name)
+
+
+@FUZZ
+@given(key=st.text(min_size=1, max_size=5).filter(lambda k: k not in _RUN_HINTS),
+       value=json_scalars)
+def test_train_rejects_an_unknown_config_file_field_by_its_name(files, key, value):
+    root, corpus, _ = files
+    config = root / "config.json"
+    config.write_text(json.dumps({key: value}))
+    _assert_rejected(["train", "--config", str(config), "--train", str(corpus),
+                      "--out", str(root / "never.npz")], repr(key))

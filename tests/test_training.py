@@ -215,6 +215,38 @@ def test_adam_minimizes_quadratic():
     assert np.allclose(w.data, [3.0, 1.0], atol=1e-3)
 
 
+@pytest.mark.parametrize("norm,scale", [(2.5, 0.5), (5.0, 1.0), (10.0, 1.0)])
+def test_adam_clips_the_global_gradient_norm_down_to_the_bound(norm, scale):
+    a = Tensor(np.zeros(2), tracked=True)
+    b = Tensor(np.zeros((1, 1)), tracked=True)
+    a.grad, b.grad = np.array([3.0, 0.0]), np.array([[4.0]])  # global norm 5
+    opt = AdamOptimizer([("a", a), ("b", b)])
+    opt.step(0.1, max_grad_norm=norm)
+    # the first moment holds (1 - beta1) times the gradient the step used
+    assert np.allclose(opt.m["a"], 0.1 * scale * np.array([3.0, 0.0]), rtol=1e-12, atol=0.0)
+    assert np.allclose(opt.m["b"], 0.1 * scale * np.array([[4.0]]), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("cls,field,value", [
+    (ModelConfig, "hidden", 0), (ModelConfig, "queries", 0), (ModelConfig, "base_layers", 0),
+    (ModelConfig, "word_layers", -1), (ModelConfig, "heads", 0), (ModelConfig, "heads", 3),
+    (ModelConfig, "vocab_size", 0), (ModelConfig, "max_len", 0), (ModelConfig, "type_count", 0),
+    (ModelConfig, "seed", -1),
+    (TrainConfig, "epochs", 0), (TrainConfig, "batch_size", 0), (TrainConfig, "seed", -1),
+    (TrainConfig, "loc_threshold", 1.5), (TrainConfig, "cls_threshold", -0.1),
+    (TrainConfig, "warmup_fraction", math.nan), (TrainConfig, "ratio", 0.0),
+    (TrainConfig, "learning_rate", math.nan), (TrainConfig, "learning_rate", -1.0),
+    (TrainConfig, "learning_rate", math.inf), (TrainConfig, "max_grad_norm", 0.0),
+    (TrainConfig, "max_grad_norm", -1.0), (TrainConfig, "max_grad_norm", math.inf),
+    (TrainConfig, "assignment_mode", "greedy"), (TrainConfig, "quantity_mode", "many"),
+])
+def test_each_config_check_names_its_field_and_value(cls, field, value):
+    with pytest.raises(ValueError) as err:
+        cls(**{field: value})
+    assert str(err.value).startswith(f"{field} must be ")
+    assert str(err.value).endswith(f"got {value!r}")
+
+
 def _tiny_fixture():
     spec = SyntheticSpec(sentences=8, vocab_size=20, min_length=5, max_length=7,
                          type_count=2, nesting_ratio=0.2, max_entities=2)
@@ -296,6 +328,41 @@ def test_checkpoint_rejects_garbage(tmp_path):
 def test_model_gradcheck_passes_and_negative_control_fails():
     assert model_gradcheck(seed=0) < 1e-4
     assert model_gradcheck(seed=0, inject_error=True) > 1e-2
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_model_gradcheck_checks_each_parameter_once_on_the_full_loss(seed, monkeypatch):
+    """Each checked function's gradient on its parameter is that of the full
+    multi-layer loss under the same frozen labels."""
+    seen, checks = {}, []
+    forward, assign = Model.forward, training.assign_labels_per_layer
+
+    def recording_forward(self, token_ids):
+        seen["model"], seen["token_ids"] = self, np.array(token_ids)
+        return forward(self, token_ids)
+
+    def recording_assign(*args):
+        seen["labels"] = assign(*args)
+        return seen["labels"]
+
+    monkeypatch.setattr(Model, "forward", recording_forward)
+    monkeypatch.setattr(training, "assign_labels_per_layer", recording_assign)
+    monkeypatch.setattr(training, "grad_check",
+                        lambda f, point, eps: checks.append((f, point)) or 0.0)
+    model_gradcheck(seed=seed)
+    model, token_ids = seen["model"], seen["token_ids"]
+    params = [p for _, p in model.named_parameters()]
+    assert sorted(id(p) for _, p in checks) == sorted(id(p) for p in params)
+
+    model.zero_grad()
+    _, head_outs = model.forward_batch([token_ids])
+    backward(sentence_loss(head_outs, [[labels] for labels in seen["labels"]], [len(token_ids)]))
+    full = {id(p): p.grad.copy() for p in params}
+    for f, p in checks:
+        p.zero_grad()
+        backward(f(p))
+        expected = full[id(p)]
+        assert np.allclose(p.grad, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
 
 
 def test_model_gradcheck_rejects_bad_eps():
