@@ -363,6 +363,8 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_datagen(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     try:
         examples, meta = generate_synthetic(SyntheticSpec(**_given(args, _SPEC_FIELDS)),
                                             seed=args.seed)

@@ -4,8 +4,10 @@ Everything the encoder, prediction heads, and losses need: a small set of
 differentiable operations over numpy arrays, a single-sweep backward pass,
 and a central-difference gradient checker. CPU only, 64-bit only.
 
-Operations take the fast path when no operand is tracked (or inside
-``no_grad``): they return a bare value without recording a gradient rule.
+Every operation hands its result to ``_record``, the one place that decides
+whether to record it: only while gradients are on (outside ``no_grad``) and
+some operand is tracked. Otherwise the result is a plain value with no
+parents and no gradient rule, so no graph stays alive.
 """
 
 from __future__ import annotations
@@ -137,23 +139,22 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _untracked(data: np.ndarray) -> Tensor:
+def _record(data: np.ndarray, parents: tuple[Tensor, ...], grad_fn) -> Tensor:
+    """An op's result: it records ``parents`` and ``grad_fn`` only while
+    gradients are on and some parent is tracked, and is a plain value otherwise."""
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
+    if _GRAD_ENABLED[-1]:
+        for p in parents:
+            if p.tracked:
+                out.tracked = True
+                out._parents = parents
+                out._grad_fn = grad_fn
+                return out
     out.tracked = False
     out._parents = ()
     out._grad_fn = None
-    return out
-
-
-def _tracked(data: np.ndarray, parents: tuple[Tensor, ...], grad_fn) -> Tensor:
-    out = Tensor.__new__(Tensor)
-    out.data = data
-    out.grad = None
-    out.tracked = True
-    out._parents = parents
-    out._grad_fn = grad_fn
     return out
 
 
@@ -178,8 +179,6 @@ def add(a, b) -> Tensor:
         data = a.data + b.data
     except ValueError:
         raise DimensionError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from None
-    if not (_GRAD_ENABLED[-1] and (a.tracked or b.tracked)):
-        return _untracked(data)
 
     def grad_fn(g):
         return (
@@ -187,7 +186,7 @@ def add(a, b) -> Tensor:
             _unbroadcast(g, b.shape) if b.tracked else None,
         )
 
-    return _tracked(data, (a, b), grad_fn)
+    return _record(data, (a, b), grad_fn)
 
 
 def mul(a, b) -> Tensor:
@@ -196,8 +195,6 @@ def mul(a, b) -> Tensor:
         data = a.data * b.data
     except ValueError:
         raise DimensionError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from None
-    if not (_GRAD_ENABLED[-1] and (a.tracked or b.tracked)):
-        return _untracked(data)
 
     def grad_fn(g):
         return (
@@ -205,7 +202,7 @@ def mul(a, b) -> Tensor:
             _unbroadcast(g * a.data, b.shape) if b.tracked else None,
         )
 
-    return _tracked(data, (a, b), grad_fn)
+    return _record(data, (a, b), grad_fn)
 
 
 def _rows(x: np.ndarray) -> np.ndarray:
@@ -226,8 +223,6 @@ def matmul(a, b) -> Tensor:
             or ad.shape[-1] != bd.shape[-2]):
         raise DimensionError(f"matmul: shapes {a.shape} and {b.shape} are not compatible")
     data = ad @ bd
-    if not (_GRAD_ENABLED[-1] and (a.tracked or b.tracked)):
-        return _untracked(data)
 
     def grad_fn(g):
         if shared:  # one product over the stacked rows, not one per leading index
@@ -236,7 +231,7 @@ def matmul(a, b) -> Tensor:
             gb = a.data.swapaxes(-1, -2) @ g if b.tracked else None
         return (g @ b.data.swapaxes(-1, -2) if a.tracked else None, gb)
 
-    return _tracked(data, (a, b), grad_fn)
+    return _record(data, (a, b), grad_fn)
 
 
 def linear(x, w, b) -> Tensor:
@@ -246,8 +241,6 @@ def linear(x, w, b) -> Tensor:
     if xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0]:
         raise DimensionError(f"linear: shapes {x.shape} and {w.shape} are not compatible")
     data = xd @ wd + b.data
-    if not (_GRAD_ENABLED[-1] and (x.tracked or w.tracked or b.tracked)):
-        return _untracked(data)
 
     def grad_fn(g):
         return (
@@ -256,7 +249,7 @@ def linear(x, w, b) -> Tensor:
             _unbroadcast(g, b.shape) if b.tracked else None,
         )
 
-    return _tracked(data, (x, w, b), grad_fn)
+    return _record(data, (x, w, b), grad_fn)
 
 
 def pair_relu_score(a, b, w, bias) -> Tensor:
@@ -282,8 +275,6 @@ def pair_relu_score(a, b, w, bias) -> Tensor:
     fused = pair_sums()
     np.maximum(fused, 0.0, out=fused)
     data = (_rows(fused) @ w.data + bias.data).reshape(out_shape)
-    if not (_GRAD_ENABLED[-1] and (a.tracked or b.tracked or w.tracked or bias.tracked)):
-        return _untracked(data)
 
     def grad_fn(g):
         fused = pair_sums()
@@ -302,15 +293,13 @@ def pair_relu_score(a, b, w, bias) -> Tensor:
             g.sum().reshape(1) if bias.tracked else None,
         )
 
-    return _tracked(data, (a, b, w, bias), grad_fn)
+    return _record(data, (a, b, w, bias), grad_fn)
 
 
 def relu(x) -> Tensor:
     x = _as_tensor(x)
     data = np.maximum(x.data, 0.0)
-    if not (_GRAD_ENABLED[-1] and x.tracked):
-        return _untracked(data)
-    return _tracked(data, (x,), lambda g: (g * (x.data > 0.0),))
+    return _record(data, (x,), lambda g: (g * (x.data > 0.0),))
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -322,17 +311,13 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 def sigmoid(x) -> Tensor:
     x = _as_tensor(x)
     y = _stable_sigmoid(x.data)
-    if not (_GRAD_ENABLED[-1] and x.tracked):
-        return _untracked(y)
-    return _tracked(y, (x,), lambda g: (g * y * (1.0 - y),))
+    return _record(y, (x,), lambda g: (g * y * (1.0 - y),))
 
 
 def tsum(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
     """Sum over an axis (or everything when axis is None)."""
     x = _as_tensor(x)
     data = x.data.sum(axis=axis, keepdims=keepdims)
-    if not (_GRAD_ENABLED[-1] and x.tracked):
-        return _untracked(data)
 
     def grad_fn(g):
         if axis is None:
@@ -340,22 +325,19 @@ def tsum(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
         ge = g if keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(ge, x.shape).copy(),)
 
-    return _tracked(data, (x,), grad_fn)
+    return _record(data, (x,), grad_fn)
 
 
 def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
     parts = tuple(_as_tensor(p) for p in parts)
     data = np.concatenate([p.data for p in parts], axis=axis)
-    if not (_GRAD_ENABLED[-1] and any(p.tracked for p in parts)):
-        return _untracked(data)
-    sizes = [p.data.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
 
     def grad_fn(g):
+        splits = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
         pieces = np.split(g, splits, axis=axis)
         return tuple(piece if p.tracked else None for p, piece in zip(parts, pieces))
 
-    return _tracked(data, parts, grad_fn)
+    return _record(data, parts, grad_fn)
 
 
 def narrow(x, axis: int, start: int, length: int) -> Tensor:
@@ -367,15 +349,13 @@ def narrow(x, axis: int, start: int, length: int) -> Tensor:
     index[axis] = slice(start, start + length)
     index = tuple(index)
     data = x.data[index]
-    if not (_GRAD_ENABLED[-1] and x.tracked):
-        return _untracked(data)
 
     def grad_fn(g):
         full = np.zeros(x.shape)
         full[index] = g
         return (full,)
 
-    return _tracked(data, (x,), grad_fn)
+    return _record(data, (x,), grad_fn)
 
 
 def take_rows(x, ids) -> Tensor:
@@ -383,18 +363,16 @@ def take_rows(x, ids) -> Tensor:
     x = _as_tensor(x)
     ids = np.asarray(ids, dtype=np.intp)
     data = x.data[ids]
-    if not (_GRAD_ENABLED[-1] and x.tracked):
-        return _untracked(data)
 
     def grad_fn(g):
         full = np.zeros(x.shape)
         np.add.at(full, ids, g)
         return (full,)
 
-    return _tracked(data, (x,), grad_fn)
+    return _record(data, (x,), grad_fn)
 
 
-def bce_with_logits(logits, targets, mask=None) -> Tensor:
+def bce_with_logits(logits, targets, mask) -> Tensor:
     """Summed binary cross entropy from logits against {0,1} targets.
 
     Computed as t*softplus(-z) + (1-t)*softplus(z), which never overflows
@@ -405,21 +383,10 @@ def bce_with_logits(logits, targets, mask=None) -> Tensor:
     t = np.asarray(targets, dtype=np.float64)
     if t.shape != z.shape:
         raise DimensionError(f"bce targets {t.shape} do not match logits {z.shape}")
-    mask = None if mask is None else np.asarray(mask, dtype=np.float64)
+    mask = np.asarray(mask, dtype=np.float64)
     per = t * np.logaddexp(0.0, -z.data) + (1.0 - t) * np.logaddexp(0.0, z.data)
-    if mask is not None:
-        per = per * mask
-    data = per.sum()
-    if not (_GRAD_ENABLED[-1] and z.tracked):
-        return _untracked(data)
-
-    def grad_fn(g):
-        gz = g * (_stable_sigmoid(z.data) - t)
-        if mask is not None:
-            gz = gz * mask
-        return (gz,)
-
-    return _tracked(data, (z,), grad_fn)
+    data = (per * mask).sum()
+    return _record(data, (z,), lambda g: (g * (_stable_sigmoid(z.data) - t) * mask,))
 
 
 def softmax_cross_entropy(logits, one_hot) -> Tensor:
@@ -433,14 +400,12 @@ def softmax_cross_entropy(logits, one_hot) -> Tensor:
     shifted = z.data - m
     lse = m + np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     data = (t * (lse - z.data)).sum()
-    if not (_GRAD_ENABLED[-1] and z.tracked):
-        return _untracked(data)
 
     def grad_fn(g):
         soft = np.exp(z.data - lse)
         return (g * (soft * t.sum(axis=-1, keepdims=True) - t),)
 
-    return _tracked(data, (z,), grad_fn)
+    return _record(data, (z,), grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -471,9 +436,7 @@ def row_softmax(x) -> Tensor:
     """Softmax over the last axis; -inf entries come out exactly 0."""
     x = _as_tensor(x)
     y = _softmax_rows(x.data.copy())
-    if not (_GRAD_ENABLED[-1] and x.tracked):
-        return _untracked(y)
-    return _tracked(y, (x,), lambda g: (_softmax_rows_grad(g, y),))
+    return _record(y, (x,), lambda g: (_softmax_rows_grad(g, y),))
 
 
 def attention(q, k, v, mask, heads: int) -> Tensor:
@@ -514,8 +477,6 @@ def attention(q, k, v, mask, heads: int) -> Tensor:
     weights += mask
     _softmax_rows(weights)
     data = merge(weights @ vh)
-    if not (_GRAD_ENABLED[-1] and (q.tracked or k.tracked or v.tracked)):
-        return _untracked(data)
 
     def grad_fn(g):
         gh = split(g)
@@ -526,7 +487,7 @@ def attention(q, k, v, mask, heads: int) -> Tensor:
             merge(weights.swapaxes(-1, -2) @ gh) if v.tracked else None,
         )
 
-    return _tracked(data, (q, k, v), grad_fn)
+    return _record(data, (q, k, v), grad_fn)
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
@@ -544,8 +505,6 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     inv = 1.0 / np.sqrt(var + eps)
     y = xc * inv
     data = y * gamma.data + beta.data
-    if not (_GRAD_ENABLED[-1] and (x.tracked or gamma.tracked or beta.tracked)):
-        return _untracked(data)
 
     def grad_fn(g):
         if x.tracked:
@@ -559,7 +518,7 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
         gbeta = _unbroadcast(g, beta.shape) if beta.tracked else None
         return (gx, ggamma, gbeta)
 
-    return _tracked(data, (x, gamma, beta), grad_fn)
+    return _record(data, (x, gamma, beta), grad_fn)
 
 
 # ---------------------------------------------------------------------------

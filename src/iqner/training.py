@@ -559,6 +559,8 @@ def load_checkpoint(path) -> tuple[Model, DatasetMeta, None]:
             raise CheckpointError(
                 f"checkpoint {key} has shape {value.shape}, the model needs {p.shape}")
         p.data[...] = value
+        if not np.isfinite(p.data).all():
+            raise CheckpointError(f"checkpoint {key} holds non-finite values")
     meta = DatasetMeta(types=header["types"],
                        vocab={word: idx for idx, word in enumerate(header["words"])})
     return model, meta, None

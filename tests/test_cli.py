@@ -183,11 +183,22 @@ def test_checkpoint_wrong_parameter_shape_exits_2(trained_checkpoint, corpus, tm
     def shrink(arrays, header):
         arrays["param/layer0.wq"] = np.zeros((3, 3))
 
-    ckpt = _tampered_checkpoint(trained_checkpoint, tmp_path / "bad.npz", shrink)
-    code = main(["predict", "--checkpoint", str(ckpt), "--input", str(corpus[0])])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "layer0.wq" in err and "(3, 3)" in err and "(16, 16)" in err
+    def poison(arrays, header):
+        arrays["param/layer0.wq"] = arrays["param/layer0.wq"] * np.nan
+
+    def overflow(arrays, header):
+        arrays["param/emb.word"][1, 0] = -np.inf
+
+    for edit, named in ((shrink, ("param/layer0.wq", "(3, 3)", "(16, 16)")),
+                        (poison, ("param/layer0.wq", "non-finite")),
+                        (overflow, ("param/emb.word", "non-finite"))):
+        ckpt = _tampered_checkpoint(trained_checkpoint, tmp_path / "bad.npz", edit)
+        # zero thresholds would print every query's score, NaN ones included
+        code = main(["predict", "--checkpoint", str(ckpt), "--input", str(corpus[0]),
+                     "--loc-threshold", "0", "--cls-threshold", "0"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert all(part in captured.err for part in named), captured.err
 
 
 def test_predict_lines_align(trained_checkpoint, corpus, capsys):
@@ -268,9 +279,12 @@ def test_datagen_deterministic_and_counts(tmp_path, capsys):
 
 
 def test_datagen_invalid_nesting_exits_2(tmp_path, capsys):
-    code = main(["datagen", "--nesting", "1.5", "--out", str(tmp_path / "x.jsonl")])
-    assert code == 2
-    capsys.readouterr()
+    for flags, named in ((["--nesting", "1.5"], "nesting ratio must be in [0, 1), got 1.5"),
+                         (["--seed", "-1"], "--seed must be >= 0, got -1")):
+        code = main(["datagen", *flags, "--out", str(tmp_path / "x.jsonl")])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "x.jsonl").exists()
 
 
 DATAGEN_FLAGS = {"sentences": "--sentences", "vocab_size": "--vocab-size",

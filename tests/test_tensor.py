@@ -432,8 +432,48 @@ def test_forward_outputs_finite_on_finite_inputs():
         assert np.all(np.isfinite(op(x).data))
 
 
+# Every public op: its name, the shapes of its tensor operands, and a call on them.
+RECORDING_CASES = [
+    ("add", [(2, 3), (2, 3)], T.add),
+    ("mul", [(2, 3), (3,)], T.mul),
+    ("matmul", [(2, 3), (3, 4)], T.matmul),
+    ("linear", [(2, 3), (3, 4), (4,)], T.linear),
+    ("pair_relu_score", [(3, 4), (5, 4), (4, 1), (1,)], T.pair_relu_score),
+    ("bce_with_logits", [(2, 3)],
+     lambda z: T.bce_with_logits(z, np.eye(2, 3), np.ones((2, 1)))),
+    ("softmax_cross_entropy", [(2, 3)], lambda z: T.softmax_cross_entropy(z, np.eye(2, 3))),
+    ("relu", [(2, 3)], T.relu),
+    ("sigmoid", [(2, 3)], T.sigmoid),
+    ("tsum", [(2, 3)], lambda x: T.tsum(x, axis=0)),
+    ("concat", [(2, 3), (2, 2)], lambda a, b: T.concat([a, b])),
+    ("narrow", [(2, 3)], lambda x: T.narrow(x, 1, 1, 2)),
+    ("take_rows", [(4, 3)], lambda x: T.take_rows(x, [0, 2, 2])),
+    ("row_softmax", [(2, 3)], T.row_softmax),
+    ("attention", [(3, 4)] * 3, lambda q, k, v: T.attention(q, k, v, np.zeros((3, 3)), 2)),
+    ("layer_norm", [(2, 3), (3,), (3,)], T.layer_norm),
+]
+
+
 def test_no_grad_suppresses_recording():
-    x = Tensor([1.0], tracked=True)
-    with T.no_grad():
-        y = T.mul(x, x)
-    assert not y.tracked
+    not_ops = {"Tensor", "DimensionError", "DegenerateRowError", "NumericError",
+               "topological_order", "parameter", "no_grad", "backward", "grad_check"}
+    assert {case[0] for case in RECORDING_CASES} == set(T.__all__) - not_ops
+    rng = np.random.default_rng(0)
+    for name, shapes, op in RECORDING_CASES:
+        def operands(tracked_at):
+            return [Tensor(rng.normal(size=shape), tracked=i == tracked_at)
+                    for i, shape in enumerate(shapes)]
+
+        # a predict pass keeps no graph: nothing is recorded inside no_grad,
+        # even from tracked operands, nor from untracked operands outside it
+        with T.no_grad():
+            plain = [op(*operands(i)) for i in range(len(shapes))]
+        plain.append(op(*operands(None)))
+        for out in plain:
+            assert not out.tracked and out._parents == () and out._grad_fn is None, name
+        for i in range(len(shapes)):
+            args = operands(i)
+            out = op(*args)
+            assert out.tracked and out._grad_fn is not None, name
+            assert len(out._parents) == len(args), name
+            assert all(p is a for p, a in zip(out._parents, args)), name
