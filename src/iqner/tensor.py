@@ -6,14 +6,23 @@ and a central-difference gradient checker. CPU only, 64-bit only.
 
 Every operation hands its result to ``_record``, the one place that decides
 whether to record it: only while gradients are on (outside ``no_grad``) and
-some operand is tracked. Otherwise the result is a plain value with no
-parents and no gradient rule, so no graph stays alive.
+some operand is tracked. Otherwise the result is a plain value and nothing
+else is built.
+
+The graph is made of nodes kept apart from the values. A recorded result
+gets a ``_Node`` that holds its parents' nodes, its gradient rule (a
+module-level function) and the arrays, shapes and flags that rule reads,
+never a Tensor. A parameter leaf is its own node, and an untracked operand
+is recorded as the shared ``_UNTRACKED`` marker. So an intermediate that no
+rule reads is freed with its last reference instead of living until the
+backward pass.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from types import SimpleNamespace
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -59,6 +68,19 @@ class NumericError(ArithmeticError):
     """A computation produced a non-finite value."""
 
 
+class _Node:
+    """A recorded result's place in the graph: its parents' nodes, and the
+    gradient rule with the values it reads. ``_rule(g, *_saved)`` returns one
+    gradient (or None) per parent."""
+
+    __slots__ = ("_parents", "_rule", "_saved", "__weakref__")
+    tracked = True
+
+
+# stands for every untracked operand among a node's parents
+_UNTRACKED = SimpleNamespace(tracked=False, _parents=())
+
+
 class Tensor:
     """A dense float64 array plus optional gradient.
 
@@ -67,14 +89,20 @@ class Tensor:
     every tracked leaf. Untracked tensors are plain values.
     """
 
-    __slots__ = ("data", "grad", "tracked", "_parents", "_grad_fn", "__weakref__")
+    __slots__ = ("data", "grad", "tracked", "_node", "__weakref__")
 
     def __init__(self, data, tracked: bool = False):
         self.data = np.array(data, dtype=np.float64, copy=True, order="C")
         self.grad: np.ndarray | None = None
         self.tracked = tracked
-        self._parents: tuple[Tensor, ...] = ()
-        self._grad_fn: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = None
+        # None marks a tracked leaf, which is its own graph node; holding
+        # itself would keep a discarded model's parameters for the cycle collector
+        self._node = None if tracked else _UNTRACKED
+
+    @property
+    def _parents(self) -> tuple:
+        """The nodes this result was computed from; empty for leaves and plain values."""
+        return () if self._node is None else self._node._parents
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -139,22 +167,33 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _record(data: np.ndarray, parents: tuple[Tensor, ...], grad_fn) -> Tensor:
-    """An op's result: it records ``parents`` and ``grad_fn`` only while
-    gradients are on and some parent is tracked, and is a plain value otherwise."""
+def _node_of(t: Tensor):
+    """The tensor's graph node; a tracked leaf is its own."""
+    return t if t._node is None else t._node
+
+
+def _record(data: np.ndarray, parents: tuple[Tensor, ...], rule, *saved) -> Tensor:
+    """An op's result. ``parents`` are its operands, in order.
+
+    A ``_Node`` of the parents' nodes, ``rule`` and ``saved`` is built only
+    while gradients are on and some parent is tracked; otherwise the result
+    is a plain value.
+    """
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
     if _GRAD_ENABLED[-1]:
         for p in parents:
             if p.tracked:
+                node = _Node.__new__(_Node)
+                node._parents = tuple([q if q._node is None else q._node for q in parents])
+                node._rule = rule
+                node._saved = saved
                 out.tracked = True
-                out._parents = parents
-                out._grad_fn = grad_fn
+                out._node = node
                 return out
     out.tracked = False
-    out._parents = ()
-    out._grad_fn = None
+    out._node = _UNTRACKED
     return out
 
 
@@ -171,6 +210,17 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # elementwise and structural operations
+#
+# Each op's gradient rule is the module-level ``_<op>_grad(g, *saved)``. An
+# operand array that only another operand's gradient reads is saved only when
+# that operand is tracked, and None stands for "not needed".
+
+
+def _add_grad(g, a_shape, b_shape, a_tracked, b_tracked):
+    return (
+        _unbroadcast(g, a_shape) if a_tracked else None,
+        _unbroadcast(g, b_shape) if b_tracked else None,
+    )
 
 
 def add(a, b) -> Tensor:
@@ -179,14 +229,15 @@ def add(a, b) -> Tensor:
         data = a.data + b.data
     except ValueError:
         raise DimensionError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from None
+    return _record(data, (a, b), _add_grad,
+                   a.data.shape, b.data.shape, a.tracked, b.tracked)
 
-    def grad_fn(g):
-        return (
-            _unbroadcast(g, a.shape) if a.tracked else None,
-            _unbroadcast(g, b.shape) if b.tracked else None,
-        )
 
-    return _record(data, (a, b), grad_fn)
+def _mul_grad(g, a_shape, b_shape, a, b):
+    return (
+        _unbroadcast(g * b, a_shape) if b is not None else None,
+        _unbroadcast(g * a, b_shape) if a is not None else None,
+    )
 
 
 def mul(a, b) -> Tensor:
@@ -195,19 +246,23 @@ def mul(a, b) -> Tensor:
         data = a.data * b.data
     except ValueError:
         raise DimensionError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from None
-
-    def grad_fn(g):
-        return (
-            _unbroadcast(g * b.data, a.shape) if a.tracked else None,
-            _unbroadcast(g * a.data, b.shape) if b.tracked else None,
-        )
-
-    return _record(data, (a, b), grad_fn)
+    return _record(data, (a, b), _mul_grad, a.data.shape, b.data.shape,
+                   a.data if b.tracked else None, b.data if a.tracked else None)
 
 
 def _rows(x: np.ndarray) -> np.ndarray:
     """The array as a matrix of its last axis, leading axes flattened."""
     return x.reshape(-1, x.shape[-1])
+
+
+def _matmul_grad(g, a, b, shared):
+    if a is None:
+        gb = None
+    elif shared:  # one product over the stacked rows, not one per leading index
+        gb = _rows(a).T @ _rows(g)
+    else:
+        gb = a.swapaxes(-1, -2) @ g
+    return (g @ b.swapaxes(-1, -2) if b is not None else None, gb)
 
 
 def matmul(a, b) -> Tensor:
@@ -222,16 +277,16 @@ def matmul(a, b) -> Tensor:
     if (ad.ndim < 2 or not (shared or (bd.ndim == ad.ndim and ad.shape[:-2] == bd.shape[:-2]))
             or ad.shape[-1] != bd.shape[-2]):
         raise DimensionError(f"matmul: shapes {a.shape} and {b.shape} are not compatible")
-    data = ad @ bd
+    return _record(ad @ bd, (a, b), _matmul_grad,
+                   ad if b.tracked else None, bd if a.tracked else None, shared)
 
-    def grad_fn(g):
-        if shared:  # one product over the stacked rows, not one per leading index
-            gb = _rows(a.data).T @ _rows(g) if b.tracked else None
-        else:
-            gb = a.data.swapaxes(-1, -2) @ g if b.tracked else None
-        return (g @ b.data.swapaxes(-1, -2) if a.tracked else None, gb)
 
-    return _record(data, (a, b), grad_fn)
+def _linear_grad(g, x, w, b_shape):
+    return (
+        g @ w.T if w is not None else None,
+        _rows(x).T @ _rows(g) if x is not None else None,
+        _unbroadcast(g, b_shape) if b_shape is not None else None,
+    )
 
 
 def linear(x, w, b) -> Tensor:
@@ -240,16 +295,31 @@ def linear(x, w, b) -> Tensor:
     xd, wd = x.data, w.data
     if xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0]:
         raise DimensionError(f"linear: shapes {x.shape} and {w.shape} are not compatible")
-    data = xd @ wd + b.data
+    return _record(xd @ wd + b.data, (x, w, b), _linear_grad,
+                   xd if w.tracked else None, wd if x.tracked else None,
+                   b.data.shape if b.tracked else None)
 
-    def grad_fn(g):
-        return (
-            g @ w.data.T if x.tracked else None,
-            _rows(x.data).T @ _rows(g) if w.tracked else None,
-            _unbroadcast(g, b.shape) if b.tracked else None,
-        )
 
-    return _record(data, (x, w, b), grad_fn)
+def _pair_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a[..., :, None, :] + b[..., None, :, :]
+
+
+def _pair_relu_score_grad(g, a, b, w, a_tracked, b_tracked, w_tracked, bias_tracked):
+    fused = _pair_sums(a, b)
+    active = fused > 0.0
+    gw = None
+    if w_tracked:
+        np.maximum(fused, 0.0, out=fused)
+        gw = _rows(fused).T @ g.reshape(-1, 1)
+    # the gradient of the sums overwrites them: g_ij * w where the relu is active
+    np.multiply(g[..., None], w[:, 0], out=fused)
+    fused *= active
+    return (
+        fused.sum(axis=-2) if a_tracked else None,
+        fused.sum(axis=-3) if b_tracked else None,
+        gw,
+        g.sum().reshape(1) if bias_tracked else None,
+    )
 
 
 def pair_relu_score(a, b, w, bias) -> Tensor:
@@ -267,39 +337,22 @@ def pair_relu_score(a, b, w, bias) -> Tensor:
             or bd.shape[-1] != h or w.shape != (h, 1) or bias.shape != (1,)):
         raise DimensionError(f"pair_relu_score: shapes {a.shape}, {b.shape}, {w.shape} "
                              f"and {bias.shape} are not compatible")
-    out_shape = ad.shape[:-1] + bd.shape[-2:-1]
-
-    def pair_sums() -> np.ndarray:
-        return ad[..., :, None, :] + bd[..., None, :, :]
-
-    fused = pair_sums()
+    fused = _pair_sums(ad, bd)
     np.maximum(fused, 0.0, out=fused)
-    data = (_rows(fused) @ w.data + bias.data).reshape(out_shape)
+    data = (_rows(fused) @ w.data + bias.data).reshape(ad.shape[:-1] + bd.shape[-2:-1])
+    return _record(data, (a, b, w, bias), _pair_relu_score_grad,
+                   ad, bd, w.data, a.tracked, b.tracked, w.tracked, bias.tracked)
 
-    def grad_fn(g):
-        fused = pair_sums()
-        active = fused > 0.0
-        gw = None
-        if w.tracked:
-            np.maximum(fused, 0.0, out=fused)
-            gw = _rows(fused).T @ g.reshape(-1, 1)
-        # the gradient of the sums overwrites them: g_ij * w where the relu is active
-        np.multiply(g[..., None], w.data[:, 0], out=fused)
-        fused *= active
-        return (
-            fused.sum(axis=-2) if a.tracked else None,
-            fused.sum(axis=-3) if b.tracked else None,
-            gw,
-            g.sum().reshape(1) if bias.tracked else None,
-        )
 
-    return _record(data, (a, b, w, bias), grad_fn)
+def _relu_grad(g, out):
+    return (g * (out > 0.0),)
 
 
 def relu(x) -> Tensor:
     x = _as_tensor(x)
     data = np.maximum(x.data, 0.0)
-    return _record(data, (x,), lambda g: (g * (x.data > 0.0),))
+    # the output is positive exactly where the input is
+    return _record(data, (x,), _relu_grad, data)
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -308,36 +361,45 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
+def _sigmoid_grad(g, y):
+    return (g * y * (1.0 - y),)
+
+
 def sigmoid(x) -> Tensor:
     x = _as_tensor(x)
     y = _stable_sigmoid(x.data)
-    return _record(y, (x,), lambda g: (g * y * (1.0 - y),))
+    return _record(y, (x,), _sigmoid_grad, y)
+
+
+def _tsum_grad(g, shape, axis, keepdims):
+    if axis is None:
+        return (np.broadcast_to(g, shape).copy(),)
+    ge = g if keepdims else np.expand_dims(g, axis)
+    return (np.broadcast_to(ge, shape).copy(),)
 
 
 def tsum(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
     """Sum over an axis (or everything when axis is None)."""
     x = _as_tensor(x)
-    data = x.data.sum(axis=axis, keepdims=keepdims)
+    return _record(x.data.sum(axis=axis, keepdims=keepdims), (x,), _tsum_grad,
+                   x.data.shape, axis, keepdims)
 
-    def grad_fn(g):
-        if axis is None:
-            return (np.broadcast_to(g, x.shape).copy(),)
-        ge = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(ge, x.shape).copy(),)
 
-    return _record(data, (x,), grad_fn)
+def _concat_grad(g, axis, sizes):
+    return np.split(g, np.cumsum(sizes)[:-1], axis=axis)
 
 
 def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
     parts = tuple(_as_tensor(p) for p in parts)
     data = np.concatenate([p.data for p in parts], axis=axis)
+    return _record(data, parts, _concat_grad,
+                   axis, [p.data.shape[axis] for p in parts])
 
-    def grad_fn(g):
-        splits = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
-        pieces = np.split(g, splits, axis=axis)
-        return tuple(piece if p.tracked else None for p, piece in zip(parts, pieces))
 
-    return _record(data, parts, grad_fn)
+def _narrow_grad(g, shape, index):
+    full = np.zeros(shape)
+    full[index] = g
+    return (full,)
 
 
 def narrow(x, axis: int, start: int, length: int) -> Tensor:
@@ -348,28 +410,24 @@ def narrow(x, axis: int, start: int, length: int) -> Tensor:
     index = [slice(None)] * x.ndim
     index[axis] = slice(start, start + length)
     index = tuple(index)
-    data = x.data[index]
+    return _record(x.data[index], (x,), _narrow_grad, x.data.shape, index)
 
-    def grad_fn(g):
-        full = np.zeros(x.shape)
-        full[index] = g
-        return (full,)
 
-    return _record(data, (x,), grad_fn)
+def _take_rows_grad(g, shape, ids):
+    full = np.zeros(shape)
+    np.add.at(full, ids, g)
+    return (full,)
 
 
 def take_rows(x, ids) -> Tensor:
     """Gather rows of a matrix by integer index (embedding lookup)."""
     x = _as_tensor(x)
     ids = np.asarray(ids, dtype=np.intp)
-    data = x.data[ids]
+    return _record(x.data[ids], (x,), _take_rows_grad, x.data.shape, ids)
 
-    def grad_fn(g):
-        full = np.zeros(x.shape)
-        np.add.at(full, ids, g)
-        return (full,)
 
-    return _record(data, (x,), grad_fn)
+def _bce_grad(g, z, t, mask):
+    return (g * (_stable_sigmoid(z) - t) * mask,)
 
 
 def bce_with_logits(logits, targets, mask) -> Tensor:
@@ -385,8 +443,12 @@ def bce_with_logits(logits, targets, mask) -> Tensor:
         raise DimensionError(f"bce targets {t.shape} do not match logits {z.shape}")
     mask = np.asarray(mask, dtype=np.float64)
     per = t * np.logaddexp(0.0, -z.data) + (1.0 - t) * np.logaddexp(0.0, z.data)
-    data = (per * mask).sum()
-    return _record(data, (z,), lambda g: (g * (_stable_sigmoid(z.data) - t) * mask,))
+    return _record((per * mask).sum(), (z,), _bce_grad, z.data, t, mask)
+
+
+def _softmax_cross_entropy_grad(g, z, lse, t):
+    soft = np.exp(z - lse)
+    return (g * (soft * t.sum(axis=-1, keepdims=True) - t),)
 
 
 def softmax_cross_entropy(logits, one_hot) -> Tensor:
@@ -399,13 +461,8 @@ def softmax_cross_entropy(logits, one_hot) -> Tensor:
     _check_rows_finite_max(m)
     shifted = z.data - m
     lse = m + np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    data = (t * (lse - z.data)).sum()
-
-    def grad_fn(g):
-        soft = np.exp(z.data - lse)
-        return (g * (soft * t.sum(axis=-1, keepdims=True) - t),)
-
-    return _record(data, (z,), grad_fn)
+    return _record((t * (lse - z.data)).sum(), (z,), _softmax_cross_entropy_grad,
+                   z.data, lse, t)
 
 
 # ---------------------------------------------------------------------------
@@ -432,11 +489,36 @@ def _softmax_rows_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (g - (g * y).sum(axis=-1, keepdims=True)) * y
 
 
+def _row_softmax_grad(g, y):
+    return (_softmax_rows_grad(g, y),)
+
+
 def row_softmax(x) -> Tensor:
     """Softmax over the last axis; -inf entries come out exactly 0."""
     x = _as_tensor(x)
     y = _softmax_rows(x.data.copy())
-    return _record(y, (x,), lambda g: (_softmax_rows_grad(g, y),))
+    return _record(y, (x,), _row_softmax_grad, y)
+
+
+def _split_heads(x: np.ndarray, layout) -> np.ndarray:
+    """(..., T, h) as a (..., heads, T, d) view."""
+    _, split_shape, heads_first = layout
+    return x.reshape(split_shape).transpose(heads_first)
+
+
+def _merge_heads(x: np.ndarray, layout) -> np.ndarray:
+    shape, _, heads_first = layout
+    return x.transpose(heads_first).reshape(shape)
+
+
+def _attention_grad(g, qh, kh, vh, weights, scale, layout, q_tracked, k_tracked, v_tracked):
+    gh = _split_heads(g, layout)
+    gs = _softmax_rows_grad(gh @ vh.swapaxes(-1, -2), weights)
+    return (
+        _merge_heads(gs @ kh, layout) * scale if q_tracked else None,
+        _merge_heads((qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2), layout) if k_tracked else None,
+        _merge_heads(weights.swapaxes(-1, -2) @ gh, layout) if v_tracked else None,
+    )
 
 
 def attention(q, k, v, mask, heads: int) -> Tensor:
@@ -447,7 +529,7 @@ def attention(q, k, v, mask, heads: int) -> Tensor:
     heads side by side. ``mask``, an array of additive 0 / -inf entries,
     broadcasts against the (..., heads, T, T) scores.
     Scores, mask, softmax and weights share one buffer, and the backward
-    keeps only the head-split q, k, v and the weights.
+    keeps only the head-split scaled q, k, v and the weights.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     shape = q.shape
@@ -463,31 +545,30 @@ def attention(q, k, v, mask, heads: int) -> Tensor:
                              f"scores of shape {scores_shape}")
     axes = len(lead)
     heads_first = (*range(axes), axes + 1, axes, axes + 2)  # its own inverse
-
-    def split(x: np.ndarray) -> np.ndarray:
-        """(..., T, h) as a (..., heads, T, d) view."""
-        return x.reshape(lead + (total, heads, head_dim)).transpose(heads_first)
-
-    def merge(x: np.ndarray) -> np.ndarray:
-        return x.transpose(heads_first).reshape(shape)
-
+    layout = (shape, lead + (total, heads, head_dim), heads_first)
     scale = 1.0 / math.sqrt(head_dim)
-    qh, kh, vh = split(q.data * scale), split(k.data), split(v.data)
+    qh = _split_heads(q.data * scale, layout)
+    kh, vh = _split_heads(k.data, layout), _split_heads(v.data, layout)
     weights = qh @ kh.swapaxes(-1, -2)
     weights += mask
     _softmax_rows(weights)
-    data = merge(weights @ vh)
+    return _record(_merge_heads(weights @ vh, layout), (q, k, v),
+                   _attention_grad, qh, kh, vh, weights, scale, layout,
+                   q.tracked, k.tracked, v.tracked)
 
-    def grad_fn(g):
-        gh = split(g)
-        gs = _softmax_rows_grad(gh @ vh.swapaxes(-1, -2), weights)
-        return (
-            merge(gs @ kh) * scale if q.tracked else None,
-            merge((qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)) if k.tracked else None,
-            merge(weights.swapaxes(-1, -2) @ gh) if v.tracked else None,
-        )
 
-    return _record(data, (q, k, v), grad_fn)
+def _layer_norm_grad(g, y, inv, gamma, gamma_tracked, beta_tracked):
+    if gamma is not None:  # kept only when x is tracked
+        dy = g * gamma
+        mean_dy = dy.mean(axis=-1, keepdims=True)
+        mean_dyy = (dy * y).mean(axis=-1, keepdims=True)
+        gx = (dy - mean_dy - y * mean_dyy) * inv
+    else:
+        gx = None
+    width = y.shape[-1:]  # the shape of gamma and beta
+    ggamma = _unbroadcast(g * y, width) if gamma_tracked else None
+    gbeta = _unbroadcast(g, width) if beta_tracked else None
+    return (gx, ggamma, gbeta)
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
@@ -504,35 +585,25 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     var = (xc * xc).sum(axis=-1, keepdims=True) / h
     inv = 1.0 / np.sqrt(var + eps)
     y = xc * inv
-    data = y * gamma.data + beta.data
-
-    def grad_fn(g):
-        if x.tracked:
-            dy = g * gamma.data
-            mean_dy = dy.mean(axis=-1, keepdims=True)
-            mean_dyy = (dy * y).mean(axis=-1, keepdims=True)
-            gx = (dy - mean_dy - y * mean_dyy) * inv
-        else:
-            gx = None
-        ggamma = _unbroadcast(g * y, gamma.shape) if gamma.tracked else None
-        gbeta = _unbroadcast(g, beta.shape) if beta.tracked else None
-        return (gx, ggamma, gbeta)
-
-    return _record(data, (x, gamma, beta), grad_fn)
+    return _record(y * gamma.data + beta.data, (x, gamma, beta),
+                   _layer_norm_grad, y, inv, gamma.data if x.tracked else None,
+                   gamma.tracked, beta.tracked)
 
 
 # ---------------------------------------------------------------------------
 # reverse sweep
 
 
-def topological_order(root: Tensor) -> list[Tensor]:
-    """The tracked tensors below ``root``, each after every producer of its inputs.
+def topological_order(root: Tensor) -> list:
+    """The graph nodes ``root`` depends on, its own node last, each after
+    every producer of its inputs; a parameter leaf is its own node.
 
     A single reverse iteration over this order propagates gradients correctly.
     """
-    order: list[Tensor] = []
-    seen: set[int] = {id(root)}
-    stack: list[tuple[Tensor, Iterator[Tensor]]] = [(root, iter(root._parents))]
+    start = _node_of(root)
+    order: list = []
+    seen: set[int] = {id(start)}
+    stack: list[tuple[object, Iterator]] = [(start, iter(start._parents))]
     while stack:
         node, parents = stack[-1]
         advanced = False
@@ -558,15 +629,15 @@ def backward(loss: Tensor) -> None:
         raise DimensionError(f"backward requires a scalar tensor, got shape {shape}")
     if not loss.tracked:
         return
-    grads: dict[int, np.ndarray] = {id(loss): np.ones(())}
+    grads: dict[int, np.ndarray] = {id(_node_of(loss)): np.ones(())}
     for node in reversed(topological_order(loss)):
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node._grad_fn is None:
+        if type(node) is Tensor:  # a parameter leaf
             node.grad = g.copy() if node.grad is None else node.grad + g
             continue
-        for parent, pg in zip(node._parents, node._grad_fn(g)):
+        for parent, pg in zip(node._parents, node._rule(g, *node._saved)):
             if pg is None or not parent.tracked:
                 continue
             key = id(parent)

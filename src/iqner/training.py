@@ -554,7 +554,12 @@ def load_checkpoint(path) -> tuple[Model, DatasetMeta, None]:
         key = f"param/{name}"
         if key not in archive:
             raise CheckpointError(f"checkpoint missing {key}")
-        value = archive[key]
+        try:
+            value = archive[key]
+        except ValueError as err:  # numpy loads an object array only with pickle
+            raise CheckpointError(f"checkpoint {key} cannot be read: {err}") from None
+        if value.dtype != np.float64:  # what save_checkpoint writes
+            raise CheckpointError(f"checkpoint {key} has dtype {value.dtype}, expected float64")
         if value.shape != p.shape:
             raise CheckpointError(
                 f"checkpoint {key} has shape {value.shape}, the model needs {p.shape}")

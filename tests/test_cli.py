@@ -189,9 +189,20 @@ def test_checkpoint_wrong_parameter_shape_exits_2(trained_checkpoint, corpus, tm
     def overflow(arrays, header):
         arrays["param/emb.word"][1, 0] = -np.inf
 
+    def retype(dtype):
+        def edit(arrays, header):
+            arrays["param/layer0.bq"] = arrays["param/layer0.bq"].astype(dtype)
+        return edit
+
     for edit, named in ((shrink, ("param/layer0.wq", "(3, 3)", "(16, 16)")),
                         (poison, ("param/layer0.wq", "non-finite")),
-                        (overflow, ("param/emb.word", "non-finite"))):
+                        (overflow, ("param/emb.word", "non-finite")),
+                        # save_checkpoint writes float64, so any other dtype is
+                        # refused by name; numpy loads no object array at all
+                        (retype(np.complex128), ("param/layer0.bq", "complex128")),
+                        (retype(np.str_), ("param/layer0.bq", "<U")),
+                        (retype(object), ("param/layer0.bq", "cannot be read", "Object arrays")),
+                        (retype(np.float32), ("param/layer0.bq", "float32"))):
         ckpt = _tampered_checkpoint(trained_checkpoint, tmp_path / "bad.npz", edit)
         # zero thresholds would print every query's score, NaN ones included
         code = main(["predict", "--checkpoint", str(ckpt), "--input", str(corpus[0]),

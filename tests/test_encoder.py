@@ -1,8 +1,10 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from iqner import encoder as E
 from iqner import tensor as T
 from iqner.encoder import (
     EmbeddingTables,
@@ -207,6 +209,41 @@ def test_attention_block_gradients():
     assert grad_check(f, layer.wq, 1e-5) < 1e-4
     assert grad_check(f, layer.w1, 1e-5) < 1e-4
     assert grad_check(f, layer.ln1_gamma, 1e-5) < 1e-4
+
+
+def test_a_block_keeps_only_what_its_gradient_rules_read(monkeypatch):
+    # the residual-add outputs (the two layer_norm inputs) and the pre-ReLU
+    # feed-forward output are read by no gradient rule, so they die while the
+    # loss is still held, and backward still gives the right gradients
+    watched = []
+
+    def watch(op):
+        def wrapped(x, *args):
+            watched.append(weakref.ref(x))
+            return op(x, *args)
+        return wrapped
+
+    monkeypatch.setattr(E, "layer_norm", watch(E.layer_norm))
+    monkeypatch.setattr(E, "relu", watch(E.relu))
+    rng = np.random.default_rng(11)
+    layer = TransformerLayer.init(4, rng)
+    for name, p in layer.named("layer"):
+        if "ln" not in name:
+            p.data[...] = rng.normal(0.0, 0.5, size=p.shape)
+    x = Tensor(rng.normal(size=(3, 4)), tracked=True)
+    mask = build_one_way_mask(2, 1)
+    weights = Tensor(rng.normal(size=(3, 4)))
+
+    def f(_):
+        return T.tsum(T.mul(one_way_self_attention(x, mask, layer, n_heads=2), weights))
+
+    loss = f(x)
+    assert len(watched) == 3 and all(ref() is None for ref in watched)
+    T.backward(loss)
+    held = {name: p.grad.copy() for name, p in [("x", x), *layer.named("layer")]}
+    for name, p in [("x", x), *layer.named("layer")]:
+        assert grad_check(f, p, 1e-5) < 1e-4, name
+        assert np.array_equal(p.grad, held[name]), name
 
 
 def transposed(t):

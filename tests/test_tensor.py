@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -460,9 +462,12 @@ def test_no_grad_suppresses_recording():
     assert {case[0] for case in RECORDING_CASES} == set(T.__all__) - not_ops
     rng = np.random.default_rng(0)
     for name, shapes, op in RECORDING_CASES:
-        def operands(tracked_at):
-            return [Tensor(rng.normal(size=shape), tracked=i == tracked_at)
+        def operands(tracked_at, leaf=True):
+            args = [Tensor(rng.normal(size=shape), tracked=i == tracked_at)
                     for i, shape in enumerate(shapes)]
+            if not leaf:  # the tracked operand is itself a recorded result
+                args[tracked_at] = T.add(args[tracked_at], 0.0)
+            return args
 
         # a predict pass keeps no graph: nothing is recorded inside no_grad,
         # even from tracked operands, nor from untracked operands outside it
@@ -470,10 +475,51 @@ def test_no_grad_suppresses_recording():
             plain = [op(*operands(i)) for i in range(len(shapes))]
         plain.append(op(*operands(None)))
         for out in plain:
-            assert not out.tracked and out._parents == () and out._grad_fn is None, name
+            assert not out.tracked and out._node is T._UNTRACKED and out._parents == (), name
         for i in range(len(shapes)):
-            args = operands(i)
-            out = op(*args)
-            assert out.tracked and out._grad_fn is not None, name
-            assert len(out._parents) == len(args), name
-            assert all(p is a for p, a in zip(out._parents, args)), name
+            for leaf in (True, False):
+                args = operands(i, leaf)
+                out = op(*args)
+                assert out.tracked and isinstance(out._node, T._Node), name
+                # one entry per operand, in order: a recorded result's node, a
+                # tracked leaf itself, or the shared untracked marker
+                expected = [T._UNTRACKED] * len(args)
+                expected[i] = args[i] if leaf else args[i]._node
+                assert len(out._parents) == len(args), name
+                assert all(p is e for p, e in zip(out._parents, expected)), name
+
+
+def _holds_tensor(value) -> bool:
+    if isinstance(value, Tensor):
+        return True
+    return isinstance(value, (tuple, list)) and any(_holds_tensor(v) for v in value)
+
+
+def test_recorded_rules_hold_no_tensor():
+    rng = np.random.default_rng(1)
+    for name, shapes, op in RECORDING_CASES:
+        # every operand a tracked non-leaf, so each rule saves all it may read
+        args = [T.add(Tensor(rng.normal(size=shape), tracked=True), 0.0) for shape in shapes]
+        out = op(*args)
+        node = out._node
+        assert isinstance(node, T._Node), name
+        assert node._rule.__closure__ is None, name
+        assert not _holds_tensor(node._saved), name
+        assert all(type(p) is T._Node for p in node._parents), name
+        grads = node._rule(np.ones(out.shape), *node._saved)
+        assert [np.shape(g) for g in grads] == [a.shape for a in args], name
+
+
+def test_graph_objects_are_freed_without_the_cycle_collector():
+    # a leaf or node that held itself would live until a cyclic collection,
+    # so a discarded model's parameters would pile up until then
+    gc.disable()
+    try:
+        w = T.parameter(np.ones(3))
+        loss = T.tsum(T.mul(T.relu(w), w))
+        backward(loss)
+        refs = [weakref.ref(x) for x in (w, loss, loss._node)]
+        del w, loss
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()

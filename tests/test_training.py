@@ -275,12 +275,13 @@ def test_train_rejects_empty_dataset():
 def test_a_step_graph_is_freed_before_the_next_step_is_built(monkeypatch):
     examples, meta, config = _tiny_fixture()
     forward_batch = Model.forward_batch
-    previous = []  # weak references to the last step's tracked non-leaf tensors
+    previous = []  # weak references to the last step's recorded graph nodes
     steps = []
 
     def watched(self, batch):
         alive = sum(ref() is not None for ref in previous)
-        assert alive == 0, f"{alive} of {len(previous)} tracked tensors of step {len(steps)} alive"
+        # a live result Tensor keeps its node alive, so this also covers the values
+        assert alive == 0, f"{alive} of {len(previous)} graph nodes of step {len(steps)} alive"
         steps.append(len(batch))
         outputs, head_outs = forward_batch(self, batch)
         previous[:] = [weakref.ref(node)
