@@ -24,22 +24,25 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from typing import Literal, get_args, get_origin, get_type_hints
+from typing import Iterator, Literal, get_args, get_origin, get_type_hints
 
 from .assignment import assignable_total
 from .data import (
     DatasetError,
     AnnotationError,
     DatasetMeta,
+    SentenceExample,
     SyntheticSpec,
     generate_synthetic,
     load_dataset,
     load_meta,
+    require_fraction,
     save_dataset,
     save_meta,
 )
 from .encoder import QUERY_INIT_STD, ModelConfig
-from .evaluation import query_affinity_stats
+from .evaluation import evaluate_corpus, query_affinity_stats
+from .heads import Prediction
 from .tensor import NumericError
 from .training import (
     GRADCHECK_EPS,
@@ -286,7 +289,15 @@ def cmd_train(config: RunConfig) -> int:
     return 0
 
 
-def _load_checkpoint_validated(config: RunConfig) -> tuple[Model, DatasetMeta]:
+def _decode(
+    config: RunConfig, path: str | None, flag: str
+) -> tuple[Model, DatasetMeta, list[SentenceExample], Iterator[list[Prediction]]]:
+    """What ``eval``, ``predict`` and ``stats`` share: check the thresholds,
+    load the checkpoint, read every sentence in ``path`` against its
+    ``max_len``, and return the model, metadata and sentences with their
+    predictions, decoded lazily in file order."""
+    for name in ("loc_threshold", "cls_threshold"):
+        require_fraction(name, getattr(config, name))
     if not config.checkpoint:
         raise UsageError("--checkpoint PATH is required")
     try:
@@ -295,50 +306,38 @@ def _load_checkpoint_validated(config: RunConfig) -> tuple[Model, DatasetMeta]:
         raise UsageError(f"no such checkpoint: {config.checkpoint}") from None
     except CheckpointError as err:
         raise UsageError(str(err)) from None
-    return model, meta
+    if not path:
+        raise UsageError(f"{flag} PATH is required")
+    examples, _ = _load_examples(path, meta, model.config.max_len)
+    predictions = model.predict((meta.encode(ex.tokens) for ex in examples),
+                                config.loc_threshold, config.cls_threshold)
+    return model, meta, examples, predictions
 
 
 def cmd_eval(config: RunConfig, args: argparse.Namespace) -> int:
-    model, meta = _load_checkpoint_validated(config)
-    if not args.data:
-        raise UsageError("--data PATH is required")
-    examples, _ = _load_examples(args.data, meta, model.config.max_len)
-    report, _ = evaluate_model(model, examples, meta,
-                               config.loc_threshold, config.cls_threshold)
-    _emit(report.to_dict())
+    _, _, examples, predictions = _decode(config, args.data, "--data")
+    _emit(evaluate_corpus(list(predictions), [ex.entities for ex in examples]).to_dict())
     return 0
 
 
 def cmd_predict(config: RunConfig, args: argparse.Namespace) -> int:
-    model, meta = _load_checkpoint_validated(config)
-    if not args.input:
-        raise UsageError("--input PATH is required")
-    examples, _ = _load_examples(args.input, meta, model.config.max_len)
-    for ex in examples:
-        predictions = model.predict(meta.encode(ex.tokens),
-                                    config.loc_threshold, config.cls_threshold)
+    _, meta, _, predictions = _decode(config, args.input, "--input")
+    for sentence in predictions:  # each line goes out as soon as its sentence is decoded
         _emit({
             "entities": [
                 {"start": p.left, "end": p.right, "type": meta.types[p.type_id],
                  "score": p.type_prob}
-                for p in predictions
+                for p in sentence
             ],
-            "query_ids": [p.query_id for p in predictions],
+            "query_ids": [p.query_id for p in sentence],
         })
     return 0
 
 
 def cmd_stats(config: RunConfig, args: argparse.Namespace) -> int:
-    model, meta = _load_checkpoint_validated(config)
-    if not args.data:
-        raise UsageError("--data PATH is required")
-    examples, _ = _load_examples(args.data, meta, model.config.max_len)
-    per_sentence = []
-    for ex in examples:
-        predictions = model.predict(meta.encode(ex.tokens),
-                                    config.loc_threshold, config.cls_threshold)
-        per_sentence.append((predictions, len(ex)))
-    stats = query_affinity_stats(per_sentence, model.config.queries, meta.type_count)
+    model, meta, examples, predictions = _decode(config, args.data, "--data")
+    stats = query_affinity_stats(zip(predictions, map(len, examples)), model.config.queries,
+                                 meta.type_count)
     stats["types"] = meta.types
     _emit(stats)
     return 0

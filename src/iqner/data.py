@@ -29,6 +29,19 @@ class AnnotationError(ValueError):
     """Entity span or type outside the sentence/inventory bounds."""
 
 
+def require(config, name: str, ok: bool, rule: str, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` naming field ``name`` of ``config``, its value and the
+    rule it breaks, unless ``ok``."""
+    if not ok:
+        raise error(f"{name} must be {rule}, got {getattr(config, name)!r}")
+
+
+def require_fraction(name: str, value: float) -> None:
+    """Raise a ValueError naming ``name`` and ``value`` unless it is in [0, 1]."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+
+
 @dataclass(frozen=True)
 class EntityAnnotation:
     """One gold entity: inclusive word span plus type index."""
@@ -89,12 +102,6 @@ class DatasetMeta:
     @property
     def vocab_size(self) -> int:
         return len(self.vocab)
-
-    def type_id(self, name: str) -> int:
-        try:
-            return self.types.index(name)
-        except ValueError:
-            raise AnnotationError(f"unknown entity type {name!r}") from None
 
     def encode(self, tokens: list[str]) -> np.ndarray:
         return np.array([self.vocab.get(t, UNK_ID) for t in tokens], dtype=np.int64)
@@ -232,18 +239,19 @@ class SyntheticSpec:
     nesting_ratio: float = 0.3
     max_entities: int = 4
 
-    def validate(self) -> None:
-        if min(self.sentences, self.vocab_size, self.min_length, self.max_length,
-               self.type_count, self.max_entities) < 1:
-            raise DatasetError("synthetic spec values must be positive")
-        if not 0.0 <= self.nesting_ratio < 1.0:
-            raise DatasetError(f"nesting ratio must be in [0, 1), got {self.nesting_ratio}")
-        if self.min_length > self.max_length:
-            raise DatasetError("min_length exceeds max_length")
-        if self.max_entities > self.min_length:
-            raise DatasetError("max_entities exceeds the shortest sentence length")
-        if self.vocab_size < 3 * self.type_count + 2:
-            raise DatasetError("vocab too small for type markers plus filler words")
+    def __post_init__(self):
+        for name in ("sentences", "vocab_size", "min_length", "max_length", "type_count",
+                     "max_entities"):
+            require(self, name, getattr(self, name) >= 1, ">= 1", DatasetError)
+        require(self, "nesting_ratio", 0.0 <= self.nesting_ratio < 1.0, "in [0, 1)",
+                DatasetError)
+        require(self, "max_length", self.max_length >= self.min_length,
+                f">= min_length {self.min_length}", DatasetError)
+        require(self, "max_entities", self.max_entities <= self.min_length,
+                f"<= min_length {self.min_length}", DatasetError)
+        least = 3 * self.type_count + 2
+        require(self, "vocab_size", self.vocab_size >= least,
+                f">= 3 * type_count + 2 = {least}", DatasetError)
 
 
 def nesting_ratio(examples: list[SentenceExample]) -> float:
@@ -272,7 +280,6 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> tuple[list[SentenceExa
     sentence plants the number of nested spans needed to keep the corpus-wide
     nesting ratio on target.
     """
-    spec.validate()
     rng = np.random.default_rng(seed)
     types = [f"T{t}" for t in range(spec.type_count)]
     fillers = [f"w{j}" for j in range(spec.vocab_size - 3 * spec.type_count)]

@@ -15,8 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import require
 from .tensor import (
     DimensionError,
+    ParameterGroup,
     Tensor,
     add,
     attention,
@@ -69,15 +71,8 @@ class ModelConfig:
         require(self, "seed", self.seed >= 0, ">= 0")
 
 
-def require(config, name: str, ok: bool, rule: str) -> None:
-    """Raise a ValueError naming field ``name`` of ``config``, its value and
-    the rule it breaks, unless ``ok``."""
-    if not ok:
-        raise ValueError(f"{name} must be {rule}, got {getattr(config, name)!r}")
-
-
 @dataclass
-class EmbeddingTables:
+class EmbeddingTables(ParameterGroup):
     """Token, query, position, and sequence-type embeddings."""
 
     word: Tensor
@@ -99,19 +94,9 @@ class EmbeddingTables:
             type_query=parameter((h,), rng, INIT_STD),
         )
 
-    def named(self, prefix: str = "emb") -> list[tuple[str, Tensor]]:
-        return [
-            (f"{prefix}.word", self.word),
-            (f"{prefix}.query", self.query),
-            (f"{prefix}.pos_word", self.pos_word),
-            (f"{prefix}.pos_query", self.pos_query),
-            (f"{prefix}.type_word", self.type_word),
-            (f"{prefix}.type_query", self.type_query),
-        ]
-
 
 @dataclass
-class TransformerLayer:
+class TransformerLayer(ParameterGroup):
     """Projection, output, feed-forward, and normalization parameters."""
 
     wq: Tensor
@@ -151,12 +136,6 @@ class TransformerLayer:
             ln2_beta=parameter(np.zeros(hidden)),
         )
 
-    def named(self, prefix: str) -> list[tuple[str, Tensor]]:
-        names = ("wq", "bq", "wk", "wv", "bv", "wo", "bo",
-                 "w1", "b1", "w2", "b2",
-                 "ln1_gamma", "ln1_beta", "ln2_gamma", "ln2_beta")
-        return [(f"{prefix}.{n}", getattr(self, n)) for n in names]
-
 
 @dataclass
 class LayerOutputs:
@@ -169,14 +148,6 @@ class LayerOutputs:
     word: list[Tensor] = field(default_factory=list)
     query: list[Tensor] = field(default_factory=list)
     word_mask: np.ndarray | None = None
-
-    @property
-    def final_word(self) -> Tensor:
-        return self.word[-1]
-
-    @property
-    def final_query(self) -> Tensor:
-        return self.query[-1]
 
     def __len__(self) -> int:
         return len(self.word)

@@ -8,6 +8,7 @@ ignores the type; classification is measured over the localized subset.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,7 +139,7 @@ def span_center(left: int, right: int, sentence_length: int) -> float:
 
 
 def query_affinity_stats(
-    sentence_predictions: list[tuple[list[Prediction], int]],
+    sentence_predictions: Iterable[tuple[list[Prediction], int]],
     query_count: int,
     type_count: int,
 ) -> dict:

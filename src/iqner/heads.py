@@ -13,14 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (Tensor, concat, linear, matmul, mul, pair_relu_score, parameter, relu,
-                     row_softmax, sigmoid)
+from .data import require_fraction
+from .tensor import (ParameterGroup, Tensor, concat, linear, matmul, mul, pair_relu_score,
+                     parameter, relu, row_softmax, sigmoid)
 
 HEAD_INIT_STD = 0.02
 
 
 @dataclass
-class BoundaryHead:
+class BoundaryHead(ParameterGroup):
     """Fusion projections and scorer for one boundary side."""
 
     w_query: Tensor
@@ -37,17 +38,9 @@ class BoundaryHead:
             bias=parameter(np.zeros(1)),
         )
 
-    def named(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return [
-            (f"{prefix}.w_query", self.w_query),
-            (f"{prefix}.w_word", self.w_word),
-            (f"{prefix}.scorer", self.scorer),
-            (f"{prefix}.bias", self.bias),
-        ]
-
 
 @dataclass
-class LayerHeads:
+class LayerHeads(ParameterGroup):
     """Pointer and classifier parameters attached to one word-level layer."""
 
     left: BoundaryHead
@@ -66,15 +59,6 @@ class LayerHeads:
             type_scorer=parameter((3 * hidden, classes), rng, HEAD_INIT_STD),
             type_bias=parameter(np.zeros(classes)),
         )
-
-    def named(self, prefix: str) -> list[tuple[str, Tensor]]:
-        out = self.left.named(f"{prefix}.left") + self.right.named(f"{prefix}.right")
-        out += [
-            (f"{prefix}.w_type", self.w_type),
-            (f"{prefix}.type_scorer", self.type_scorer),
-            (f"{prefix}.type_bias", self.type_bias),
-        ]
-        return out
 
 
 @dataclass
@@ -187,9 +171,8 @@ def decode_entities(
     surviving predictions sharing a span, the highest type probability wins
     (first query on ties).
     """
-    for name, value in (("loc_threshold", loc_threshold), ("cls_threshold", cls_threshold)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1], got {value}")
+    require_fraction("loc_threshold", loc_threshold)
+    require_fraction("cls_threshold", cls_threshold)
     left = scores.left.data
     right = scores.right.data
     type_probs = types.probs

@@ -20,6 +20,7 @@ backward pass.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from contextlib import contextmanager
 from types import SimpleNamespace
@@ -34,6 +35,7 @@ __all__ = [
     "NumericError",
     "topological_order",
     "parameter",
+    "ParameterGroup",
     "no_grad",
     "add",
     "mul",
@@ -148,6 +150,20 @@ def parameter(data, rng: np.random.Generator | None = None, std: float | None = 
             raise ValueError("std required when sampling a parameter")
         data = rng.normal(0.0, std, size=data)
     return Tensor(data, tracked=True)
+
+
+class ParameterGroup:
+    """Base of a dataclass whose fields are parameters or nested groups."""
+
+    def named(self, prefix: str) -> list[tuple[str, Tensor]]:
+        """Every parameter in field order, named ``prefix.field``; a nested
+        group's named ``prefix.field.inner``."""
+        out = []
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            name = f"{prefix}.{f.name}"
+            out += value.named(name) if isinstance(value, ParameterGroup) else [(name, value)]
+        return out
 
 
 _GRAD_ENABLED = [True]

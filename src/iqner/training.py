@@ -5,7 +5,8 @@ step encodes its mini-batch as one padded batch and builds one autodiff
 graph for it. Labels are assigned to each sentence's queries dynamically
 (or statically in the ablation), boundary and classification losses are
 summed over layers and sentences, and the sum is averaged per batch.
-Inference decodes the final layer only, one sentence as a batch of one.
+Inference, ``Model.predict``, decodes the final layer only, lazily, each
+sentence as a batch of one.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Literal, get_args, get_type_hints
+from typing import Iterable, Iterator, Literal, get_args, get_type_hints
 
 import numpy as np
 
@@ -24,7 +25,8 @@ from .assignment import (
     labels_from_assignment,
     solve_one_to_many_lap,
 )
-from .data import AnnotationError, DatasetMeta, EntityAnnotation, SentenceExample
+from .data import (AnnotationError, DatasetMeta, EntityAnnotation, SentenceExample, require,
+                   require_fraction)
 from .encoder import (
     EmbeddingTables,
     LayerOutputs,
@@ -35,7 +37,6 @@ from .encoder import (
     encode,
     one_way_self_attention,
     pad_batch,
-    require,
 )
 from .evaluation import EvalReport, evaluate_corpus
 from .heads import (
@@ -92,7 +93,7 @@ class TrainConfig:
         for name in ("epochs", "batch_size"):
             require(self, name, getattr(self, name) >= 1, ">= 1")
         for name in ("loc_threshold", "cls_threshold", "warmup_fraction"):
-            require(self, name, 0.0 <= getattr(self, name) <= 1.0, "in [0, 1]")
+            require_fraction(name, getattr(self, name))
         require(self, "ratio", 0.0 < self.ratio <= 1.0, "in (0, 1]")
         require(self, "learning_rate", 0.0 <= self.learning_rate < math.inf, "finite and >= 0")
         require(self, "max_grad_norm",
@@ -154,13 +155,17 @@ class Model:
         outputs, head_outs = self.forward_batch([token_ids])
         return outputs, _sentence_outputs(head_outs, 0, len(token_ids))
 
-    def predict(self, token_ids, loc_threshold: float, cls_threshold: float) -> list[Prediction]:
-        """Decode entities from the final layer, the only one whose heads run."""
-        with no_grad():
-            outputs = self.encode([token_ids])
-            scores, types = _run_heads(outputs.final_query, outputs.final_word, self.heads[-1])
-        return decode_entities(scores.sentence(0, len(token_ids)), types.sentence(0),
-                               loc_threshold, cls_threshold)
+    def predict(self, sentences: Iterable[np.ndarray], loc_threshold: float,
+                cls_threshold: float) -> Iterator[list[Prediction]]:
+        """Yield each sentence's entities, decoded from the final layer, the
+        only one whose heads run. ``sentences`` holds token id arrays; each is
+        encoded, as a batch of one, only when its predictions are asked for."""
+        for token_ids in sentences:
+            with no_grad():
+                outputs = self.encode([token_ids])
+                scores, types = _run_heads(outputs.query[-1], outputs.word[-1], self.heads[-1])
+            yield decode_entities(scores.sentence(0, len(token_ids)), types.sentence(0),
+                                  loc_threshold, cls_threshold)
 
 
 def _run_heads(h_q, h_w, heads: LayerHeads,
@@ -473,10 +478,8 @@ def evaluate_model(
     cls_threshold: float,
 ) -> tuple[EvalReport, list[list[Prediction]]]:
     """Decode every sentence at the final layer and score against gold."""
-    predictions = [
-        model.predict(meta.encode(ex.tokens), loc_threshold, cls_threshold)
-        for ex in examples
-    ]
+    predictions = list(model.predict((meta.encode(ex.tokens) for ex in examples),
+                                     loc_threshold, cls_threshold))
     report = evaluate_corpus(predictions, [list(ex.entities) for ex in examples])
     return report, predictions
 
@@ -636,7 +639,7 @@ def model_gradcheck(seed: int, eps: float = GRADCHECK_EPS, inject_error: bool = 
             total = add(total, Tensor(0.05 * float(model.layers[0].wq.data.sum())))
         return total
 
-    stages = [(model.tables.named(), lambda _: loss_from(0, build_input(batch_ids, model.tables)))]
+    stages = [(model.tables.named(""), lambda _: loss_from(0, build_input(batch_ids, model.tables)))]
     stages += [(layer.named(""), lambda _, i=i: loss_from(i, entering[i]))
                for i, layer in enumerate(model.layers)]
     stages += [(heads.named(""), lambda _, tau=tau: head_loss(tau, entering[base + tau + 1]))

@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from iqner import training
 from iqner.cli import RunConfig, build_parser, build_run_config, main
 from iqner.encoder import ModelConfig
 from iqner.training import TrainConfig
@@ -226,6 +228,26 @@ def test_predict_lines_align(trained_checkpoint, corpus, capsys):
             assert {"start", "end", "type", "score"} <= set(ent)
 
 
+def test_predict_writes_each_line_before_decoding_the_next(trained_checkpoint, corpus,
+                                                          monkeypatch):
+    events = []
+    decode = training.decode_entities
+    monkeypatch.setattr(training, "decode_entities",
+                        lambda *args: events.append("decode") or decode(*args))
+
+    class Stdout:
+        def write(self, text):
+            events.append("line")
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    assert main(["predict", "--checkpoint", str(trained_checkpoint),
+                 "--input", str(corpus[0])]) == 0
+    assert events == ["decode", "line"] * 10
+
+
 def test_predict_untrained_model_emits_nothing(corpus, tmp_path, capsys):
     path, _ = corpus
     ck = tmp_path / "fresh.npz"
@@ -290,8 +312,14 @@ def test_datagen_deterministic_and_counts(tmp_path, capsys):
 
 
 def test_datagen_invalid_nesting_exits_2(tmp_path, capsys):
-    for flags, named in ((["--nesting", "1.5"], "nesting ratio must be in [0, 1), got 1.5"),
-                         (["--seed", "-1"], "--seed must be >= 0, got -1")):
+    for flags, named in ((["--nesting", "1.5"], "nesting_ratio must be in [0, 1), got 1.5"),
+                         (["--seed", "-1"], "--seed must be >= 0, got -1"),
+                         (["--sentences", "0"], "sentences must be >= 1, got 0"),
+                         (["--max-entities", "0"], "max_entities must be >= 1, got 0"),
+                         (["--min-len", "9", "--max-len", "5"],
+                          "max_length must be >= min_length 9, got 5"),
+                         (["--vocab-size", "5"],
+                          "vocab_size must be >= 3 * type_count + 2 = 14, got 5")):
         code = main(["datagen", *flags, "--out", str(tmp_path / "x.jsonl")])
         assert code == 2
         assert named in capsys.readouterr().err
@@ -559,6 +587,27 @@ def test_config_file_bad_value_exits_2_naming_the_field(field, value, corpus, tm
     assert main(["train", "--config", str(config_path), "--train", str(corpus[0])]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and field in captured.err
+
+
+BAD_THRESHOLDS = {
+    "predict": (["--loc-threshold", "5"], "loc_threshold must be in [0, 1], got 5.0"),
+    "eval": (["--loc-threshold", "7"], "loc_threshold must be in [0, 1], got 7.0"),
+    "stats": (["--cls-threshold", "-1"], "cls_threshold must be in [0, 1], got -1.0"),
+}
+
+
+@pytest.mark.parametrize("command", BAD_THRESHOLDS)
+def test_decode_commands_check_thresholds_before_reading_data(command, trained_checkpoint,
+                                                              corpus, tmp_path, capsys):
+    flags, named = BAD_THRESHOLDS[command]
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    data = "--input" if command == "predict" else "--data"
+    for path in (empty, corpus[0]):
+        assert main([command, "--checkpoint", str(trained_checkpoint), data, str(path),
+                     *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {named}\n"
 
 
 @pytest.mark.parametrize("command", ["predict", "eval", "stats"])

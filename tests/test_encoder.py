@@ -49,7 +49,7 @@ def test_config_validation():
 def test_build_input_zero_tables():
     config = small_config()
     tables, _ = make_model_params(config)
-    for _, p in tables.named():
+    for _, p in tables.named("emb"):
         p.data[...] = 0.0
     out = build_input([1, 2], tables)
     assert out.shape == (2 + config.queries, config.hidden)
@@ -159,7 +159,7 @@ def test_one_way_invariance_to_query_resampling():
     for a, b in zip(base.word, resampled.word):
         assert np.max(np.abs(a.data - b.data)) < 1e-9
     # query encodings do change
-    assert np.max(np.abs(base.final_query.data - resampled.final_query.data)) > 1e-6
+    assert np.max(np.abs(base.query[-1].data - resampled.query[-1].data)) > 1e-6
 
 
 def test_invariance_fails_without_one_way_mask():

@@ -315,8 +315,28 @@ def test_checkpoint_round_trip(tmp_path):
     for (name_a, a), (name_b, b) in zip(model.named_parameters(), loaded.named_parameters()):
         assert name_a == name_b
         assert np.array_equal(a.data, b.data)
-    ids = meta.encode(examples[0].tokens)
-    assert model.predict(ids, 0.0, 0.0) == loaded.predict(ids, 0.0, 0.0)
+    encoded = [meta.encode(ex.tokens) for ex in examples]
+    assert list(model.predict(encoded, 0.0, 0.0)) == list(loaded.predict(encoded, 0.0, 0.0))
+
+
+def test_parameter_names_are_pinned():
+    """The names, in this order, are the checkpoint keys and the order in
+    which model_gradcheck resamples the parameters."""
+    model = Model(ModelConfig(hidden=4, queries=2, base_layers=1, word_layers=1, heads=1,
+                              vocab_size=5, max_len=4, type_count=1))
+    assert [name for name, _ in model.named_parameters()] == [
+        "emb.word", "emb.query", "emb.pos_word", "emb.pos_query", "emb.type_word",
+        "emb.type_query",
+        "layer0.wq", "layer0.bq", "layer0.wk", "layer0.wv", "layer0.bv", "layer0.wo",
+        "layer0.bo", "layer0.w1", "layer0.b1", "layer0.w2", "layer0.b2", "layer0.ln1_gamma",
+        "layer0.ln1_beta", "layer0.ln2_gamma", "layer0.ln2_beta",
+        "layer1.wq", "layer1.bq", "layer1.wk", "layer1.wv", "layer1.bv", "layer1.wo",
+        "layer1.bo", "layer1.w1", "layer1.b1", "layer1.w2", "layer1.b2", "layer1.ln1_gamma",
+        "layer1.ln1_beta", "layer1.ln2_gamma", "layer1.ln2_beta",
+        "head0.left.w_query", "head0.left.w_word", "head0.left.scorer", "head0.left.bias",
+        "head0.right.w_query", "head0.right.w_word", "head0.right.scorer", "head0.right.bias",
+        "head0.w_type", "head0.type_scorer", "head0.type_bias",
+    ]
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
@@ -375,11 +395,11 @@ def test_inference_uses_only_the_final_layer():
     examples, meta, config = _tiny_fixture()
     config2 = ModelConfig(**{**config.__dict__, "word_layers": 2})
     model = Model(config2)
-    ids = meta.encode(examples[0].tokens)
-    before = model.predict(ids, 0.0, 0.0)
+    encoded = [meta.encode(ex.tokens) for ex in examples]
+    before = list(model.predict(encoded, 0.0, 0.0))
     for _, p in model.heads[0].named("head0"):
         p.data[...] += 7.5  # earlier layer's head parameters are inference-dead
-    after = model.predict(ids, 0.0, 0.0)
+    after = list(model.predict(encoded, 0.0, 0.0))
     assert before == after
 
 
@@ -390,8 +410,8 @@ def test_predict_runs_only_the_final_layer_heads(monkeypatch):
     pointer = training.boundary_pointer
     monkeypatch.setattr(training, "boundary_pointer",
                         lambda *args: calls.append(args) or pointer(*args))
-    model.predict(meta.encode(examples[0].tokens), 0.0, 0.0)
-    assert len(calls) == 1
+    list(model.predict([meta.encode(ex.tokens) for ex in examples[:2]], 0.0, 0.0))
+    assert len(calls) == 2  # one per sentence
 
 
 # ---------------------------------------------------------------------------
