@@ -7,6 +7,12 @@ optimal assignment is an exact min-cost flow from the queries to the G
 entities (capacity q_k each), solved by successive shortest paths whose
 Dijkstra searches run over the G entity nodes plus the free-query source.
 Queries left unmatched take the None label through an extra column.
+
+A training step solves all of its (sentence, layer) instances in one call:
+their costs and quantities are stacked, padded to the largest G, and every
+augmentation round runs the Dijkstra sweep and the path walk-back for all
+instances at once, on arrays with +inf at absent entities. A single
+instance is the stack of one.
 """
 
 from __future__ import annotations
@@ -32,22 +38,42 @@ class CapacityError(ValueError):
 
 @dataclass(frozen=True)
 class QuantityVector:
-    """Per-entity assignable quantities q_k with their total Q."""
+    """Per-entity assignable quantities q_k with their total Q.
+
+    ``counts`` is one instance's (G,) vector of positive counts, or a stack
+    of K instances as (K, G_max) whose rows are padded with zeros after
+    their own G entities; ``total`` then sums every instance.
+    """
 
     counts: np.ndarray
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=np.int64)
         object.__setattr__(self, "counts", counts)
-        if counts.ndim != 1 or counts.size == 0 or np.any(counts < 1):
-            raise ValueError("quantities must be a nonempty vector of positive integers")
+        if counts.ndim == 1:
+            if counts.size == 0 or np.any(counts < 1):
+                raise ValueError("quantities must be a nonempty vector of positive integers")
+            return
+        present = counts > 0
+        if (counts.ndim != 2 or counts.size == 0 or np.any(counts < 0) or not present[:, 0].all()
+                or np.any(present[:, 1:] > present[:, :-1])):
+            raise ValueError("stacked quantities must be a (K, G) matrix of rows of positive "
+                             "integers, each padded with zeros after its last entity")
+
+    @classmethod
+    def stack(cls, quantities: list["QuantityVector"]) -> "QuantityVector":
+        """The (K, G_max) stack of single instances, zero-padded."""
+        counts = np.zeros((len(quantities), max(len(q) for q in quantities)), dtype=np.int64)
+        for row, q in zip(counts, quantities):
+            row[:len(q)] = q.counts
+        return cls(counts)
 
     @property
     def total(self) -> int:
         return int(self.counts.sum())
 
     def __len__(self) -> int:
-        return len(self.counts)
+        return self.counts.shape[-1]
 
 
 @dataclass
@@ -121,15 +147,19 @@ def allocate_quantities(
     return QuantityVector(counts=counts)
 
 
-def _min_cost_flow(cost: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Owner per query (G when free) of a min-cost flow giving entity k counts[k] queries.
+def _lockstep_min_cost_flow(cost: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Owner per query (G when free) of K min-cost flows at once; flow k gives
+    entity b counts[k, b] queries. ``cost`` is (K, M, G), +inf where the count is 0.
 
     Successive shortest paths: each unit of flow takes a cheapest path from a
     free query to an entity with spare capacity, possibly moving queries
     between entities on the way. Node b of the search is entity b, node G the
-    source; edge a -> b moves to b the query of a that it costs least to move.
+    source; edge a -> b moves to b the query of a that it costs least to move,
+    at the cost of that query at b less its cost at a (0 at the source).
     Dijkstra runs on costs reduced by node potentials and sets each label
     once, so predecessor chains cannot cycle under float rounding.
+    Round r augments every instance that needs more than r units; absent
+    entities stay at +inf distance and are never settled before real ones.
 
     Ties go to lower indices: the flow ends at the lowest-indexed spare entity
     among the cheapest, Dijkstra settles equal labels in index order and keeps
@@ -137,71 +167,110 @@ def _min_cost_flow(cost: np.ndarray, counts: np.ndarray) -> np.ndarray:
     among the cheapest. For G = 1 this picks the q_0 cheapest queries, lower
     index first among equals.
     """
-    queries, entities = cost.shape
+    instances, queries, entities = cost.shape
     source = entities
-    owner = np.full(queries, source, dtype=np.int64)
-    # via[a, b, j]: cost change of moving query j from a to b; inf unless a holds j
-    via = np.full((entities + 1, entities, queries), np.inf)
-    via[source] = cost.T
-    weight = via.min(axis=2).tolist()
-    potential = [0.0] * entities
-    spare = counts.tolist()
-    for _ in range(sum(spare)):
-        dist = [w - p for w, p in zip(weight[source], potential)]
-        pred = [source] * entities
-        unsettled = list(range(entities))
-        while unsettled:
-            a = min(unsettled, key=dist.__getitem__)
-            unsettled.remove(a)
-            row, base = weight[a], dist[a] + potential[a]
-            for b in unsettled:
-                d = base + row[b] - potential[b]
-                if d < dist[b]:
-                    dist[b], pred[b] = d, a
-        target = min((b for b in range(entities) if spare[b]),
-                     key=lambda b: dist[b] + potential[b])
-        spare[target] -= 1
-        potential = [p + d for p, d in zip(potential, dist)]
-        b = target
-        while b != source:
-            a = pred[b]
-            j = via[a, b].argmin()
-            owner[j] = b
-            via[a, :, j] = np.inf
-            via[b, :, j] = cost[j] - cost[j, b]
-            weight[b] = via[b].min(axis=1).tolist()
-            b = a
-        weight[source] = via[source].min(axis=1).tolist()
+    rows = np.arange(instances)
+    inf = np.inf
+    owner = np.full((instances, queries), source)
+    cost = cost.transpose(0, 2, 1).copy()  # (K, G, M): a query's costs down a column
+    # held[k, a, b, j]: the cost change of moving query j from a to b, +inf
+    # unless a holds j; a = G is the source, which holds the free queries
+    held = np.full((instances, entities + 1, entities, queries), inf)
+    held[:, source] = cost
+    # weight[k, a, b]: the cheapest move from a to b
+    weight = held.min(axis=3)
+    potential = np.zeros((instances, entities))
+    spare = counts.copy()
+    real = counts > 0
+    rounds = counts.sum(axis=1)
+    absent = np.where(real, 0.0, inf)
+    dist, key, offset, reach = (np.empty((instances, entities)) for _ in range(4))
+    pred = np.empty((instances, entities), dtype=np.int64)
+    for r in range(int(rounds.max())):
+        live = rounds > r
+        np.subtract(weight[:, source], potential, out=dist)
+        np.copyto(key, dist)
+        # x + offset is x - potential at unsettled nodes and +inf at settled
+        # and absent ones, so those are never relaxed
+        np.subtract(absent, potential, out=offset)
+        pred.fill(source)
+        for _ in range(entities - 1):
+            a = key.argmin(axis=1)
+            base = key[rows, a] + potential[rows, a]
+            key[rows, a] = inf
+            offset[rows, a] = inf
+            d = base[:, None] + weight[rows, a]
+            d += offset
+            better = d < key
+            np.copyto(key, d, where=better)
+            np.copyto(dist, d, where=better)
+            np.copyto(pred, a[:, None], where=better)
+        np.add(dist, potential, out=reach)
+        np.copyto(reach, inf, where=spare == 0)
+        target = reach.argmin(axis=1)
+        spare[rows, target] -= live
+        np.add(potential, dist, out=potential, where=real & live[:, None])
+        # walk each path back from its target; the target only gains a query,
+        # every later node also lost one a step before, so its row is rebuilt
+        walking = np.flatnonzero(live)
+        b = target[walking]
+        first = True
+        while walking.size:
+            a = pred[walking, b]
+            j = held[walking, a, b].argmin(axis=1)
+            owner[walking, j] = b
+            gained = cost[walking, :, j]
+            gained -= gained[np.arange(walking.size), b][:, None]
+            held[walking, a, :, j] = inf
+            held[walking, b, :, j] = gained
+            if first:
+                weight[walking, b] = np.minimum(weight[walking, b], gained)
+            else:
+                weight[walking, b] = held[walking, b].min(axis=2)
+            on_path = a != source
+            walking, b, first = walking[on_path], a[on_path], False
+        held[:, source].min(axis=2, out=weight[:, source])
     return owner
 
 
-def _fold_matches(
-    cost: np.ndarray, entity_of_column: np.ndarray, query_of_column: np.ndarray
-) -> AssignmentResult:
-    queries, entities = cost.shape
-    matrix = np.zeros((queries, entities), dtype=np.int64)
-    matrix[query_of_column, entity_of_column] = 1
-    labels = np.full(queries, entities, dtype=np.int64)
-    labels[query_of_column] = entity_of_column
-    extended = np.zeros((queries, entities + 1), dtype=np.int64)
-    extended[np.arange(queries), labels] = 1
-    total = float(cost[query_of_column, entity_of_column].sum())
-    return AssignmentResult(matrix=matrix, extended=extended, labels=labels, total_cost=total)
+def _fold_owners(cost: np.ndarray, owners: np.ndarray,
+                 entities: list[int]) -> list[AssignmentResult]:
+    """Each instance's result from its (M,) owners, any index of G_k or above
+    where free, and its (M, G_k) costs, the first G_k columns of ``cost[k]``."""
+    free = np.array(entities)[:, None]
+    labels = np.minimum(owners, free)
+    extended = (labels[..., None] == np.arange(cost.shape[-1] + 1)).astype(np.int64)
+    picked = np.take_along_axis(cost, np.minimum(labels, cost.shape[-1] - 1)[..., None], axis=2)
+    totals = np.where(labels < free, picked[..., 0], 0.0).sum(axis=1)
+    return [AssignmentResult(matrix=e[:, :g], extended=e[:, :g + 1], labels=l, total_cost=t)
+            for e, l, g, t in zip(extended, labels, entities, totals.tolist())]
 
 
-def solve_one_to_many_lap(cost: np.ndarray, quantities: QuantityVector) -> AssignmentResult:
-    """Optimal assignment giving entity k exactly q_k distinct queries."""
+def solve_one_to_many_lap(cost: np.ndarray, quantities: QuantityVector):
+    """Optimal assignment giving entity k exactly q_k distinct queries.
+
+    With one instance's (M, G) costs and (G,) quantities, returns its
+    ``AssignmentResult``. With a stack, (K, M, G_max) costs and (K, G_max)
+    quantities, solves the K instances in lockstep and returns one result
+    per instance, each for that instance's own G columns; costs at padded
+    entities are ignored.
+    """
     cost = np.asarray(cost, dtype=np.float64)
-    queries, entities = cost.shape
-    if len(quantities) != entities:
-        raise ValueError(f"{len(quantities)} quantities for {entities} entities")
-    if quantities.total > queries:
+    counts = quantities.counts
+    if (cost.ndim != counts.ndim + 1 or cost.shape[:-2] != counts.shape[:-1]
+            or cost.shape[-1] != counts.shape[-1]):
+        raise ValueError(f"quantities of shape {counts.shape} for costs of shape {cost.shape}")
+    stacked = counts.reshape(-1, counts.shape[-1])
+    queries = cost.shape[-2]
+    needed = stacked.sum(axis=1)
+    if needed.max() > queries:
         raise InfeasibleError(
-            f"total assignable quantity {quantities.total} exceeds {queries} queries"
+            f"total assignable quantity {needed.max()} exceeds {queries} queries"
         )
-    owner = _min_cost_flow(cost, quantities.counts)
-    assigned = np.flatnonzero(owner < entities)
-    return _fold_matches(cost, owner[assigned], assigned)
+    cost = np.where(stacked[:, None, :] > 0, cost.reshape(len(stacked), queries, -1), np.inf)
+    owners = _lockstep_min_cost_flow(cost, stacked)
+    results = _fold_owners(cost, owners, (stacked > 0).sum(axis=1).tolist())
+    return results if counts.ndim == 2 else results[0]
 
 
 def brute_force_lap(cost: np.ndarray, quantities: QuantityVector) -> AssignmentResult:
@@ -222,7 +291,9 @@ def brute_force_lap(cost: np.ndarray, quantities: QuantityVector) -> AssignmentR
     replicated = cost[:, entity_of_column]
     rows = np.array(list(permutations(range(queries), quantities.total)))
     totals = replicated[rows, np.arange(quantities.total)].sum(axis=1)
-    return _fold_matches(cost, entity_of_column, rows[np.argmin(totals)])
+    owner = np.full(queries, entities)
+    owner[rows[np.argmin(totals)]] = entity_of_column
+    return _fold_owners(cost[None], owner[None], [entities])[0]
 
 
 def labels_from_assignment(

@@ -316,24 +316,25 @@ def linear(x, w, b) -> Tensor:
                    b.data.shape if b.tracked else None)
 
 
-def _pair_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a[..., :, None, :] + b[..., None, :, :]
-
-
 def _pair_relu_score_grad(g, a, b, w, a_tracked, b_tracked, w_tracked, bias_tracked):
-    fused = _pair_sums(a, b)
-    active = fused > 0.0
-    gw = None
-    if w_tracked:
-        np.maximum(fused, 0.0, out=fused)
-        gw = _rows(fused).T @ g.reshape(-1, 1)
-    # the gradient of the sums overwrites them: g_ij * w where the relu is active
-    np.multiply(g[..., None], w[:, 0], out=fused)
-    fused *= active
+    # relu(x) = x [x > 0], so with S_a = sum_j g_ij [a_i + b_j > 0] and S_b its
+    # sum over i: ga = w S_a, gb = w S_b and gw = sum_i a_i S_a,i + sum_j b_j S_b,j.
+    # A rounded sum has the exact sum's sign, so a_i + b_j > 0 is a_i > -b_j.
+    m, n, h = a.shape[-2], b.shape[-2], a.shape[-1]
+    a3, b3, g3 = a.reshape(-1, m, h), b.reshape(-1, n, h), g.reshape(-1, m, n)
+    negative_b = np.negative(b3)
+    s_a, s_b = np.empty_like(a3), np.empty_like(b3)
+    active = np.empty((m, n, h))  # one sentence's pairs at a time
+    for i in range(len(a3)):
+        np.greater(a3[i, :, None], negative_b[i], out=active)
+        np.einsum("ij,ijh->ih", g3[i], active, out=s_a[i])
+        np.einsum("ij,ijh->jh", g3[i], active, out=s_b[i])
+    scorer = w[:, 0]
     return (
-        fused.sum(axis=-2) if a_tracked else None,
-        fused.sum(axis=-3) if b_tracked else None,
-        gw,
+        (s_a * scorer).reshape(a.shape) if a_tracked else None,
+        (s_b * scorer).reshape(b.shape) if b_tracked else None,
+        (_rows(a3 * s_a).sum(axis=0) + _rows(b3 * s_b).sum(axis=0)).reshape(h, 1)
+        if w_tracked else None,
         g.sum().reshape(1) if bias_tracked else None,
     )
 
@@ -342,9 +343,10 @@ def pair_relu_score(a, b, w, bias) -> Tensor:
     """relu(a_i + b_j) @ w + bias for every row i of ``a`` and row j of ``b``.
 
     ``a`` is (..., M, h) and ``b`` (..., N, h) with equal leading axes, ``w``
-    is (h, 1) and ``bias`` (1,); the result is (..., M, N). The (..., M, N, h)
-    sums live only inside the forward and the backward call: backward
-    recomputes them from ``a`` and ``b`` instead of keeping them until then.
+    is (h, 1) and ``bias`` (1,); the result is (..., M, N). The forward and
+    the backward each run one (M, N, h) block of pair sums at a time, in one
+    reused buffer, so no (..., M, N, h) array is ever allocated; backward
+    recomputes each block from ``a`` and ``b``.
     """
     a, b, w, bias = _as_tensor(a), _as_tensor(b), _as_tensor(w), _as_tensor(bias)
     ad, bd = a.data, b.data
@@ -353,10 +355,17 @@ def pair_relu_score(a, b, w, bias) -> Tensor:
             or bd.shape[-1] != h or w.shape != (h, 1) or bias.shape != (1,)):
         raise DimensionError(f"pair_relu_score: shapes {a.shape}, {b.shape}, {w.shape} "
                              f"and {bias.shape} are not compatible")
-    fused = _pair_sums(ad, bd)
-    np.maximum(fused, 0.0, out=fused)
-    data = (_rows(fused) @ w.data + bias.data).reshape(ad.shape[:-1] + bd.shape[-2:-1])
-    return _record(data, (a, b, w, bias), _pair_relu_score_grad,
+    m, n = ad.shape[-2], bd.shape[-2]
+    a3, b3 = ad.reshape(-1, m, h), bd.reshape(-1, n, h)
+    data = np.empty((len(a3), m * n, 1))
+    fused = np.empty((m, n, h))
+    pairs = fused.reshape(m * n, h)
+    for i in range(len(a3)):
+        np.add(a3[i, :, None], b3[i], out=fused)
+        np.maximum(fused, 0.0, out=fused)
+        np.dot(pairs, w.data, out=data[i])
+    data += bias.data
+    return _record(data.reshape(ad.shape[:-1] + (n,)), (a, b, w, bias), _pair_relu_score_grad,
                    ad, bd, w.data, a.tracked, b.tracked, w.tracked, bias.tracked)
 
 
@@ -486,7 +495,8 @@ def softmax_cross_entropy(logits, one_hot) -> Tensor:
 
 
 def _check_rows_finite_max(m: np.ndarray) -> None:
-    if (m == -np.inf).any():
+    # fmin ignores NaN, so a fully masked row is caught even beside a NaN row
+    if np.fmin.reduce(m, axis=None, initial=np.inf) == -np.inf:
         raise DegenerateRowError("softmax row with every entry masked to -inf")
 
 

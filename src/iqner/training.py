@@ -2,8 +2,9 @@
 
 Each word-level layer carries its own pointer/classifier heads. A training
 step encodes its mini-batch as one padded batch and builds one autodiff
-graph for it. Labels are assigned to each sentence's queries dynamically
-(or statically in the ablation), boundary and classification losses are
+graph for it. Labels are assigned to each sentence's queries dynamically,
+every (sentence, layer) instance of the step in one lockstep solve (or
+statically in the ablation), boundary and classification losses are
 summed over layers and sentences, and the sum is averaged per batch.
 Inference, ``Model.predict``, decodes the final layer only, lazily, each
 sentence as a batch of one.
@@ -264,6 +265,63 @@ def _occurrence_order(gold: list[EntityAnnotation]) -> list[EntityAnnotation]:
     return sorted(gold, key=lambda e: (e.left, e.right, e.type_id))
 
 
+def assign_labels(
+    outs: list[list[tuple[BoundaryScores, TypeDistribution]]],
+    golds: list[list[EntityAnnotation]],
+    config: TrainConfig,
+    query_count: int,
+    rng: np.random.Generator,
+) -> tuple[list[list[list[EntityAnnotation | None]]], list[list[float | None]]]:
+    """Per-sentence, per-layer query labels under the configured assignment
+    scheme, and the optimal total cost of each solved (sentence, layer).
+
+    ``outs[s]`` holds sentence s's (M, N) head outputs, one per layer.
+    Dynamic mode matches each layer's own predictions (or reuses the final
+    layer's matching when ``share_final_assignment``); static mode hands
+    entity k to query k in occurrence order. Sentences with more entities
+    than queries keep the first ``query_count`` in occurrence order. The
+    quantities are drawn in (sentence, layer) order, and every instance is
+    then solved in one lockstep call. The cost is None where nothing was solved.
+    """
+    labels, matched = [], []
+    solves, costs, quantities = [], [], []  # one per (sentence, layer) instance
+    for s, (head_outs, gold) in enumerate(zip(outs, golds)):
+        depth = len(head_outs)
+        labels.append([[None] * query_count for _ in range(depth)])
+        matched.append([None] * depth)
+        if not gold:
+            continue
+        usable = gold
+        if len(gold) > query_count:
+            usable = _occurrence_order(gold)[:query_count]
+        if config.assignment_mode == "static":
+            ordered = _occurrence_order(usable)
+            row = [ordered[i] if i < len(ordered) else None for i in range(query_count)]
+            labels[-1] = [list(row) for _ in range(depth)]
+            continue
+        for layer in [depth - 1] if config.share_final_assignment else range(depth):
+            if config.quantity_mode == "one_to_one":
+                quantities.append(QuantityVector(np.ones(len(usable), dtype=np.int64)))
+            else:
+                quantities.append(allocate_quantities(len(usable), query_count, config.ratio, rng))
+            costs.append(compute_cost_matrix(*head_outs[layer], usable))
+            solves.append((s, layer, usable))
+    if not solves:
+        return labels, matched
+    stacked = QuantityVector.stack(quantities)
+    cost = np.zeros((len(costs), query_count, len(stacked)))
+    for padded, instance_cost in zip(cost, costs):
+        padded[:, :instance_cost.shape[1]] = instance_cost
+    for (s, layer, usable), result in zip(solves, solve_one_to_many_lap(cost, stacked)):
+        row = labels_from_assignment(result, usable)
+        matched[s][layer] = result.total_cost
+        if config.share_final_assignment:
+            labels[s] = [list(row) for _ in labels[s]]
+        else:
+            labels[s][layer] = row
+    return labels, matched
+
+
 def assign_labels_per_layer(
     head_outs: list[tuple[BoundaryScores, TypeDistribution]],
     gold: list[EntityAnnotation],
@@ -271,38 +329,8 @@ def assign_labels_per_layer(
     query_count: int,
     rng: np.random.Generator,
 ) -> list[list[EntityAnnotation | None]]:
-    """Per-layer query labels under the configured assignment scheme.
-
-    Dynamic mode matches each layer's own predictions (or reuses the final
-    layer's matching when ``share_final_assignment``); static mode hands
-    entity k to query k in occurrence order. Sentences with more entities
-    than queries keep the first ``query_count`` in occurrence order.
-    """
-    depth = len(head_outs)
-    if not gold:
-        return [[None] * query_count for _ in range(depth)]
-    usable = gold
-    if len(gold) > query_count:
-        usable = _occurrence_order(gold)[:query_count]
-
-    if config.assignment_mode == "static":
-        ordered = _occurrence_order(usable)
-        labels = [ordered[i] if i < len(ordered) else None for i in range(query_count)]
-        return [list(labels) for _ in range(depth)]
-
-    def solve_layer(scores, types):
-        if config.quantity_mode == "one_to_one":
-            quantities = QuantityVector(np.ones(len(usable), dtype=np.int64))
-        else:
-            quantities = allocate_quantities(len(usable), query_count, config.ratio, rng)
-        cost = compute_cost_matrix(scores, types, usable)
-        result = solve_one_to_many_lap(cost, quantities)
-        return labels_from_assignment(result, usable)
-
-    if config.share_final_assignment:
-        final = solve_layer(*head_outs[-1])
-        return [list(final) for _ in range(depth)]
-    return [solve_layer(scores, types) for scores, types in head_outs]
+    """One sentence's per-layer query labels (see ``assign_labels``)."""
+    return assign_labels([head_outs], [gold], config, query_count, rng)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -310,33 +338,70 @@ def assign_labels_per_layer(
 
 
 class AdamOptimizer:
-    """Adam with per-parameter moment accumulators."""
+    """Adam over one flat vector.
+
+    ``theta`` holds every parameter, in the given order, and each
+    parameter's ``data`` becomes a view of its slice; the moments ``m`` and
+    ``v`` are laid out alike. A step runs a few in-place whole-vector ops
+    over each run of consecutive parameters that have a gradient, and
+    leaves a parameter without one, and its moments, as they are.
+    """
 
     def __init__(self, params: list[tuple[str, Tensor]], beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.params = list(params)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in self.params}
-        self.v = {name: np.zeros_like(p.data) for name, p in self.params}
+        self.theta = np.concatenate([p.data for _, p in self.params], axis=None)
+        self._bounds = []
+        start = 0
+        for _, p in self.params:
+            stop = start + p.data.size
+            p.data = self.theta[start:stop].reshape(p.data.shape)
+            self._bounds.append((start, stop))
+            start = stop
+        self.m = np.zeros_like(self.theta)
+        self.v = np.zeros_like(self.theta)
+        self._scratch = np.empty_like(self.theta)
 
     def step(self, lr: float, max_grad_norm: float | None = None) -> None:
         self.step_count += 1
-        grads = {name: p.grad for name, p in self.params if p.grad is not None}
+        runs = []  # [start, stop, gradients] of consecutive parameters with one
+        for (start, stop), (_, p) in zip(self._bounds, self.params):
+            if p.grad is None:
+                continue
+            if runs and runs[-1][1] == start:
+                runs[-1][1] = stop
+                runs[-1][2].append(p.grad)
+            else:
+                runs.append([start, stop, [p.grad]])
+        grads = [np.concatenate(parts, axis=None) for *_, parts in runs]
         if max_grad_norm is not None:
-            norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+            norm = math.sqrt(sum(float(g @ g) for g in grads))
             if norm > max_grad_norm:
                 scale = max_grad_norm / norm
-                grads = {name: g * scale for name, g in grads.items()}
+                for g in grads:
+                    g *= scale
         bias1 = 1.0 - self.beta1 ** self.step_count
         bias2 = 1.0 - self.beta2 ** self.step_count
-        for name, p in self.params:
-            g = grads.get(name)
-            if g is None:
-                continue
-            m = self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            v = self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * (g * g)
-            p.data -= lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+        for (start, stop, _), g in zip(runs, grads):
+            m, v, tmp = self.m[start:stop], self.v[start:stop], self._scratch[start:stop]
+            # m = beta1 * m + (1 - beta1) * g and v = beta2 * v + (1 - beta2) * (g * g)
+            m *= self.beta1
+            np.multiply(g, 1.0 - self.beta1, out=tmp)
+            m += tmp
+            v *= self.beta2
+            np.multiply(g, g, out=tmp)
+            tmp *= 1.0 - self.beta2
+            v += tmp
+            # theta -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
+            np.divide(v, bias2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            np.divide(m, bias1, out=g)
+            g *= lr
+            g /= tmp
+            self.theta[start:stop] -= g
 
 
 def linear_warmup_decay(step: int, total_steps: int, peak: float,
@@ -363,32 +428,28 @@ def train_step(
     config: TrainConfig,
     rng: np.random.Generator,
     lr: float,
-) -> tuple[float, list[list[Prediction]]]:
+) -> tuple[float, list[list[Prediction]], list[list[float | None]]]:
     """One optimizer step on a mini-batch of encoded sentences and their gold.
 
     Builds the batch graph, assigns labels, decodes the final layer, and
-    runs backward and the Adam step. Returns the batch-mean loss and each
-    sentence's predictions; the graph dies with this call.
+    runs backward and the Adam step. Returns the batch-mean loss, each
+    sentence's predictions and its matched cost per layer (see
+    ``assign_labels``); the graph dies with this call.
     """
     model.zero_grad()
     lengths = [len(ids) for ids in batch]
     _, head_outs = model.forward_batch(batch)
-    labels = []  # [sentence][layer][query]
-    predictions = []
-    for b, gold in enumerate(golds):
-        sentence_outs = _sentence_outputs(head_outs, b, lengths[b])
-        labels.append(assign_labels_per_layer(
-            sentence_outs, gold, config, model.config.queries, rng))
-        final_scores, final_types = sentence_outs[-1]
-        predictions.append(decode_entities(
-            final_scores, final_types, config.loc_threshold, config.cls_threshold))
+    outs = [_sentence_outputs(head_outs, b, length) for b, length in enumerate(lengths)]
+    labels, matched = assign_labels(outs, golds, config, model.config.queries, rng)
+    predictions = [decode_entities(*sentence_outs[-1], config.loc_threshold, config.cls_threshold)
+                   for sentence_outs in outs]
     batch_mean = mul(sentence_loss(head_outs, list(zip(*labels)), lengths), 1.0 / len(batch))
     value = batch_mean.item()
     if not math.isfinite(value):
         raise NumericError("non-finite loss")
     backward(batch_mean)
     optimizer.step(lr, config.max_grad_norm)
-    return value, predictions
+    return value, predictions, matched
 
 
 def train_epoch(
@@ -406,23 +467,32 @@ def train_epoch(
 
     The reported train F1 is decoded from the final-layer outputs of the
     training forward passes (the model as it moves through the epoch).
+    ``matched_cost`` holds, per word layer, the mean optimal assignment cost
+    over the sentences solved at that layer, or None where none was.
     """
     order = rng.permutation(len(encoded))
     step = step_offset
     losses = []
     predictions: list[list[Prediction]] = [[] for _ in encoded]
+    cost_sums = [0.0] * model.config.word_layers
+    cost_counts = [0] * model.config.word_layers
     lr = linear_warmup_decay(step, total_steps, config.learning_rate, config.warmup_fraction)
     for start in range(0, len(order), config.batch_size):
         batch = order[start : start + config.batch_size]
         lr = linear_warmup_decay(step, total_steps, config.learning_rate, config.warmup_fraction)
         try:
-            value, batch_predictions = train_step(
+            value, batch_predictions, matched = train_step(
                 model, [encoded[idx] for idx in batch], [golds[idx] for idx in batch],
                 optimizer, config, rng, lr)
         except NumericError as err:
             raise NumericError(f"{err} at epoch {epoch}, step {step}") from None
         for idx, sentence_predictions in zip(batch, batch_predictions):
             predictions[idx] = sentence_predictions
+        for sentence_costs in matched:
+            for layer, total in enumerate(sentence_costs):
+                if total is not None:
+                    cost_sums[layer] += total
+                    cost_counts[layer] += 1
         losses.append(value)
         step += 1
     report = evaluate_corpus(predictions, golds)
@@ -431,6 +501,8 @@ def train_epoch(
         "loss": float(np.mean(losses)),
         "f1": report.ner.f1,
         "lr": lr,
+        "matched_cost": [total / count if count else None
+                         for total, count in zip(cost_sums, cost_counts)],
     }
     return metrics, step
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iqner.assignment import (
     AnnotationError,
@@ -250,3 +252,146 @@ def test_solver_single_entity_takes_cheapest_queries_lowest_index_first():
     expected = np.ones(60, dtype=np.int64)
     expected[np.argsort(cost[:, 0], kind="stable")[:45]] = 0
     assert np.array_equal(result.labels, expected)
+
+
+def _serial_owners(cost, counts):
+    """The successive-shortest-path flow one instance at a time, in plain
+    Python: the reference for the lockstep solver's owners, ties included."""
+    queries, entities = cost.shape
+    source = entities
+    owner = np.full(queries, source)
+    potential = [0.0] * entities
+    spare = list(counts)
+    for _ in range(sum(spare)):
+        # moves[a][b]: the cheapest move to b of a query that a holds, and that query
+        at_owner = cost[np.arange(queries), np.minimum(owner, entities - 1)]
+        own_cost = np.where(owner < entities, at_owner, 0.0)
+        moves = []
+        for a in range(entities + 1):
+            change = np.where((owner == a)[:, None], cost - own_cost[:, None], np.inf)
+            moves.append([(float(change[:, b].min()), int(change[:, b].argmin()))
+                          for b in range(entities)])
+        dist = [moves[source][b][0] - potential[b] for b in range(entities)]
+        pred = [source] * entities
+        unsettled = list(range(entities))
+        while unsettled:
+            a = min(unsettled, key=dist.__getitem__)
+            unsettled.remove(a)
+            for b in unsettled:
+                d = dist[a] + potential[a] + moves[a][b][0] - potential[b]
+                if d < dist[b]:
+                    dist[b], pred[b] = d, a
+        b = min((b for b in range(entities) if spare[b]), key=lambda b: dist[b] + potential[b])
+        spare[b] -= 1
+        potential = [p + d for p, d in zip(potential, dist)]
+        path = []
+        while b != source:
+            path.append((moves[pred[b]][b][1], b))
+            b = pred[b]
+        for j, b in path:
+            owner[j] = b
+    return owner
+
+
+@st.composite
+def lockstep_instances(draw):
+    """K instances sharing M, each with its own G in 1..8 and its own costs:
+    random, all equal, duplicated rows, or few distinct values (many ties)."""
+    queries = draw(st.sampled_from([12, 60]))
+    instances = []
+    for _ in range(draw(st.integers(1, 6))):
+        entities = draw(st.integers(1, 8))
+        seed = draw(st.integers(0, 2**16))
+        kind = draw(st.sampled_from(["random", "equal", "duplicated", "ties"]))
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            cost = -rng.random((3, queries, entities)).sum(axis=0)
+        elif kind == "equal":
+            cost = np.full((queries, entities), -1.5)
+        elif kind == "duplicated":
+            cost = np.repeat(-rng.random((1, entities)), queries, axis=0)
+        else:
+            cost = -rng.integers(0, 3, size=(queries, entities)).astype(float)
+        if draw(st.booleans()):
+            q = QuantityVector(np.ones(entities, dtype=np.int64))
+        else:
+            q = allocate_quantities(entities, queries, draw(st.sampled_from([0.75, 1.0])), rng)
+        instances.append((cost, q))
+    return queries, instances
+
+
+@settings(max_examples=40, deadline=None)
+@given(lockstep_instances())
+def test_lockstep_solve_matches_each_instance_alone(case):
+    queries, instances = case
+    width = max(len(q) for _, q in instances)
+    cost = np.full((len(instances), queries, width), 7.0)  # padded entries are ignored
+    for k, (c, q) in enumerate(instances):
+        cost[k, :, :len(q)] = c
+    stacked = QuantityVector.stack([q for _, q in instances])
+    assert stacked.total == sum(q.total for _, q in instances)
+    together = solve_one_to_many_lap(cost, stacked)
+    assert len(together) == len(instances)
+    for (c, q), result in zip(instances, together):
+        alone = solve_one_to_many_lap(c, q)
+        assert np.array_equal(result.labels, alone.labels)
+        assert np.array_equal(result.matrix, alone.matrix)
+        assert np.array_equal(result.extended, alone.extended)
+        assert result.total_cost == alone.total_cost
+        check_constraints(result, q)
+        owners = _serial_owners(c, q.counts.tolist())
+        assert np.array_equal(result.labels, owners)
+
+
+def test_lockstep_single_entity_and_one_query_instances():
+    cost = np.zeros((3, 4, 2))
+    cost[0, :, 0] = [-0.5, -0.9, -0.5, -0.9]
+    cost[1] = [[-1.0, -2.0]] * 4
+    cost[2, :, 0] = [-0.1, -0.2, -0.3, -0.4]
+    stacked = QuantityVector(np.array([[3, 0], [1, 2], [1, 0]]))
+    first, second, third = solve_one_to_many_lap(cost, stacked)
+    assert np.array_equal(first.labels, [0, 0, 1, 0])
+    assert first.matrix.shape == (4, 1) and first.extended.shape == (4, 2)
+    assert np.array_equal(second.labels, [1, 1, 0, 2])
+    assert np.array_equal(third.labels, [1, 1, 1, 0])
+    assert third.total_cost == -0.4
+
+
+def test_stacked_quantities_are_checked():
+    for counts in ([[1, 0], [0, 1]], [[1, 0, 1]], [[2, -1]], np.zeros((0, 2)), [[[1]]]):
+        with pytest.raises(ValueError):
+            QuantityVector(np.array(counts))
+    with pytest.raises(InfeasibleError):
+        solve_one_to_many_lap(np.zeros((2, 3, 2)), QuantityVector(np.array([[1, 1], [3, 1]])))
+    with pytest.raises(ValueError, match="shape"):
+        solve_one_to_many_lap(np.zeros((2, 3, 2)), QuantityVector(np.array([[1, 1]])))
+
+
+def test_batch_assignment_draws_the_per_sentence_random_stream():
+    from iqner.heads import BoundaryScores, TypeDistribution
+    from iqner.tensor import Tensor
+    from iqner.training import TrainConfig, assign_labels, assign_labels_per_layer
+
+    rng = np.random.default_rng(11)
+    queries, depth = 12, 3
+    outs, golds = [], []
+    for entities in (3, 0, 5, 1, 2):
+        n = 6
+        layers = []
+        for _ in range(depth):
+            left, right = rng.random((queries, n)), rng.random((queries, n))
+            raw = rng.random((queries, 4))
+            layers.append((BoundaryScores(Tensor(left), Tensor(right), Tensor(left), Tensor(right)),
+                           TypeDistribution(Tensor(raw), raw / raw.sum(axis=1, keepdims=True))))
+        outs.append(layers)
+        golds.append([EntityAnnotation(k, min(k + 1, n - 1), k % 3) for k in range(entities)])
+    for ratio in (0.75, 0.5):  # 9 and 6 queries over G entities: remainders are drawn
+        config = TrainConfig(ratio=ratio)
+        batch_rng, alone_rng = np.random.default_rng(4), np.random.default_rng(4)
+        labels, matched = assign_labels(outs, golds, config, queries, batch_rng)
+        alone = [assign_labels_per_layer(o, g, config, queries, alone_rng)
+                 for o, g in zip(outs, golds)]
+        assert labels == alone
+        assert batch_rng.integers(1 << 30) == alone_rng.integers(1 << 30)
+        assert matched[1] == [None] * depth
+        assert all(cost < 0 for costs in matched if costs[0] is not None for cost in costs)

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -65,6 +66,15 @@ def test_row_softmax_masked_entry_exact_zero():
 def test_row_softmax_all_masked_row_rejected():
     with pytest.raises(DegenerateRowError):
         T.row_softmax(Tensor([[0.0, 1.0], [-np.inf, -np.inf]]))
+
+
+def test_masked_row_is_rejected_beside_a_nan_row():
+    x = Tensor([[np.nan, 0.0], [-np.inf, -np.inf], [0.0, 1.0]])
+    with pytest.raises(DegenerateRowError):
+        T.row_softmax(x)
+    with pytest.raises(DegenerateRowError):
+        T.softmax_cross_entropy(x, np.eye(2)[[0, 1, 0]])
+    assert np.isnan(T.row_softmax(Tensor([[np.nan, 0.0], [0.0, 1.0]])).data[0]).all()
 
 
 def test_row_softmax_rows_sum_to_one_and_shift_invariant():
@@ -216,7 +226,41 @@ def test_pair_relu_score_matches_composed_ops():
         assert outs[0].shape == outs[1].shape
         assert np.max(np.abs(outs[0] - outs[1])) <= 1e-12 * np.max(np.abs(outs[1]))
         for fused, composed in zip(*grads):
-            assert np.max(np.abs(fused - composed)) <= 1e-10 * np.max(np.abs(composed))
+            assert np.max(np.abs(fused - composed)) <= 1e-12 * np.max(np.abs(composed))
+
+
+def _paper_shape_pair_inputs(rng):
+    """(8, 60, 16, 64): the paper point's boundary op, with sentences of
+    unequal length whose pad words are zero rows."""
+    a = rng.normal(size=(8, 60, 64))
+    b = rng.normal(size=(8, 16, 64))
+    for i, length in enumerate((16, 9, 12, 16, 8, 14, 10, 11)):
+        b[i, length:] = 0.0
+    return a, b, rng.normal(size=(64, 1)), rng.normal(size=1)
+
+
+def test_pair_relu_score_forward_is_the_whole_batch_formula_bit_for_bit():
+    a, b, w, bias = _paper_shape_pair_inputs(np.random.default_rng(3))
+    pairs = np.maximum(a[:, :, None, :] + b[:, None, :, :], 0.0)
+    whole_batch = (pairs.reshape(-1, 64) @ w + bias).reshape(8, 60, 16)
+    out = T.pair_relu_score(Tensor(a), Tensor(b), Tensor(w), Tensor(bias)).data
+    assert out.tobytes() == whole_batch.tobytes()
+
+
+def test_pair_relu_score_never_allocates_the_batch_of_pair_sums():
+    a, b, w, bias = _paper_shape_pair_inputs(np.random.default_rng(4))
+    leaves = [Tensor(x, tracked=True) for x in (a, b, w, bias)]
+    g = np.random.default_rng(5).normal(size=(8, 60, 16))
+    one_batch = 8 * 60 * 16 * 64 * 8  # bytes of one (B, M, N, h) float64 array
+    tracemalloc.start()
+    try:
+        out = T.pair_relu_score(*leaves)
+        backward(T.tsum(T.mul(out, Tensor(g))))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(p.grad is not None for p in leaves)
+    assert peak < one_batch, f"peak {peak} bytes"
 
 
 def test_pair_relu_score_gradients():
@@ -295,7 +339,7 @@ def test_attention_matches_composed_ops():
         assert outs[0].shape == outs[1].shape == q.shape
         assert np.max(np.abs(outs[0] - outs[1])) <= 1e-12 * np.max(np.abs(outs[1]))
         for fused, composed in zip(*grads):
-            assert np.max(np.abs(fused - composed)) <= 1e-10 * np.max(np.abs(composed))
+            assert np.max(np.abs(fused - composed)) <= 1e-12 * np.max(np.abs(composed))
 
 
 def test_attention_gradients():

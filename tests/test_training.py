@@ -223,8 +223,61 @@ def test_adam_clips_the_global_gradient_norm_down_to_the_bound(norm, scale):
     opt = AdamOptimizer([("a", a), ("b", b)])
     opt.step(0.1, max_grad_norm=norm)
     # the first moment holds (1 - beta1) times the gradient the step used
-    assert np.allclose(opt.m["a"], 0.1 * scale * np.array([3.0, 0.0]), rtol=1e-12, atol=0.0)
-    assert np.allclose(opt.m["b"], 0.1 * scale * np.array([[4.0]]), rtol=1e-12, atol=0.0)
+    assert np.allclose(opt.m[:2], 0.1 * scale * np.array([3.0, 0.0]), rtol=1e-12, atol=0.0)
+    assert np.allclose(opt.m[2:], 0.1 * scale * np.array([4.0]), rtol=1e-12, atol=0.0)
+
+
+def _per_parameter_adam(params, grads, rates, max_grad_norm):
+    """Adam as separate expressions per parameter: the flat optimizer's reference."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    data = [p.copy() for p in params]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, (step_grads, lr) in enumerate(zip(grads, rates), start=1):
+        if max_grad_norm is not None:
+            norm = math.sqrt(sum(float((g * g).sum()) for g in step_grads if g is not None))
+            if norm > max_grad_norm:
+                step_grads = [None if g is None else g * (max_grad_norm / norm)
+                              for g in step_grads]
+        bias1, bias2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+        for i, g in enumerate(step_grads):
+            if g is None:
+                continue
+            m[i] = beta1 * m[i] + (1.0 - beta1) * g
+            v[i] = beta2 * v[i] + (1.0 - beta2) * (g * g)
+            data[i] -= lr * (m[i] / bias1) / (np.sqrt(v[i] / bias2) + eps)
+    return data, m, v
+
+
+@pytest.mark.parametrize("max_grad_norm", [None, 1.0])
+def test_flat_adam_matches_the_per_parameter_expressions(max_grad_norm):
+    rng = np.random.default_rng(8)
+    shapes = [(3, 4), (4,), (1,), (2, 2, 2), (5,)]
+    start = [rng.normal(size=shape) for shape in shapes]
+    params = [Tensor(x, tracked=True) for x in start]
+    opt = AdamOptimizer([(f"p{i}", p) for i, p in enumerate(params)])
+    grads, rates = [], [1e-2 * (t + 1) for t in range(6)]
+    for t, lr in enumerate(rates):
+        # a parameter without a gradient (here the third, then the last two) is left alone
+        missing = {2} if t % 2 else ({3, 4} if t == 4 else set())
+        step_grads = [None if i in missing else rng.normal(size=shape)
+                      for i, shape in enumerate(shapes)]
+        for p, g in zip(params, step_grads):
+            p.grad = g
+        opt.step(lr, max_grad_norm)
+        grads.append(step_grads)
+    data, m, v = _per_parameter_adam(start, grads, rates, max_grad_norm)
+    bounds = np.cumsum([x.size for x in start])[:-1]
+    flat_m, flat_v = np.split(opt.m, bounds), np.split(opt.v, bounds)
+    for p, expected, fm, em, fv, ev in zip(params, data, flat_m, m, flat_v, v):
+        assert np.shares_memory(p.data, opt.theta)
+        if max_grad_norm is None:
+            assert p.data.tobytes() == expected.tobytes()
+            assert fm.tobytes() == em.reshape(-1).tobytes()
+            assert fv.tobytes() == ev.reshape(-1).tobytes()
+        else:  # only the norm's summation order differs
+            assert np.allclose(p.data, expected, rtol=1e-13, atol=0.0)
+            assert np.allclose(fm, em.reshape(-1), rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("cls,field,value", [
@@ -317,6 +370,38 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(a.data, b.data)
     encoded = [meta.encode(ex.tokens) for ex in examples]
     assert list(model.predict(encoded, 0.0, 0.0)) == list(loaded.predict(encoded, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("settings, solved", [
+    ({}, [True, True]),
+    ({"share_final_assignment": True}, [False, True]),
+    ({"assignment_mode": "static"}, [False, False]),
+])
+def test_epoch_reports_the_mean_matched_cost_of_each_solved_layer(settings, solved):
+    examples, meta, config = _tiny_fixture()
+    config = ModelConfig(**{**config.__dict__, "word_layers": 2})
+    history = train(Model(config), examples, meta,
+                    TrainConfig(epochs=2, batch_size=4, seed=1, **settings))
+    for metrics in history:
+        costs = metrics["matched_cost"]
+        assert [cost is not None for cost in costs] == solved
+        # a query's cost is minus three probabilities
+        assert all(-3.0 * config.queries <= cost <= 0.0 for cost in costs if cost is not None)
+
+
+def test_checkpoint_bytes_do_not_depend_on_the_flat_parameters(tmp_path):
+    """A model whose parameters are separate arrays and the same model with
+    parameters viewing the optimizer's flat vector write the same file."""
+    examples, meta, config = _tiny_fixture()
+    model = Model(config)
+    save_checkpoint(tmp_path / "separate.npz", model, meta)
+    opt = AdamOptimizer(model.named_parameters())
+    assert all(np.shares_memory(p.data, opt.theta) for _, p in model.named_parameters())
+    save_checkpoint(tmp_path / "views.npz", model, meta)
+    assert (tmp_path / "separate.npz").read_bytes() == (tmp_path / "views.npz").read_bytes()
+    loaded, _, _ = load_checkpoint(tmp_path / "separate.npz")
+    encoded = [meta.encode(ex.tokens) for ex in examples]
+    assert list(loaded.predict(encoded, 0.0, 0.0)) == list(model.predict(encoded, 0.0, 0.0))
 
 
 def test_parameter_names_are_pinned():
