@@ -3,6 +3,9 @@
 Machine-readable output is line-delimited JSON on stdout; diagnostics go to
 stderr. Exit codes: 0 success, 1 failed verification, 2 usage/validation
 errors (a flag the subcommand does not take included), 3 numeric divergence.
+``main`` alone maps errors to codes: a ValueError (every validation error
+of the package is one) or an OSError (a path that is missing, a directory,
+unreadable or unwritable) exits 2, a NumericError exits 3.
 
 Each model and training knob is one field of ``ModelConfig`` or
 ``TrainConfig``, which alone hold its type and default. ``RunConfig``, the
@@ -28,8 +31,6 @@ from typing import Iterator, Literal, get_args, get_origin, get_type_hints
 
 from .assignment import assignable_total
 from .data import (
-    DatasetError,
-    AnnotationError,
     DatasetMeta,
     SentenceExample,
     SyntheticSpec,
@@ -46,7 +47,6 @@ from .heads import Prediction
 from .tensor import NumericError
 from .training import (
     GRADCHECK_EPS,
-    CheckpointError,
     Model,
     TrainConfig,
     evaluate_model,
@@ -216,7 +216,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         try:
             with open(config_path, encoding="utf-8") as fh:
                 file_values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as err:
+        except (OSError, ValueError) as err:  # unreadable, not UTF-8 or not JSON
             raise UsageError(f"cannot read config {config_path}: {err}") from None
         if not isinstance(file_values, dict):
             raise UsageError(f"config {config_path} must hold one JSON object")
@@ -227,10 +227,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         values.update({name: _config_value(name, hints[name], value)
                        for name, value in file_values.items()})
     values.update(_given(args, _COMMAND_FIELDS[args.command]))
-    try:
-        return RunConfig(**values)
-    except TypeError as err:
-        raise UsageError(str(err)) from None
+    return RunConfig(**values)
 
 
 def _emit(payload: dict) -> None:
@@ -238,29 +235,20 @@ def _emit(payload: dict) -> None:
     sys.stdout.flush()
 
 
-def _load_examples(path, meta, max_len: int | None = None):
-    try:
-        return load_dataset(path, meta=meta, max_len=max_len)
-    except FileNotFoundError:
-        raise UsageError(f"no such file: {path}") from None
-    except (DatasetError, AnnotationError) as err:
-        raise UsageError(str(err)) from None
-
-
 def cmd_train(config: RunConfig) -> int:
     if not config.train_path:
         raise UsageError("--train PATH is required")
+    out = config.out or "model.npz"
+    # refuse a checkpoint path that cannot be written before any epoch runs
+    if os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or "."):
+        raise UsageError(f"--out {out} must name a file in an existing directory")
     train_config = config.train_config()
-    meta = None
     if config.meta_path:
-        try:
-            meta = DatasetMeta(types=load_meta(config.meta_path), vocab={})
-        except (OSError, DatasetError) as err:
-            raise UsageError(str(err)) from None
-        examples, _ = _load_examples(config.train_path, meta)
-        meta = DatasetMeta.build(examples, types=meta.types)
+        types = load_meta(config.meta_path)
+        examples, _ = load_dataset(config.train_path, DatasetMeta(types=types, vocab={}))
+        meta = DatasetMeta.build(examples, types=types)
     else:
-        examples, meta = _load_examples(config.train_path, None)
+        examples, meta = load_dataset(config.train_path)
     if not examples:
         raise UsageError(f"training file {config.train_path} is empty")
     longest = max(len(ex) for ex in examples)
@@ -270,7 +258,7 @@ def cmd_train(config: RunConfig) -> int:
     # read the dev file before training, so a bad line fails before any epoch
     dev_examples = None
     if config.dev_path:
-        dev_examples, _ = _load_examples(config.dev_path, meta, model_config.max_len)
+        dev_examples, _ = load_dataset(config.dev_path, meta, model_config.max_len)
     m = model_config.queries
     dropped = [len(ex.entities) - m for ex in examples if len(ex.entities) > m]
     if dropped:
@@ -279,7 +267,6 @@ def cmd_train(config: RunConfig) -> int:
               f"in occurrence order", file=sys.stderr)
     model = Model(model_config)
     train(model, examples, meta, train_config, on_epoch=_emit)
-    out = config.out or "model.npz"
     save_checkpoint(out, model, meta)
     if dev_examples is not None:
         report, _ = evaluate_model(model, dev_examples, meta,
@@ -300,15 +287,10 @@ def _decode(
         require_fraction(name, getattr(config, name))
     if not config.checkpoint:
         raise UsageError("--checkpoint PATH is required")
-    try:
-        model, meta, _ = load_checkpoint(config.checkpoint)
-    except FileNotFoundError:
-        raise UsageError(f"no such checkpoint: {config.checkpoint}") from None
-    except CheckpointError as err:
-        raise UsageError(str(err)) from None
+    model, meta, _ = load_checkpoint(config.checkpoint)
     if not path:
         raise UsageError(f"{flag} PATH is required")
-    examples, _ = _load_examples(path, meta, model.config.max_len)
+    examples, _ = load_dataset(path, meta, model.config.max_len)
     predictions = model.predict((meta.encode(ex.tokens) for ex in examples),
                                 config.loc_threshold, config.cls_threshold)
     return model, meta, examples, predictions
@@ -364,18 +346,12 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 def cmd_datagen(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
-    try:
-        examples, meta = generate_synthetic(SyntheticSpec(**_given(args, _SPEC_FIELDS)),
-                                            seed=args.seed)
-    except DatasetError as err:
-        raise UsageError(str(err)) from None
+    examples, meta = generate_synthetic(SyntheticSpec(**_given(args, _SPEC_FIELDS)),
+                                        seed=args.seed)
     out = args.out or "dataset.jsonl"
-    try:
-        save_dataset(out, examples, meta)
-        if args.meta_out:
-            save_meta(args.meta_out, meta.types)
-    except OSError as err:
-        raise UsageError(f"cannot write dataset: {err}") from None
+    save_dataset(out, examples, meta)
+    if args.meta_out:
+        save_meta(args.meta_out, meta.types)
     print(f"wrote {len(examples)} sentences to {out}", file=sys.stderr)
     return 0
 
@@ -432,10 +408,7 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (DatasetError, AnnotationError, CheckpointError, ValueError) as err:
+    except (ValueError, OSError) as err:  # BrokenPipeError, an OSError, is caught above
         print(f"error: {err}", file=sys.stderr)
         return 2
     except NumericError as err:

@@ -122,8 +122,11 @@ class DatasetMeta:
 def load_meta(path: str | Path) -> list[str]:
     """Read a {"types": [...]} meta file."""
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    types = payload.get("types")
+        try:
+            payload = json.load(fh)
+        except ValueError as err:  # not UTF-8 or not JSON
+            raise DatasetError(f"{path}: meta file is not UTF-8 JSON: {err}") from None
+    types = payload.get("types") if isinstance(payload, dict) else None
     if not isinstance(types, list) or not all(isinstance(t, str) for t in types):
         raise DatasetError(f"{path}: meta file must contain a list of type names")
     return types
@@ -146,9 +149,15 @@ def load_dataset(
     names are rejected. With ``max_len``, a longer sentence is rejected.
     """
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:  # bytes, so that a line that is not UTF-8 has a number
+        # bytes.splitlines ends a line where text mode would: at \n, \r or \r\n
+        lines = fh.read().splitlines()
+        for lineno, raw in enumerate(lines, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as err:
+                raise DatasetError(f"{path}:{lineno}: not UTF-8 ({err.reason} "
+                                   f"at byte {err.start})") from None
             if not line:
                 continue
             try:

@@ -202,23 +202,24 @@ def boundary_loss(scores: BoundaryScores, labels, sentence_length) -> Tensor:
     longest = max(sentence_length)
     if n != longest:
         raise AnnotationError(f"scores cover {n} words, the longest sentence has {longest}")
-    mask = np.zeros((len(labels), m, n))
-    left_target = np.zeros((len(labels), m, n))
-    right_target = np.zeros((len(labels), m, n))
-    labeled = False
-    for b, (sentence_labels, length) in enumerate(zip(labels, sentence_length)):
-        for i, label in enumerate(sentence_labels):
-            if label is None:
-                continue
-            if label.right >= length:
-                raise AnnotationError(
-                    f"label span ({label.left}, {label.right}) outside {length} words")
-            labeled = True
-            mask[b, i, :length] = 1.0
-            left_target[b, i, label.left] = 1.0
-            right_target[b, i, label.right] = 1.0
-    if not labeled:
+    left, right = np.full((2, len(labels), m), -1)  # -1: no label, so no target
+    for b, sentence_labels in enumerate(labels):
+        left[b, :len(sentence_labels)] = [-1 if x is None else x.left for x in sentence_labels]
+        right[b, :len(sentence_labels)] = [-1 if x is None else x.right for x in sentence_labels]
+    lengths = np.array(sentence_length)
+    outside = np.argwhere(right >= lengths[:, None])
+    if len(outside):
+        b, i = outside[0]
+        label = labels[b][i]
+        raise AnnotationError(
+            f"label span ({label.left}, {label.right}) outside {lengths[b]} words")
+    labeled = left >= 0
+    if not labeled.any():
         return Tensor(0.0)
+    words = np.arange(n)
+    mask = (labeled[..., None] & (words < lengths[:, None, None])).astype(np.float64)
+    left_target = (left[..., None] == words).astype(np.float64)
+    right_target = (right[..., None] == words).astype(np.float64)
     mask = mask.reshape(shape)
     return add(bce_with_logits(scores.left_logits, left_target.reshape(shape), mask),
                bce_with_logits(scores.right_logits, right_target.reshape(shape), mask))
@@ -231,13 +232,14 @@ def classification_loss(types: TypeDistribution, labels) -> Tensor:
         labels = [labels]
     *_, m, classes = shape
     none_id = classes - 1
-    one_hot = np.zeros((len(labels), m, classes))
+    target = np.full((len(labels), m), -1)  # -1: no label, so an all-zero row
     for b, sentence_labels in enumerate(labels):
-        for i, label in enumerate(sentence_labels):
-            target = none_id if label is None else label.type_id
-            if target >= classes:
-                raise AnnotationError(f"label type {target} outside {classes} classes")
-            one_hot[b, i, target] = 1.0
+        target[b, :len(sentence_labels)] = [none_id if x is None else x.type_id
+                                            for x in sentence_labels]
+    outside = target[target >= classes]
+    if outside.size:
+        raise AnnotationError(f"label type {outside[0]} outside {classes} classes")
+    one_hot = (target[..., None] == np.arange(classes)).astype(np.float64)
     return softmax_cross_entropy(types.logits, one_hot.reshape(shape))
 
 
@@ -342,9 +344,8 @@ class AdamOptimizer:
 
     ``theta`` holds every parameter, in the given order, and each
     parameter's ``data`` becomes a view of its slice; the moments ``m`` and
-    ``v`` are laid out alike. A step runs a few in-place whole-vector ops
-    over each run of consecutive parameters that have a gradient, and
-    leaves a parameter without one, and its moments, as they are.
+    ``v`` are laid out alike. A step concatenates every gradient once and
+    runs a few in-place whole-vector ops; every parameter must have one.
     """
 
     def __init__(self, params: list[tuple[str, Tensor]], beta1: float = 0.9,
@@ -353,55 +354,44 @@ class AdamOptimizer:
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self.theta = np.concatenate([p.data for _, p in self.params], axis=None)
-        self._bounds = []
         start = 0
         for _, p in self.params:
             stop = start + p.data.size
             p.data = self.theta[start:stop].reshape(p.data.shape)
-            self._bounds.append((start, stop))
             start = stop
         self.m = np.zeros_like(self.theta)
         self.v = np.zeros_like(self.theta)
         self._scratch = np.empty_like(self.theta)
 
     def step(self, lr: float, max_grad_norm: float | None = None) -> None:
-        self.step_count += 1
-        runs = []  # [start, stop, gradients] of consecutive parameters with one
-        for (start, stop), (_, p) in zip(self._bounds, self.params):
+        for name, p in self.params:
             if p.grad is None:
-                continue
-            if runs and runs[-1][1] == start:
-                runs[-1][1] = stop
-                runs[-1][2].append(p.grad)
-            else:
-                runs.append([start, stop, [p.grad]])
-        grads = [np.concatenate(parts, axis=None) for *_, parts in runs]
+                raise ValueError(f"parameter {name} has no gradient")
+        self.step_count += 1
+        g = np.concatenate([p.grad for _, p in self.params], axis=None)
         if max_grad_norm is not None:
-            norm = math.sqrt(sum(float(g @ g) for g in grads))
+            norm = math.sqrt(float(g @ g))
             if norm > max_grad_norm:
-                scale = max_grad_norm / norm
-                for g in grads:
-                    g *= scale
+                g *= max_grad_norm / norm
         bias1 = 1.0 - self.beta1 ** self.step_count
         bias2 = 1.0 - self.beta2 ** self.step_count
-        for (start, stop, _), g in zip(runs, grads):
-            m, v, tmp = self.m[start:stop], self.v[start:stop], self._scratch[start:stop]
-            # m = beta1 * m + (1 - beta1) * g and v = beta2 * v + (1 - beta2) * (g * g)
-            m *= self.beta1
-            np.multiply(g, 1.0 - self.beta1, out=tmp)
-            m += tmp
-            v *= self.beta2
-            np.multiply(g, g, out=tmp)
-            tmp *= 1.0 - self.beta2
-            v += tmp
-            # theta -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
-            np.divide(v, bias2, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += self.eps
-            np.divide(m, bias1, out=g)
-            g *= lr
-            g /= tmp
-            self.theta[start:stop] -= g
+        m, v, tmp = self.m, self.v, self._scratch
+        # m = beta1 * m + (1 - beta1) * g and v = beta2 * v + (1 - beta2) * (g * g)
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=tmp)
+        m += tmp
+        v *= self.beta2
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - self.beta2
+        v += tmp
+        # theta -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
+        np.divide(v, bias2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        np.divide(m, bias1, out=g)
+        g *= lr
+        g /= tmp
+        self.theta -= g
 
 
 def linear_warmup_decay(step: int, total_steps: int, peak: float,

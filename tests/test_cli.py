@@ -59,6 +59,48 @@ def test_train_missing_data_exits_2(tmp_path, capsys):
     assert main(["train", "--train", str(tmp_path / "nope.jsonl")]) == 2
 
 
+# (command, flag) for every flag that names a file, read or written
+PATH_FLAGS = [("train", "--train"), ("train", "--dev"), ("train", "--meta"),
+              ("train", "--config"), ("train", "--out"), ("eval", "--checkpoint"),
+              ("predict", "--checkpoint"), ("eval", "--data"), ("stats", "--data"),
+              ("predict", "--input"), ("datagen", "--out"), ("datagen", "--meta-out")]
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("command,flag", PATH_FLAGS, ids=lambda x: x)
+def test_each_path_flag_refuses_a_missing_path_and_a_directory(
+        command, flag, kind, corpus, trained_checkpoint, tmp_path, capsys):
+    path, _ = corpus
+    argv = {
+        "train": ["train", "--train", str(path), "--out", str(tmp_path / "m.npz"), "--epochs",
+                  "1", "--hidden", "8", "--queries", "2", "--layers", "1", "--heads", "1"],
+        "eval": ["eval", "--checkpoint", str(trained_checkpoint), "--data", str(path)],
+        "stats": ["stats", "--checkpoint", str(trained_checkpoint), "--data", str(path)],
+        "predict": ["predict", "--checkpoint", str(trained_checkpoint), "--input", str(path)],
+        "datagen": ["datagen", "--sentences", "4", "--out", str(tmp_path / "d.jsonl")],
+    }[command]
+    bad = str(tmp_path / "absent" / "file" if kind == "missing" else tmp_path)
+    assert main(argv + [flag, bad]) == 2  # the last of a repeated flag wins
+    out, err = capsys.readouterr()
+    assert out == ""  # a train run stops before its first epoch line
+    assert err.startswith("error: ") and bad in err and "Traceback" not in err, err
+    if flag == "--out" and command == "train":
+        assert "--out" in err
+
+
+@pytest.mark.parametrize("payload,named", [('["T0"]', "list of type names"),
+                                           ('"x"', "list of type names"),
+                                           ('{"types": ', "not UTF-8 JSON")])
+def test_train_meta_that_is_no_object_exits_2_naming_the_file(payload, named, corpus, tmp_path,
+                                                              capsys):
+    meta = tmp_path / "m.json"
+    meta.write_text(payload)
+    assert main(["train", "--train", str(corpus[0]), "--meta", str(meta),
+                 "--out", str(tmp_path / "m.npz")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {meta}: meta file ") and named in err
+
+
 def test_train_static_mode_runs(corpus, tmp_path, capsys):
     path, _ = corpus
     code = main(["train", "--train", str(path), "--out", str(tmp_path / "s.npz"),

@@ -1,8 +1,8 @@
 """Malformed inputs, generated by hypothesis, driven through ``main``.
 
-Each bad dataset line, checkpoint header and config file must exit 2 with
-one ``error:`` line that names the line, key or field, and print nothing on
-stdout.
+Each bad dataset line, checkpoint header, config file and meta file must
+exit 2 with one ``error:`` line that names the line, key, field or file, and
+print nothing on stdout.
 """
 
 import contextlib
@@ -38,6 +38,21 @@ not_integers = json_values.filter(lambda v: type(v) is not int)
 line_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r"),
                     min_size=1, max_size=20).filter(
                         lambda t: t.strip() and not t.strip().startswith("{"))
+
+
+def _not_utf8(raw: bytes) -> bool:
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return True
+    return False
+
+
+# bytes of one line, without a line break, that do not decode as UTF-8
+not_utf8 = st.tuples(st.binary(max_size=8),
+                     st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80"]),
+                     st.binary(max_size=8)).map(
+    lambda parts: b"".join(parts).replace(b"\n", b"").replace(b"\r", b"")).filter(_not_utf8)
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +130,18 @@ def test_predict_rejects_a_bad_dataset_line_by_its_number(files, lineno, line):
     data.write_text("\n".join(lines) + "\n", encoding="utf-8")
     _assert_rejected(["predict", "--checkpoint", str(checkpoint), "--input", str(data)],
                      f"{data}:{lineno}:")
+
+
+@FUZZ
+@given(lineno=st.integers(1, SENTENCES), raw=not_utf8)
+def test_predict_rejects_a_line_that_is_not_utf8_by_its_number(files, lineno, raw):
+    root, corpus, checkpoint = files
+    lines = corpus.read_bytes().splitlines()
+    lines[lineno - 1] = raw
+    data = root / "bad.jsonl"
+    data.write_bytes(b"\n".join(lines) + b"\n")
+    _assert_rejected(["predict", "--checkpoint", str(checkpoint), "--input", str(data)],
+                     f"{data}:{lineno}: not UTF-8")
 
 
 # ---------------------------------------------------------------------------
@@ -221,3 +248,40 @@ def test_train_rejects_an_unknown_config_file_field_by_its_name(files, key, valu
     config.write_text(json.dumps({key: value}))
     _assert_rejected(["train", "--config", str(config), "--train", str(corpus),
                       "--out", str(root / "never.npz")], repr(key))
+
+
+@FUZZ
+@given(raw=not_utf8)
+def test_train_rejects_a_config_file_that_is_not_utf8_by_its_path(files, raw):
+    root, corpus, _ = files
+    config = root / "config.json"
+    config.write_bytes(raw)
+    _assert_rejected(["train", "--config", str(config), "--train", str(corpus),
+                      "--out", str(root / "never.npz")], f"cannot read config {config}: ")
+
+
+# ---------------------------------------------------------------------------
+# meta files
+
+
+def _type_names(value):
+    return isinstance(value, list) and all(isinstance(name, str) for name in value)
+
+
+bad_meta = st.one_of(
+    not_utf8,
+    line_text.map(lambda text: text.encode("utf-8")),  # not JSON, or JSON but no object
+    not_objects.map(lambda v: json.dumps(v).encode("utf-8")),
+    st.dictionaries(st.text(max_size=5), json_values, max_size=3).filter(
+        lambda v: not _type_names(v.get("types"))).map(lambda v: json.dumps(v).encode("utf-8")),
+)
+
+
+@FUZZ
+@given(raw=bad_meta)
+def test_train_rejects_a_bad_meta_file_by_its_path(files, raw):
+    root, corpus, _ = files
+    meta = root / "meta.json"
+    meta.write_bytes(raw)
+    _assert_rejected(["train", "--meta", str(meta), "--train", str(corpus),
+                      "--out", str(root / "never.npz")], f"error: {meta}: meta file ")

@@ -115,6 +115,64 @@ def test_sentence_loss_sums_both_losses_over_layers():
     assert loss.item() == pytest.approx(expected, abs=1e-9)
 
 
+def _loop_targets(labels, lengths, m, n, classes):
+    """The boundary mask and targets and the class one-hot, one query at a time."""
+    mask, left, right = (np.zeros((len(labels), m, n)) for _ in range(3))
+    one_hot = np.zeros((len(labels), m, classes))
+    for b, (sentence_labels, length) in enumerate(zip(labels, lengths)):
+        for i, label in enumerate(sentence_labels):
+            one_hot[b, i, classes - 1 if label is None else label.type_id] = 1.0
+            if label is not None:
+                mask[b, i, :length] = 1.0
+                left[b, i, label.left] = 1.0
+                right[b, i, label.right] = 1.0
+    return mask, left, right, one_hot
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_loss_targets_equal_the_query_by_query_loop(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    batch, m, classes = int(rng.integers(1, 5)), int(rng.integers(1, 7)), int(rng.integers(2, 5))
+    lengths = [int(x) for x in rng.integers(1, 9, size=batch)]
+    n = max(lengths)
+    labels = []
+    for length in lengths:  # some sentences label fewer than m queries
+        sentence_labels = []
+        for _ in range(int(rng.integers(0, m + 1))):
+            left = int(rng.integers(length))
+            right = int(rng.integers(left, length))
+            # type ids up to the None id itself, which a label may carry
+            sentence_labels.append(None if rng.random() < 0.4 else
+                                   EntityAnnotation(left, right, int(rng.integers(classes))))
+        labels.append(sentence_labels)
+    seen = []
+    monkeypatch.setattr(training, "bce_with_logits",
+                        lambda logits, target, mask: seen.append((mask, target)) or Tensor(0.0))
+    monkeypatch.setattr(training, "softmax_cross_entropy",
+                        lambda logits, target: seen.append(target) or Tensor(0.0))
+    shape = (batch, m, n)
+    boundary_loss(scores_from_logits(np.zeros(shape), np.zeros(shape)), labels, lengths)
+    classification_loss(types_from_logits(np.zeros((batch, m, classes))), labels)
+    mask, left, right, one_hot = _loop_targets(labels, lengths, m, n, classes)
+    if mask.any():
+        (mask_l, got_left), (mask_r, got_right), got_one_hot = seen
+        for got, expected in ((mask_l, mask), (mask_r, mask), (got_left, left),
+                              (got_right, right), (got_one_hot, one_hot)):
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    else:  # no labeled query: no boundary term at all
+        assert len(seen) == 1 and np.array_equal(seen[0], one_hot)
+
+
+def test_loss_targets_keep_their_error_texts():
+    scores = scores_from_logits(np.zeros((2, 2, 3)), np.zeros((2, 2, 3)))
+    with pytest.raises(AnnotationError, match=r"^label span \(1, 2\) outside 2 words$"):
+        boundary_loss(scores, [[None], [None, EntityAnnotation(1, 2, 0)]], [3, 2])
+    types = types_from_logits(np.zeros((2, 2, 3)))
+    with pytest.raises(AnnotationError, match="^label type 4 outside 3 classes$"):
+        classification_loss(types, [[EntityAnnotation(0, 0, 2)],
+                                    [EntityAnnotation(0, 0, 4), EntityAnnotation(0, 0, 3)]])
+
+
 def _stub_head_outs_for_cost():
     # cost matrix [[-0.9, -0.1], [-0.5, -0.6], [-0.2, -0.8]] via type probs only
     left = np.zeros((3, 2))
@@ -235,14 +293,11 @@ def _per_parameter_adam(params, grads, rates, max_grad_norm):
     v = [np.zeros_like(p) for p in params]
     for t, (step_grads, lr) in enumerate(zip(grads, rates), start=1):
         if max_grad_norm is not None:
-            norm = math.sqrt(sum(float((g * g).sum()) for g in step_grads if g is not None))
+            norm = math.sqrt(sum(float((g * g).sum()) for g in step_grads))
             if norm > max_grad_norm:
-                step_grads = [None if g is None else g * (max_grad_norm / norm)
-                              for g in step_grads]
+                step_grads = [g * (max_grad_norm / norm) for g in step_grads]
         bias1, bias2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
         for i, g in enumerate(step_grads):
-            if g is None:
-                continue
             m[i] = beta1 * m[i] + (1.0 - beta1) * g
             v[i] = beta2 * v[i] + (1.0 - beta2) * (g * g)
             data[i] -= lr * (m[i] / bias1) / (np.sqrt(v[i] / bias2) + eps)
@@ -257,11 +312,8 @@ def test_flat_adam_matches_the_per_parameter_expressions(max_grad_norm):
     params = [Tensor(x, tracked=True) for x in start]
     opt = AdamOptimizer([(f"p{i}", p) for i, p in enumerate(params)])
     grads, rates = [], [1e-2 * (t + 1) for t in range(6)]
-    for t, lr in enumerate(rates):
-        # a parameter without a gradient (here the third, then the last two) is left alone
-        missing = {2} if t % 2 else ({3, 4} if t == 4 else set())
-        step_grads = [None if i in missing else rng.normal(size=shape)
-                      for i, shape in enumerate(shapes)]
+    for lr in rates:
+        step_grads = [rng.normal(size=shape) for shape in shapes]
         for p, g in zip(params, step_grads):
             p.grad = g
         opt.step(lr, max_grad_norm)
@@ -278,6 +330,15 @@ def test_flat_adam_matches_the_per_parameter_expressions(max_grad_norm):
         else:  # only the norm's summation order differs
             assert np.allclose(p.data, expected, rtol=1e-13, atol=0.0)
             assert np.allclose(fm, em.reshape(-1), rtol=1e-13, atol=0.0)
+
+
+def test_adam_refuses_a_parameter_without_gradient_by_its_name():
+    params = [(name, Tensor(np.zeros(2), tracked=True)) for name in ("a", "b", "c")]
+    params[0][1].grad = np.ones(2)
+    opt = AdamOptimizer(params)
+    with pytest.raises(ValueError, match="^parameter b has no gradient$"):
+        opt.step(0.1)
+    assert opt.step_count == 0 and not opt.theta.any()
 
 
 @pytest.mark.parametrize("cls,field,value", [
