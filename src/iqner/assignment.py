@@ -122,20 +122,18 @@ def allocate_quantities(
     entity_count: int,
     query_count: int,
     ratio: float,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator,
 ) -> QuantityVector:
     """Split the total assignable quantity Q = round(M * ratio) over entities.
 
-    Every entity gets at least floor(Q / G); the remainder goes to a seeded
-    random subset. When entities outnumber Q the total is raised to one per
-    entity.
+    Every entity gets at least floor(Q / G); the remainder goes to a random
+    subset drawn from ``rng``. When entities outnumber Q the total is raised
+    to one per entity.
     """
     if entity_count < 1 or query_count < 1:
         raise ValueError("entity and query counts must be positive")
     if not 0.0 < ratio <= 1.0:
         raise ValueError(f"ratio must be in (0, 1], got {ratio}")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
     total = assignable_total(query_count, ratio)
     if entity_count > total:
         return QuantityVector(counts=np.ones(entity_count, dtype=np.int64))

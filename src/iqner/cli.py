@@ -89,15 +89,11 @@ class RunConfig(_Knobs):
     checkpoint: str | None = None
     out: str | None = None
 
-    @property
-    def assignable_total(self) -> int:
-        return assignable_total(self.queries, self.ratio)
-
     def snapshot(self) -> dict:
         """Structural defaults, including derived quantities."""
         return {
             "queries": self.queries,
-            "assignable_total": self.assignable_total,
+            "assignable_total": assignable_total(self.queries, self.ratio),
             "ratio": self.ratio,
             "word_layers": self.word_layers,
             "loc_threshold": self.loc_threshold,
@@ -235,13 +231,18 @@ def _emit(payload: dict) -> None:
     sys.stdout.flush()
 
 
+def _require_file_path(flag: str, path: str) -> None:
+    """Refuse an output path that is a directory or lies in a missing one,
+    so a command fails before it computes or writes anything."""
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        raise UsageError(f"{flag} {path} must name a file in an existing directory")
+
+
 def cmd_train(config: RunConfig) -> int:
     if not config.train_path:
         raise UsageError("--train PATH is required")
     out = config.out or "model.npz"
-    # refuse a checkpoint path that cannot be written before any epoch runs
-    if os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or "."):
-        raise UsageError(f"--out {out} must name a file in an existing directory")
+    _require_file_path("--out", out)
     train_config = config.train_config()
     if config.meta_path:
         types = load_meta(config.meta_path)
@@ -279,17 +280,17 @@ def cmd_train(config: RunConfig) -> int:
 def _decode(
     config: RunConfig, path: str | None, flag: str
 ) -> tuple[Model, DatasetMeta, list[SentenceExample], Iterator[list[Prediction]]]:
-    """What ``eval``, ``predict`` and ``stats`` share: check the thresholds,
-    load the checkpoint, read every sentence in ``path`` against its
-    ``max_len``, and return the model, metadata and sentences with their
-    predictions, decoded lazily in file order."""
+    """What ``eval``, ``predict`` and ``stats`` share: check the thresholds
+    and that both paths are given, load the checkpoint, read every sentence
+    in ``path`` against its ``max_len``, and return the model, metadata and
+    sentences with their predictions, decoded lazily in file order."""
     for name in ("loc_threshold", "cls_threshold"):
         require_fraction(name, getattr(config, name))
     if not config.checkpoint:
         raise UsageError("--checkpoint PATH is required")
-    model, meta, _ = load_checkpoint(config.checkpoint)
     if not path:
         raise UsageError(f"{flag} PATH is required")
+    model, meta, _ = load_checkpoint(config.checkpoint)
     examples, _ = load_dataset(path, meta, model.config.max_len)
     predictions = model.predict((meta.encode(ex.tokens) for ex in examples),
                                 config.loc_threshold, config.cls_threshold)
@@ -346,9 +347,12 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 def cmd_datagen(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    out = args.out or "dataset.jsonl"
+    _require_file_path("--out", out)
+    if args.meta_out:
+        _require_file_path("--meta-out", args.meta_out)
     examples, meta = generate_synthetic(SyntheticSpec(**_given(args, _SPEC_FIELDS)),
                                         seed=args.seed)
-    out = args.out or "dataset.jsonl"
     save_dataset(out, examples, meta)
     if args.meta_out:
         save_meta(args.meta_out, meta.types)

@@ -107,15 +107,13 @@ class DatasetMeta:
         return np.array([self.vocab.get(t, UNK_ID) for t in tokens], dtype=np.int64)
 
     @classmethod
-    def build(cls, examples: list[SentenceExample], types: list[str] | None = None) -> "DatasetMeta":
-        """Vocabulary and (when not given) type inventory in first-seen order."""
+    def build(cls, examples: list[SentenceExample], types: list[str]) -> "DatasetMeta":
+        """The given type inventory, and the vocabulary in first-seen order."""
         vocab = {PAD_TOKEN: PAD_ID, UNK_TOKEN: UNK_ID}
         for ex in examples:
             for tok in ex.tokens:
                 if tok not in vocab:
                     vocab[tok] = len(vocab)
-        if types is None:
-            raise DatasetError("type inventory required to build metadata")
         return cls(types=list(types), vocab=vocab)
 
 
@@ -129,6 +127,10 @@ def load_meta(path: str | Path) -> list[str]:
     types = payload.get("types") if isinstance(payload, dict) else None
     if not isinstance(types, list) or not all(isinstance(t, str) for t in types):
         raise DatasetError(f"{path}: meta file must contain a list of type names")
+    try:
+        DatasetMeta(types=types, vocab={})  # an empty or repeated inventory, named by its file
+    except DatasetError as err:
+        raise DatasetError(f"{path}: {err}") from None
     return types
 
 

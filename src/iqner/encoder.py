@@ -25,7 +25,6 @@ from .tensor import (
     concat,
     layer_norm,
     linear,
-    matmul,
     narrow,
     parameter,
     relu,
@@ -149,9 +148,6 @@ class LayerOutputs:
     query: list[Tensor] = field(default_factory=list)
     word_mask: np.ndarray | None = None
 
-    def __len__(self) -> int:
-        return len(self.word)
-
 
 def pad_batch(batch) -> tuple[np.ndarray, np.ndarray]:
     """Token ids of several sentences as one (B, N_max) array, and their lengths.
@@ -181,20 +177,22 @@ def build_input(token_ids, tables: EmbeddingTables) -> Tensor:
 
     One sentence's (N,) ids give (N+M, h); a padded (B, N) batch gives
     (B, N+M, h), each sentence's words first and its M queries after them.
+    Inside ``no_grad``, a (B, N) batch may read tables stacked one per
+    sentence, (B, rows, h), a vector table as one row (``grad_check_stacked``).
     """
     ids = np.asarray(token_ids, dtype=np.int64)
     n = ids.shape[-1]
     if n == 0:
         raise LengthError("empty sentence")
-    if n > tables.pos_word.shape[0]:
-        raise LengthError(f"sentence length {n} exceeds maximum {tables.pos_word.shape[0]}")
-    if np.any(ids < 0) or np.any(ids >= tables.word.shape[0]):
-        raise VocabError(f"token id outside vocabulary of size {tables.word.shape[0]}")
-    word_side = add(add(take_rows(tables.word, ids), narrow(tables.pos_word, 0, 0, n)),
+    if n > tables.pos_word.shape[-2]:
+        raise LengthError(f"sentence length {n} exceeds maximum {tables.pos_word.shape[-2]}")
+    if np.any(ids < 0) or np.any(ids >= tables.word.shape[-2]):
+        raise VocabError(f"token id outside vocabulary of size {tables.word.shape[-2]}")
+    word_side = add(add(take_rows(tables.word, ids), narrow(tables.pos_word, -2, 0, n)),
                     tables.type_word)
     query_side = add(add(tables.query, tables.pos_query), tables.type_query)
     if ids.ndim > 1:  # one copy of the query rows per sentence
-        m = query_side.shape[0]
+        m = query_side.shape[-2]
         query_side = take_rows(query_side, np.broadcast_to(np.arange(m), ids.shape[:-1] + (m,)))
     return concat([word_side, query_side], axis=-2)
 
@@ -247,7 +245,7 @@ def one_way_self_attention(x: Tensor, mask, layer: TransformerLayer,
     """
     q = linear(x, layer.wq, layer.bq)
     # no key bias: a per-row constant in the scores is a softmax no-op
-    k = matmul(x, layer.wk)
+    k = linear(x, layer.wk)
     v = linear(x, layer.wv, layer.bv)
     attended = linear(attention(q, k, v, mask, n_heads), layer.wo, layer.bo)
     x = layer_norm(add(x, attended), layer.ln1_gamma, layer.ln1_beta)

@@ -122,7 +122,7 @@ class Prediction:
 
 
 def _boundary_logits(h_q: Tensor, h_w: Tensor, head: BoundaryHead) -> Tensor:
-    return pair_relu_score(matmul(h_q, head.w_query), matmul(h_w, head.w_word),
+    return pair_relu_score(linear(h_q, head.w_query), linear(h_w, head.w_word),
                            head.scorer, head.bias)
 
 
@@ -149,7 +149,7 @@ def entity_classifier(
 
     The boundary probabilities are used raw (unnormalized) as weights.
     """
-    query_part = matmul(h_q, heads.w_type)
+    query_part = linear(h_q, heads.w_type)
     left_part = matmul(scores.left, h_w)
     right_part = matmul(scores.right, h_w)
     fused = relu(concat([query_part, left_part, right_part], axis=-1))

@@ -55,6 +55,7 @@ __all__ = [
     "layer_norm",
     "backward",
     "grad_check",
+    "grad_check_stacked",
 ]
 
 
@@ -127,21 +128,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, tracked={self.tracked})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def parameter(data, rng: np.random.Generator | None = None, std: float | None = None) -> Tensor:
     """A tracked leaf tensor; optionally sampled N(0, std) of the given shape."""
@@ -213,6 +199,19 @@ def _record(data: np.ndarray, parents: tuple[Tensor, ...], rule, *saved) -> Tens
     return out
 
 
+def _is_stack(a: np.ndarray, shape: tuple[int, ...], lead: np.ndarray) -> bool:
+    """Whether ``a`` is a stack of P values of a parameter of ``shape``, one
+    for each index of the first axis of the (P, ...) operand ``lead``.
+
+    A stack is a (P, rows, cols) array, a vector taken as one row, so that it
+    broadcasts against (P, T, h) activations. Ops read stacks only inside
+    ``no_grad``; their gradient rules take single values. See
+    ``grad_check_stacked``.
+    """
+    return (not _GRAD_ENABLED[-1] and lead.ndim == 3
+            and a.shape == lead.shape[:1] + (1,) * (2 - len(shape)) + shape)
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcast gradient back down to the operand shape."""
     extra = g.ndim - len(shape)
@@ -271,46 +270,52 @@ def _rows(x: np.ndarray) -> np.ndarray:
     return x.reshape(-1, x.shape[-1])
 
 
-def _matmul_grad(g, a, b, shared):
-    if a is None:
-        gb = None
-    elif shared:  # one product over the stacked rows, not one per leading index
-        gb = _rows(a).T @ _rows(g)
-    else:
-        gb = a.swapaxes(-1, -2) @ g
-    return (g @ b.swapaxes(-1, -2) if b is not None else None, gb)
-
-
-def matmul(a, b) -> Tensor:
-    """Matrix product over the last two axes.
-
-    The leading axes must be equal, or ``b`` is one matrix shared by every
-    matrix of ``a``.
-    """
-    a, b = _as_tensor(a), _as_tensor(b)
-    ad, bd = a.data, b.data
-    shared = bd.ndim == 2 and ad.ndim > 2
-    if (ad.ndim < 2 or not (shared or (bd.ndim == ad.ndim and ad.shape[:-2] == bd.shape[:-2]))
-            or ad.shape[-1] != bd.shape[-2]):
-        raise DimensionError(f"matmul: shapes {a.shape} and {b.shape} are not compatible")
-    return _record(ad @ bd, (a, b), _matmul_grad,
-                   ad if b.tracked else None, bd if a.tracked else None, shared)
-
-
-def _linear_grad(g, x, w, b_shape):
+def _matmul_grad(g, a, b):
     return (
-        g @ w.T if w is not None else None,
-        _rows(x).T @ _rows(g) if x is not None else None,
-        _unbroadcast(g, b_shape) if b_shape is not None else None,
+        g @ b.swapaxes(-1, -2) if b is not None else None,
+        a.swapaxes(-1, -2) @ g if a is not None else None,
     )
 
 
-def linear(x, w, b) -> Tensor:
-    """Fused x @ w + b for x (..., k), a matrix w (k, n), and a vector bias b."""
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+def matmul(a, b) -> Tensor:
+    """Matrix product over the last two axes, whose leading axes must be equal.
+
+    A product with one weight matrix shared by every row is ``linear``.
+    """
+    a, b = _as_tensor(a), _as_tensor(b)
+    ad, bd = a.data, b.data
+    if (ad.ndim < 2 or bd.ndim != ad.ndim or ad.shape[:-2] != bd.shape[:-2]
+            or ad.shape[-1] != bd.shape[-2]):
+        raise DimensionError(f"matmul: shapes {a.shape} and {b.shape} are not compatible")
+    return _record(ad @ bd, (a, b), _matmul_grad,
+                   ad if b.tracked else None, bd if a.tracked else None)
+
+
+def _linear_grad(g, x, w, *bias_shape):
+    # bias_shape is empty without a bias operand, else (its shape, or None when untracked)
+    gx = g @ w.T if w is not None else None
+    gw = _rows(x).T @ _rows(g) if x is not None else None
+    if not bias_shape:
+        return gx, gw
+    return gx, gw, _unbroadcast(g, bias_shape[0]) if bias_shape[0] is not None else None
+
+
+def linear(x, w, b=None) -> Tensor:
+    """x @ w (+ b) for x (..., k), one matrix w (k, n) shared by every row of
+    x, and an optional vector bias b: the one op that multiplies by a weight.
+
+    Inside ``no_grad``, w and b may also be stacks (``_is_stack``) against a
+    (P, T, k) x.
+    """
+    x, w = _as_tensor(x), _as_tensor(w)
     xd, wd = x.data, w.data
-    if xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0]:
+    if (xd.ndim < 2 or not (wd.ndim == 2 or _is_stack(wd, wd.shape[1:], xd))
+            or xd.shape[-1] != wd.shape[-2]):
         raise DimensionError(f"linear: shapes {x.shape} and {w.shape} are not compatible")
+    if b is None:
+        return _record(xd @ wd, (x, w), _linear_grad,
+                       xd if w.tracked else None, wd if x.tracked else None)
+    b = _as_tensor(b)
     return _record(xd @ wd + b.data, (x, w, b), _linear_grad,
                    xd if w.tracked else None, wd if x.tracked else None,
                    b.data.shape if b.tracked else None)
@@ -346,13 +351,16 @@ def pair_relu_score(a, b, w, bias) -> Tensor:
     is (h, 1) and ``bias`` (1,); the result is (..., M, N). The forward and
     the backward each run one (M, N, h) block of pair sums at a time, in one
     reused buffer, so no (..., M, N, h) array is ever allocated; backward
-    recomputes each block from ``a`` and ``b``.
+    recomputes each block from ``a`` and ``b``. Inside ``no_grad``, ``w`` and
+    ``bias`` may be stacks (``_is_stack``) against a (P, M, h) ``a``.
     """
     a, b, w, bias = _as_tensor(a), _as_tensor(b), _as_tensor(w), _as_tensor(bias)
     ad, bd = a.data, b.data
     h = ad.shape[-1]
+    stacked = w.shape != (h, 1) and _is_stack(w.data, (h, 1), ad)
     if (ad.ndim < 2 or bd.ndim != ad.ndim or ad.shape[:-2] != bd.shape[:-2]
-            or bd.shape[-1] != h or w.shape != (h, 1) or bias.shape != (1,)):
+            or bd.shape[-1] != h or not (w.shape == (h, 1) or stacked)
+            or not (bias.shape == (1,) or _is_stack(bias.data, (1,), ad))):
         raise DimensionError(f"pair_relu_score: shapes {a.shape}, {b.shape}, {w.shape} "
                              f"and {bias.shape} are not compatible")
     m, n = ad.shape[-2], bd.shape[-2]
@@ -363,7 +371,7 @@ def pair_relu_score(a, b, w, bias) -> Tensor:
     for i in range(len(a3)):
         np.add(a3[i, :, None], b3[i], out=fused)
         np.maximum(fused, 0.0, out=fused)
-        np.dot(pairs, w.data, out=data[i])
+        np.dot(pairs, w.data[i] if stacked else w.data, out=data[i])
     data += bias.data
     return _record(data.reshape(ad.shape[:-1] + (n,)), (a, b, w, bias), _pair_relu_score_grad,
                    ad, bd, w.data, a.tracked, b.tracked, w.tracked, bias.tracked)
@@ -445,22 +453,40 @@ def _take_rows_grad(g, shape, ids):
 
 
 def take_rows(x, ids) -> Tensor:
-    """Gather rows of a matrix by integer index (embedding lookup)."""
+    """Gather rows of a matrix by integer index (embedding lookup).
+
+    Inside ``no_grad``, ``x`` may be a stack (``_is_stack``) of P matrices
+    for (P, n) ``ids``; each row of ``ids`` then gathers from its own matrix.
+    """
     x = _as_tensor(x)
     ids = np.asarray(ids, dtype=np.intp)
+    if x.ndim == 3 and ids.ndim == 2 and _is_stack(x.data, x.shape[1:], ids[..., None]):
+        return _record(x.data[np.arange(len(ids))[:, None], ids], (x,), _take_rows_grad,
+                       x.data.shape, ids)
     return _record(x.data[ids], (x,), _take_rows_grad, x.data.shape, ids)
 
 
+def _loss_sum(terms: np.ndarray, per_item: bool) -> np.ndarray:
+    """The sum of a loss's terms: one total, or one per index of the first axis."""
+    return terms.reshape(len(terms), -1).sum(axis=1) if per_item else terms.sum()
+
+
+def _per_term(g: np.ndarray, ndim: int) -> np.ndarray:
+    """A loss's upstream gradient, one total or one per item, against its terms."""
+    return g.reshape(g.shape + (1,) * (ndim - g.ndim))
+
+
 def _bce_grad(g, z, t, mask):
-    return (g * (_stable_sigmoid(z) - t) * mask,)
+    return (_per_term(g, z.ndim) * (_stable_sigmoid(z) - t) * mask,)
 
 
-def bce_with_logits(logits, targets, mask) -> Tensor:
+def bce_with_logits(logits, targets, mask, per_item: bool = False) -> Tensor:
     """Summed binary cross entropy from logits against {0,1} targets.
 
     Computed as t*softplus(-z) + (1-t)*softplus(z), which never overflows
     and is exactly zero at saturated correct logits. ``mask`` (0/1,
-    broadcast against the logits) excludes entries from the sum.
+    broadcast against the logits) excludes entries from the sum. With
+    ``per_item`` the result is one sum per index of the first axis.
     """
     z = _as_tensor(logits)
     t = np.asarray(targets, dtype=np.float64)
@@ -468,16 +494,17 @@ def bce_with_logits(logits, targets, mask) -> Tensor:
         raise DimensionError(f"bce targets {t.shape} do not match logits {z.shape}")
     mask = np.asarray(mask, dtype=np.float64)
     per = t * np.logaddexp(0.0, -z.data) + (1.0 - t) * np.logaddexp(0.0, z.data)
-    return _record((per * mask).sum(), (z,), _bce_grad, z.data, t, mask)
+    return _record(_loss_sum(per * mask, per_item), (z,), _bce_grad, z.data, t, mask)
 
 
 def _softmax_cross_entropy_grad(g, z, lse, t):
     soft = np.exp(z - lse)
-    return (g * (soft * t.sum(axis=-1, keepdims=True) - t),)
+    return (_per_term(g, z.ndim) * (soft * t.sum(axis=-1, keepdims=True) - t),)
 
 
-def softmax_cross_entropy(logits, one_hot) -> Tensor:
-    """Summed cross entropy of row-softmax(logits) against one-hot targets."""
+def softmax_cross_entropy(logits, one_hot, per_item: bool = False) -> Tensor:
+    """Summed cross entropy of row-softmax(logits) against one-hot targets;
+    with ``per_item``, one sum per index of the first axis."""
     z = _as_tensor(logits)
     t = np.asarray(one_hot, dtype=np.float64)
     if t.shape != z.shape:
@@ -486,7 +513,7 @@ def softmax_cross_entropy(logits, one_hot) -> Tensor:
     _check_rows_finite_max(m)
     shifted = z.data - m
     lse = m + np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    return _record((t * (lse - z.data)).sum(), (z,), _softmax_cross_entropy_grad,
+    return _record(_loss_sum(t * (lse - z.data), per_item), (z,), _softmax_cross_entropy_grad,
                    z.data, lse, t)
 
 
@@ -598,10 +625,14 @@ def _layer_norm_grad(g, y, inv, gamma, gamma_tracked, beta_tracked):
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean and unit variance, then rescale."""
+    """Normalize the last axis to zero mean and unit variance, then rescale.
+
+    Inside ``no_grad``, ``gamma`` and ``beta`` may be stacks (``_is_stack``)
+    against a (P, T, h) ``x``.
+    """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     h = x.shape[-1]
-    if gamma.shape != (h,) or beta.shape != (h,):
+    if not all(p.shape == (h,) or _is_stack(p.data, (h,), x.data) for p in (gamma, beta)):
         raise DimensionError(
             f"layer_norm: parameters {gamma.shape}/{beta.shape} do not match width {h}"
         )
@@ -673,6 +704,27 @@ def backward(loss: Tensor) -> None:
                 grads[key] = pg
 
 
+def _analytic_gradient(loss: Callable[[], Tensor], point: Tensor, eps: float) -> np.ndarray:
+    """d(loss())/d(point), flat, by backward() from the scalar ``loss()``."""
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    if not point.tracked:
+        raise ValueError("grad_check point must be tracked")
+    point.zero_grad()
+    out = loss()
+    if out.ndim != 0:
+        raise DimensionError(f"grad_check target must be scalar, got shape {out.shape}")
+    if not np.isfinite(out.data):
+        raise NumericError("grad_check: function value is not finite")
+    backward(out)
+    return point.grad.reshape(-1).copy() if point.grad is not None else np.zeros(point.size)
+
+
+def _max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    denom = np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
+    return float(np.max(np.abs(analytic - numeric) / denom)) if analytic.size else 0.0
+
+
 def grad_check(f: Callable[[Tensor], Tensor], point: Tensor, eps: float) -> float:
     """Max relative error between backward() and central differences at ``point``.
 
@@ -680,18 +732,7 @@ def grad_check(f: Callable[[Tensor], Tensor], point: Tensor, eps: float) -> floa
     max(1e-8, |analytic| + |numeric|). ``f`` must return a scalar tensor and
     may read ``point`` directly; its data is perturbed in place and restored.
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if not point.tracked:
-        raise ValueError("grad_check point must be tracked")
-    point.zero_grad()
-    out = f(point)
-    if out.ndim != 0:
-        raise DimensionError(f"grad_check target must be scalar, got shape {out.shape}")
-    if not np.isfinite(out.data):
-        raise NumericError("grad_check: function value is not finite")
-    backward(out)
-    analytic = point.grad.reshape(-1).copy() if point.grad is not None else np.zeros(point.size)
+    analytic = _analytic_gradient(lambda: f(point), point, eps)
     flat = point.data.reshape(-1)
     numeric = np.zeros_like(analytic)
     with no_grad():
@@ -705,5 +746,37 @@ def grad_check(f: Callable[[Tensor], Tensor], point: Tensor, eps: float) -> floa
             if not (math.isfinite(hi) and math.isfinite(lo)):
                 raise NumericError("grad_check: perturbed evaluation is not finite")
             numeric[i] = (hi - lo) / (2.0 * eps)
-    denom = np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
-    return float(np.max(np.abs(analytic - numeric) / denom)) if flat.size else 0.0
+    return _max_relative_error(analytic, numeric)
+
+
+def grad_check_stacked(f: Callable[[int], Tensor], point: Tensor, eps: float) -> float:
+    """``grad_check`` with every perturbed evaluation in one forward pass.
+
+    ``f(copies)`` evaluates the function on a batch of ``copies`` identical
+    inputs and returns one value per copy, (copies,); it reads ``point``
+    directly. The analytic gradient is taken of ``f(1)``. For the central
+    differences, ``point.data`` is replaced, inside ``no_grad``, by a stack
+    (``_is_stack``) of 2S perturbed copies, S its size: copy i has +eps on
+    coordinate i, copy S + i has -eps on it. One ``f(2S)`` then gives every
+    difference, and ``point.data`` is restored.
+    """
+    if point.ndim > 2:
+        raise DimensionError(f"grad_check_stacked: point of shape {point.shape} has over 2 axes")
+    analytic = _analytic_gradient(lambda: tsum(f(1)), point, eps)
+    size, original = point.size, point.data
+    rows = original.reshape((1,) * (2 - original.ndim) + original.shape)  # a vector is one row
+    stack = np.repeat(rows[None], 2 * size, axis=0)
+    flat, coords = stack.reshape(2 * size, size), np.arange(size)
+    flat[coords, coords] += eps
+    flat[size + coords, coords] -= eps
+    point.data = stack
+    try:
+        with no_grad():
+            values = f(2 * size).data
+    finally:
+        point.data = original
+    if values.shape != (2 * size,):
+        raise DimensionError(f"grad_check_stacked: f({2 * size}) has shape {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise NumericError("grad_check: perturbed evaluation is not finite")
+    return _max_relative_error(analytic, (values[:size] - values[size:]) / (2.0 * eps))

@@ -55,7 +55,7 @@ from .tensor import (
     add,
     backward,
     bce_with_logits,
-    grad_check,
+    grad_check_stacked,
     mul,
     narrow,
     no_grad,
@@ -186,10 +186,12 @@ def _sentence_outputs(head_outs, index: int, length: int):
 #
 # Each loss takes one sentence's (M, N) outputs with its labels and length,
 # or a padded batch's (B, M, N) outputs with a list of labels and a list of
-# lengths, one per sentence; the single sentence is a batch of one.
+# lengths, one per sentence; the single sentence is a batch of one. With
+# ``per_sentence`` a batch's loss is one sum per sentence, (B,), not one total.
 
 
-def boundary_loss(scores: BoundaryScores, labels, sentence_length) -> Tensor:
+def boundary_loss(scores: BoundaryScores, labels, sentence_length,
+                  per_sentence: bool = False) -> Tensor:
     """Binary cross entropy of both boundary maps against one-hot targets.
 
     Only real words count. Queries labeled None carry no boundary target and
@@ -215,17 +217,19 @@ def boundary_loss(scores: BoundaryScores, labels, sentence_length) -> Tensor:
             f"label span ({label.left}, {label.right}) outside {lengths[b]} words")
     labeled = left >= 0
     if not labeled.any():
-        return Tensor(0.0)
+        return Tensor(np.zeros(len(labels)) if per_sentence else 0.0)
     words = np.arange(n)
     mask = (labeled[..., None] & (words < lengths[:, None, None])).astype(np.float64)
     left_target = (left[..., None] == words).astype(np.float64)
     right_target = (right[..., None] == words).astype(np.float64)
     mask = mask.reshape(shape)
-    return add(bce_with_logits(scores.left_logits, left_target.reshape(shape), mask),
-               bce_with_logits(scores.right_logits, right_target.reshape(shape), mask))
+    return add(bce_with_logits(scores.left_logits, left_target.reshape(shape), mask,
+                               per_item=per_sentence),
+               bce_with_logits(scores.right_logits, right_target.reshape(shape), mask,
+                               per_item=per_sentence))
 
 
-def classification_loss(types: TypeDistribution, labels) -> Tensor:
+def classification_loss(types: TypeDistribution, labels, per_sentence: bool = False) -> Tensor:
     """Cross entropy over the type inventory plus None, summed over queries."""
     shape = types.logits.shape
     if len(shape) == 2:
@@ -240,20 +244,21 @@ def classification_loss(types: TypeDistribution, labels) -> Tensor:
     if outside.size:
         raise AnnotationError(f"label type {outside[0]} outside {classes} classes")
     one_hot = (target[..., None] == np.arange(classes)).astype(np.float64)
-    return softmax_cross_entropy(types.logits, one_hot.reshape(shape))
+    return softmax_cross_entropy(types.logits, one_hot.reshape(shape), per_item=per_sentence)
 
 
 def sentence_loss(
     head_outs: list[tuple[BoundaryScores, TypeDistribution]],
     labels_per_layer: list,
     sentence_length,
+    per_sentence: bool = False,
 ) -> Tensor:
     """Total loss of a sentence or a padded batch: boundary + classification
     at every layer. ``labels_per_layer[layer]`` is what the two losses take."""
     total: Tensor | None = None
     for (scores, types), labels in zip(head_outs, labels_per_layer):
-        layer_total = add(boundary_loss(scores, labels, sentence_length),
-                          classification_loss(types, labels))
+        layer_total = add(boundary_loss(scores, labels, sentence_length, per_sentence),
+                          classification_loss(types, labels, per_sentence))
         total = layer_total if total is None else add(total, layer_total)
     assert total is not None
     return total
@@ -322,17 +327,6 @@ def assign_labels(
         else:
             labels[s][layer] = row
     return labels, matched
-
-
-def assign_labels_per_layer(
-    head_outs: list[tuple[BoundaryScores, TypeDistribution]],
-    gold: list[EntityAnnotation],
-    config: TrainConfig,
-    query_count: int,
-    rng: np.random.Generator,
-) -> list[list[EntityAnnotation | None]]:
-    """One sentence's per-layer query labels (see ``assign_labels``)."""
-    return assign_labels([head_outs], [gold], config, query_count, rng)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +648,9 @@ def model_gradcheck(seed: int, eps: float = GRADCHECK_EPS, inject_error: bool = 
 
     Each parameter is checked on the loss terms downstream of it: the
     embeddings and layer i on the word-layer losses from layer i on, a head
-    on its own layer's loss. The terms left out are constant in it.
+    on its own layer's loss. The terms left out are constant in it. Every
+    perturbation of one parameter is one sentence of a single batched
+    forward (``grad_check_stacked``).
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -674,20 +670,24 @@ def model_gradcheck(seed: int, eps: float = GRADCHECK_EPS, inject_error: bool = 
         EntityAnnotation(1, 1, int(rng.integers(type_count))),
     ]
     _, head_outs = model.forward(token_ids)
-    labels = assign_labels_per_layer(head_outs, gold, TrainConfig(seed=seed), queries,
-                                     np.random.default_rng(seed))
-    # the training path's batch of one: (1, N+M, h) activations
-    batch_ids = token_ids[None]
+    labels = assign_labels([head_outs], [gold], TrainConfig(seed=seed), queries,
+                           np.random.default_rng(seed))[0][0]
+    # the training path's batch: (copies, N+M, h) activations of one sentence
     mask = attention_mask(np.array([tokens]), config)
     base = config.base_layers
     with no_grad():  # entering[i] enters layer i; the last is the last layer's output
-        entering = [build_input(batch_ids, model.tables)]
+        entering = [build_input(token_ids[None], model.tables)]
         for layer in model.layers:
             entering.append(one_way_self_attention(entering[-1], mask, layer, config.heads))
 
+    def copied(x: Tensor, copies: int) -> Tensor:
+        return Tensor(np.repeat(x.data, copies, axis=0))
+
     def head_loss(tau: int, x) -> Tensor:
+        copies = x.shape[0]
         h_w, h_q = narrow(x, -2, 0, tokens), narrow(x, -2, tokens, queries)
-        return sentence_loss([_run_heads(h_q, h_w, model.heads[tau])], [[labels[tau]]], [tokens])
+        return sentence_loss([_run_heads(h_q, h_w, model.heads[tau])], [[labels[tau]] * copies],
+                             [tokens] * copies, per_sentence=True)
 
     def loss_from(start: int, x) -> Tensor:
         """The losses of the word layers that ``layers[start:]`` reach from ``x``."""
@@ -698,12 +698,14 @@ def model_gradcheck(seed: int, eps: float = GRADCHECK_EPS, inject_error: bool = 
                 piece = head_loss(i - base, x)
                 total = piece if total is None else add(total, piece)
         if inject_error:
-            total = add(total, Tensor(0.05 * float(model.layers[0].wq.data.sum())))
+            total = add(total, Tensor(0.05 * model.layers[0].wq.data.sum(axis=(-2, -1))))
         return total
 
-    stages = [(model.tables.named(""), lambda _: loss_from(0, build_input(batch_ids, model.tables)))]
-    stages += [(layer.named(""), lambda _, i=i: loss_from(i, entering[i]))
+    stages = [(model.tables.named(""), lambda copies: loss_from(
+        0, build_input(np.repeat(token_ids[None], copies, axis=0), model.tables)))]
+    stages += [(layer.named(""), lambda copies, i=i: loss_from(i, copied(entering[i], copies)))
                for i, layer in enumerate(model.layers)]
-    stages += [(heads.named(""), lambda _, tau=tau: head_loss(tau, entering[base + tau + 1]))
+    stages += [(heads.named(""),
+                lambda copies, tau=tau: head_loss(tau, copied(entering[base + tau + 1], copies)))
                for tau, heads in enumerate(model.heads)]
-    return max(grad_check(loss, p, eps) for params, loss in stages for _, p in params)
+    return max(grad_check_stacked(loss, p, eps) for params, loss in stages for _, p in params)

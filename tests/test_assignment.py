@@ -32,13 +32,13 @@ def test_quantity_vector_rejects_nonpositive():
 
 
 def test_allocate_balanced_division():
-    q = allocate_quantities(3, 60, 0.75, rng=0)
+    q = allocate_quantities(3, 60, 0.75, np.random.default_rng(0))
     assert q.total == 45
     assert np.array_equal(q.counts, [15, 15, 15])
 
 
 def test_allocate_entities_exceed_total():
-    q = allocate_quantities(50, 60, 0.75, rng=0)
+    q = allocate_quantities(50, 60, 0.75, np.random.default_rng(0))
     assert q.total == 50
     assert np.all(q.counts == 1)
 
@@ -46,7 +46,7 @@ def test_allocate_entities_exceed_total():
 def test_allocate_remainder_respects_floor():
     seen = set()
     for seed in range(40):
-        q = allocate_quantities(2, 6, 5 / 6, rng=seed)  # Q = 5 over G = 2
+        q = allocate_quantities(2, 6, 5 / 6, np.random.default_rng(seed))  # Q = 5 over G = 2
         assert q.total == 5
         assert np.all(q.counts >= 2)
         seen.add(tuple(q.counts))
@@ -54,16 +54,16 @@ def test_allocate_remainder_respects_floor():
 
 
 def test_allocate_overflow_flagged_when_entities_exceed_queries():
-    q = allocate_quantities(7, 4, 0.75, rng=1)
+    q = allocate_quantities(7, 4, 0.75, np.random.default_rng(1))
     assert q.total == 7
     assert np.all(q.counts == 1)
 
 
 def test_allocate_validates_ratio():
     with pytest.raises(ValueError):
-        allocate_quantities(2, 10, 0.0)
+        allocate_quantities(2, 10, 0.0, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        allocate_quantities(2, 10, 1.5)
+        allocate_quantities(2, 10, 1.5, np.random.default_rng(0))
 
 
 def test_solver_one_to_one_fixture():
@@ -370,7 +370,7 @@ def test_stacked_quantities_are_checked():
 def test_batch_assignment_draws_the_per_sentence_random_stream():
     from iqner.heads import BoundaryScores, TypeDistribution
     from iqner.tensor import Tensor
-    from iqner.training import TrainConfig, assign_labels, assign_labels_per_layer
+    from iqner.training import TrainConfig, assign_labels
 
     rng = np.random.default_rng(11)
     queries, depth = 12, 3
@@ -389,7 +389,7 @@ def test_batch_assignment_draws_the_per_sentence_random_stream():
         config = TrainConfig(ratio=ratio)
         batch_rng, alone_rng = np.random.default_rng(4), np.random.default_rng(4)
         labels, matched = assign_labels(outs, golds, config, queries, batch_rng)
-        alone = [assign_labels_per_layer(o, g, config, queries, alone_rng)
+        alone = [assign_labels([o], [g], config, queries, alone_rng)[0][0]
                  for o, g in zip(outs, golds)]
         assert labels == alone
         assert batch_rng.integers(1 << 30) == alone_rng.integers(1 << 30)

@@ -77,15 +77,27 @@ def test_each_path_flag_refuses_a_missing_path_and_a_directory(
         "eval": ["eval", "--checkpoint", str(trained_checkpoint), "--data", str(path)],
         "stats": ["stats", "--checkpoint", str(trained_checkpoint), "--data", str(path)],
         "predict": ["predict", "--checkpoint", str(trained_checkpoint), "--input", str(path)],
-        "datagen": ["datagen", "--sentences", "4", "--out", str(tmp_path / "d.jsonl")],
+        "datagen": ["datagen", "--sentences", "4", "--out", str(tmp_path / "d.jsonl"),
+                    "--meta-out", str(tmp_path / "m.json")],
     }[command]
     bad = str(tmp_path / "absent" / "file" if kind == "missing" else tmp_path)
     assert main(argv + [flag, bad]) == 2  # the last of a repeated flag wins
     out, err = capsys.readouterr()
     assert out == ""  # a train run stops before its first epoch line
     assert err.startswith("error: ") and bad in err and "Traceback" not in err, err
-    if flag == "--out" and command == "train":
-        assert "--out" in err
+    if flag in ("--out", "--meta-out"):  # every output is checked before any is written
+        assert flag in err
+        assert not any(p.name in ("d.jsonl", "m.json") for p in tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command,flag", [("eval", "--data"), ("predict", "--input"),
+                                          ("stats", "--data")])
+def test_decode_names_a_missing_path_flag_before_reading_the_checkpoint(command, flag, tmp_path,
+                                                                        capsys):
+    bad = tmp_path / "bad.npz"
+    bad.write_bytes(b"not a checkpoint")
+    assert main([command, "--checkpoint", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {flag} PATH is required\n"
 
 
 @pytest.mark.parametrize("payload,named", [('["T0"]', "list of type names"),
@@ -99,6 +111,17 @@ def test_train_meta_that_is_no_object_exits_2_naming_the_file(payload, named, co
                  "--out", str(tmp_path / "m.npz")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {meta}: meta file ") and named in err
+
+
+@pytest.mark.parametrize("types,named", [([], "empty type inventory"),
+                                         (["T0", "T1", "T0"], "duplicate type names")])
+def test_train_meta_with_an_empty_or_repeated_inventory_exits_2_naming_the_file(
+        types, named, corpus, tmp_path, capsys):
+    meta = tmp_path / "m.json"
+    meta.write_text(json.dumps({"types": types}))
+    assert main(["train", "--train", str(corpus[0]), "--meta", str(meta),
+                 "--out", str(tmp_path / "m.npz")]) == 2
+    assert capsys.readouterr().err == f"error: {meta}: {named}\n"
 
 
 def test_train_static_mode_runs(corpus, tmp_path, capsys):
@@ -452,7 +475,7 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert config.queries == 8          # flag wins
     assert config.ratio == 0.5          # file wins over default
     assert config.epochs == 9
-    assert config.assignable_total == 4
+    assert config.snapshot()["assignable_total"] == 4
 
 
 def test_env_var_config(tmp_path, monkeypatch):

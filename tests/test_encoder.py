@@ -143,7 +143,7 @@ def test_encode_layer_count_and_determinism():
     ids = [1, 5, 2]
     out1 = encode(build_input(ids, tables), len(ids), layers, config)
     out2 = encode(build_input(ids, tables), len(ids), layers, config)
-    assert len(out1) == config.word_layers
+    assert len(out1.word) == len(out1.query) == config.word_layers
     for a, b in zip(out1.word + out1.query, out2.word + out2.query):
         assert np.array_equal(a.data, b.data)
 
@@ -376,3 +376,22 @@ def test_one_way_invariance_on_padded_batches():
         for b, n in enumerate(lengths):
             diff = np.max(np.abs(open_before.word[-1].data[b, :n] - open_after.word[-1].data[b, :n]))
             assert diff > 1e-6
+
+
+@pytest.mark.parametrize("field", ["word", "query", "pos_word", "pos_query", "type_word",
+                                   "type_query"])
+def test_build_input_reads_a_stacked_table_one_copy_per_sentence(field):
+    config = small_config()
+    tables, _ = make_model_params(config, seed=3)
+    rng = np.random.default_rng(4)
+    copies, ids = 4, rng.integers(0, config.vocab_size, size=5)
+    table = getattr(tables, field)
+    values = table.data + rng.normal(size=(copies,) + table.shape)
+    expected = []
+    for v in values:
+        table.data = v
+        expected.append(build_input(ids[None], tables).data[0])
+    table.data = values.reshape((copies,) + (1,) * (2 - table.ndim) + table.shape)
+    with T.no_grad():
+        out = build_input(np.repeat(ids[None], copies, axis=0), tables).data
+    assert np.array_equal(out, np.stack(expected))

@@ -69,7 +69,7 @@ def test_solver_is_optimal_and_feasible(instance):
 @given(st.integers(1, 6), st.integers(1, 60),
        st.floats(min_value=0.05, max_value=1.0), st.integers(0, 100))
 def test_allocation_floor_and_total(entities, queries, ratio, seed):
-    q = allocate_quantities(entities, queries, ratio, rng=seed)
+    q = allocate_quantities(entities, queries, ratio, np.random.default_rng(seed))
     total = int(np.floor(queries * ratio + 0.5))
     if entities > total:
         assert q.total == entities

@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import tracemalloc
 import weakref
 
@@ -42,8 +43,10 @@ def test_matmul_shape_mismatch_names_both_shapes():
 
 
 def test_matmul_rejects_mismatched_leading_axes_and_vectors():
-    for sa, sb in (((2, 3, 4), (3, 4, 5)), ((3, 4), (2, 4, 5)), ((4,), (4, 5)), ((3, 4), (4,))):
-        with pytest.raises(DimensionError):
+    # a weight shared by every row, (2, 3, 4) @ (4, 5), is linear's
+    for sa, sb in (((2, 3, 4), (3, 4, 5)), ((3, 4), (2, 4, 5)), ((4,), (4, 5)), ((3, 4), (4,)),
+                   ((2, 3, 4), (4, 5))):
+        with pytest.raises(DimensionError, match=re.escape(f"{sa} and {sb}")):
             T.matmul(Tensor(np.zeros(sa)), Tensor(np.zeros(sb)))
 
 
@@ -408,7 +411,7 @@ BINARY_OPS = [
     ("mul_broadcast", T.mul, (3, 1), (3, 4)),
     ("matmul", T.matmul, (3, 4), (4, 2)),
     ("matmul_batched", T.matmul, (2, 3, 4), (2, 4, 5)),
-    ("matmul_shared", T.matmul, (2, 3, 4), (4, 5)),
+    ("linear_no_bias", T.linear, (2, 3, 4), (4, 5)),
 ]
 
 
@@ -484,6 +487,7 @@ RECORDING_CASES = [
     ("mul", [(2, 3), (3,)], T.mul),
     ("matmul", [(2, 3), (3, 4)], T.matmul),
     ("linear", [(2, 3), (3, 4), (4,)], T.linear),
+    ("linear", [(2, 3), (3, 4)], T.linear),
     ("pair_relu_score", [(3, 4), (5, 4), (4, 1), (1,)], T.pair_relu_score),
     ("bce_with_logits", [(2, 3)],
      lambda z: T.bce_with_logits(z, np.eye(2, 3), np.ones((2, 1)))),
@@ -503,7 +507,7 @@ RECORDING_CASES = [
 def test_no_grad_suppresses_recording():
     not_ops = {"Tensor", "DimensionError", "DegenerateRowError", "NumericError",
                "topological_order", "parameter", "ParameterGroup", "no_grad", "backward",
-               "grad_check"}
+               "grad_check", "grad_check_stacked"}
     assert {case[0] for case in RECORDING_CASES} == set(T.__all__) - not_ops
     rng = np.random.default_rng(0)
     for name, shapes, op in RECORDING_CASES:
@@ -568,3 +572,115 @@ def test_graph_objects_are_freed_without_the_cycle_collector():
         assert all(ref() is None for ref in refs)
     finally:
         gc.enable()
+
+
+# Stacks: inside no_grad a parameter operand may be a (P, rows, cols) stack,
+# a vector taken as one row, with index p applied to index p of the first axis.
+
+STACKED_OPS = [
+    # name, operand shapes, roles: "x" one per copy on a first axis, "s" a
+    # stack, "-" one value shared by every copy
+    ("linear", [(3, 4), (4, 5), (5,)], "xss", T.linear),
+    ("linear_shared_bias", [(3, 4), (4, 5), (5,)], "xs-", T.linear),
+    ("linear_no_bias", [(3, 4), (4, 5)], "xs", T.linear),
+    ("layer_norm", [(3, 6), (6,), (6,)], "xs-", T.layer_norm),
+    ("pair_relu_score", [(2, 4), (3, 4), (4, 1), (1,)], "xxss", T.pair_relu_score),
+]
+
+
+@pytest.mark.parametrize("name,shapes,roles,op", STACKED_OPS, ids=[s[0] for s in STACKED_OPS])
+def test_stacked_operands_equal_each_copy_bit_for_bit(name, shapes, roles, op):
+    copies = 5
+    rng = np.random.default_rng(7)
+    values = [rng.normal(size=(copies,) + s) for s in shapes]
+    operands = []
+    for v, shape, role in zip(values, shapes, roles):
+        if role == "s":  # a vector is one row
+            v = v.reshape((copies,) + (1,) * (2 - len(shape)) + shape)
+        operands.append(v[0] if role == "-" else v)
+    with T.no_grad():
+        out = op(*map(Tensor, operands)).data
+    for p in range(copies):
+        one = [v[0] if role == "-" else v[p] for v, role in zip(values, roles)]
+        assert np.array_equal(out[p], op(*map(Tensor, one)).data), f"{name} copy {p}"
+    # a stack is rejected while gradients are recorded, naming its shape
+    with pytest.raises(DimensionError, match=re.escape(str(operands[roles.index("s")].shape))):
+        op(*(Tensor(a, tracked=True) for a in operands))
+
+
+def test_stacked_take_rows_gathers_each_row_of_ids_from_its_own_table():
+    rng = np.random.default_rng(8)
+    tables = rng.normal(size=(3, 5, 2))
+    ids = rng.integers(0, 5, size=(3, 4))
+    with T.no_grad():
+        out = T.take_rows(Tensor(tables), ids).data
+    for p in range(3):
+        assert np.array_equal(out[p], T.take_rows(Tensor(tables[p]), ids[p]).data)
+    # recorded, a 3-D table still gathers whole rows of its first axis
+    assert T.take_rows(Tensor(tables, tracked=True), ids % 3).shape == (3, 4, 5, 2)
+
+
+@pytest.mark.parametrize("loss", ["bce", "softmax_cross_entropy"])
+def test_per_item_losses_sum_each_item_and_differentiate(loss):
+    rng = np.random.default_rng(9)
+    z = Tensor(rng.normal(size=(3, 2, 4)), tracked=True)
+    if loss == "bce":
+        targets = (rng.random(size=z.shape) < 0.5).astype(float)
+        mask = (rng.random(size=(3, 2, 1)) < 0.7).astype(float)
+
+        def op(x, per_item=False):
+            return T.bce_with_logits(x, targets, mask, per_item=per_item)
+    else:
+        targets = np.eye(4)[rng.integers(0, 4, size=(3, 2))]
+
+        def op(x, per_item=False):
+            return T.softmax_cross_entropy(x, targets, per_item=per_item)
+    per = op(z, per_item=True)
+    assert per.shape == (3,)
+    assert per.data.sum() == pytest.approx(op(z).item(), rel=1e-14)
+    if loss == "softmax_cross_entropy":  # one item's targets alone
+        for p in range(3):
+            alone = T.softmax_cross_entropy(Tensor(z.data[p]), targets[p])
+            assert per.data[p] == alone.item()
+    assert grad_check(_scalarize(lambda: op(z, per_item=True), None), z, 1e-5) < 1e-4
+
+
+def _stacked_model_loss(rng):
+    """A (copies,)-valued loss through every op that reads a stack."""
+    params = {"w": (4, 4), "b": (4,), "gamma": (4,), "beta": (4,), "table": (6, 4),
+              "scorer": (4, 1), "bias": (1,)}
+    params = {k: Tensor(rng.normal(size=s), tracked=True) for k, s in params.items()}
+    ids = rng.integers(0, 6, size=3)
+    targets = (rng.random(size=(1, 3, 3)) < 0.5).astype(float)
+
+    def f(copies):
+        x = T.take_rows(params["table"], np.repeat(ids[None], copies, axis=0))
+        x = T.layer_norm(T.linear(x, params["w"], params["b"]), params["gamma"], params["beta"])
+        logits = T.pair_relu_score(x, x, params["scorer"], params["bias"])
+        return T.bce_with_logits(logits, np.repeat(targets, copies, axis=0), 1.0, per_item=True)
+
+    return f, params
+
+
+def test_grad_check_stacked_equals_grad_check():
+    for seed in range(3):
+        f, params = _stacked_model_loss(np.random.default_rng(400 + seed))
+        for name, p in params.items():
+            before = p.data.copy()
+            stacked = T.grad_check_stacked(f, p, 1e-5)
+            assert np.array_equal(p.data, before), name  # restored
+            assert stacked == grad_check(lambda _: T.tsum(f(1)), p, 1e-5), name
+            assert stacked < 1e-4, name
+
+
+def test_grad_check_stacked_catches_a_missing_gradient_and_bad_targets():
+    f, params = _stacked_model_loss(np.random.default_rng(410))
+    w = params["w"]
+    missing = lambda copies: T.add(f(copies), Tensor(w.data.sum(axis=(-2, -1))))  # noqa: E731
+    assert T.grad_check_stacked(missing, w, 1e-5) > 1e-2
+    with pytest.raises(ValueError):
+        T.grad_check_stacked(f, w, 0.0)
+    with pytest.raises(DimensionError):  # not one value per copy
+        T.grad_check_stacked(lambda copies: T.tsum(f(copies)), w, 1e-5)
+    with pytest.raises(DimensionError):
+        T.grad_check_stacked(f, Tensor(np.zeros((2, 2, 2)), tracked=True), 1e-5)

@@ -15,12 +15,12 @@ from iqner.data import (
 from iqner.encoder import ModelConfig
 from iqner import training
 from iqner.heads import BoundaryScores, TypeDistribution
-from iqner.tensor import Tensor, backward, tsum, mul, topological_order
+from iqner.tensor import Tensor, add, backward, grad_check, tsum, mul, topological_order
 from iqner.training import (
     AdamOptimizer,
     Model,
     TrainConfig,
-    assign_labels_per_layer,
+    assign_labels,
     boundary_loss,
     classification_loss,
     linear_warmup_decay,
@@ -115,6 +115,24 @@ def test_sentence_loss_sums_both_losses_over_layers():
     assert loss.item() == pytest.approx(expected, abs=1e-9)
 
 
+def test_per_sentence_loss_is_each_sentences_own_loss():
+    rng = np.random.default_rng(5)
+    lengths, m, classes = [4, 2, 3], 2, 3
+    shape = (len(lengths), m, max(lengths))
+    labels = [[EntityAnnotation(0, 1, 0), None], [None, EntityAnnotation(1, 1, 2)],
+              [EntityAnnotation(2, 2, 1)]]
+    outs = [(scores_from_logits(rng.normal(size=shape), rng.normal(size=shape)),
+             types_from_logits(rng.normal(size=(len(lengths), m, classes)))) for _ in range(2)]
+    per = sentence_loss(outs, [labels] * 2, lengths, per_sentence=True)
+    assert per.shape == (len(lengths),)
+    for b, length in enumerate(lengths):
+        own = [(scores.sentence(b, length), types.sentence(b)) for scores, types in outs]
+        assert per.data[b] == pytest.approx(sentence_loss(own, [labels[b]] * 2, length).item(),
+                                            rel=1e-14)
+    unlabeled = sentence_loss(outs, [[[None], [], [None]]] * 2, lengths, per_sentence=True)
+    assert unlabeled.shape == (len(lengths),)
+
+
 def _loop_targets(labels, lengths, m, n, classes):
     """The boundary mask and targets and the class one-hot, one query at a time."""
     mask, left, right = (np.zeros((len(labels), m, n)) for _ in range(3))
@@ -147,9 +165,10 @@ def test_loss_targets_equal_the_query_by_query_loop(seed, monkeypatch):
         labels.append(sentence_labels)
     seen = []
     monkeypatch.setattr(training, "bce_with_logits",
-                        lambda logits, target, mask: seen.append((mask, target)) or Tensor(0.0))
+                        lambda logits, target, mask, per_item: seen.append((mask, target))
+                        or Tensor(0.0))
     monkeypatch.setattr(training, "softmax_cross_entropy",
-                        lambda logits, target: seen.append(target) or Tensor(0.0))
+                        lambda logits, target, per_item: seen.append(target) or Tensor(0.0))
     shape = (batch, m, n)
     boundary_loss(scores_from_logits(np.zeros(shape), np.zeros(shape)), labels, lengths)
     classification_loss(types_from_logits(np.zeros((batch, m, classes))), labels)
@@ -191,21 +210,21 @@ GOLD_PAIR = [EntityAnnotation(0, 0, 0), EntityAnnotation(1, 1, 1)]
 
 def test_assign_empty_gold_all_none():
     head_outs = _stub_head_outs_for_cost()
-    labels = assign_labels_per_layer(head_outs, [], TrainConfig(), 3, np.random.default_rng(0))
+    labels = assign_labels([head_outs], [[]], TrainConfig(), 3, np.random.default_rng(0))[0][0]
     assert labels == [[None, None, None]]
 
 
 def test_assign_static_mode_order_of_occurrence():
     head_outs = _stub_head_outs_for_cost()
     config = TrainConfig(assignment_mode="static")
-    labels = assign_labels_per_layer(head_outs, GOLD_PAIR, config, 5, np.random.default_rng(0))
+    labels = assign_labels([head_outs], [GOLD_PAIR], config, 5, np.random.default_rng(0))[0][0]
     assert labels == [[GOLD_PAIR[0], GOLD_PAIR[1], None, None, None]]
 
 
 def test_assign_dynamic_matches_brute_force_optimum():
     head_outs = _stub_head_outs_for_cost()
     config = TrainConfig(quantity_mode="one_to_one")
-    labels = assign_labels_per_layer(head_outs, GOLD_PAIR, config, 3, np.random.default_rng(0))
+    labels = assign_labels([head_outs], [GOLD_PAIR], config, 3, np.random.default_rng(0))[0][0]
     assert labels == [[GOLD_PAIR[0], None, GOLD_PAIR[1]]]
 
 
@@ -221,7 +240,7 @@ def test_assign_one_to_many_counts_match_quantities():
     types = TypeDistribution(logits=Tensor(raw), probs=raw / raw.sum(1, keepdims=True))
     gold = [EntityAnnotation(0, 1, 0), EntityAnnotation(2, 3, 1)]
     config = TrainConfig(ratio=0.75)
-    labels = assign_labels_per_layer([(scores, types)], gold, config, m, np.random.default_rng(7))
+    labels = assign_labels([[(scores, types)]], [gold], config, m, np.random.default_rng(7))[0][0]
     counts = {id(g): 0 for g in gold}
     for lab in labels[0]:
         if lab is not None:
@@ -230,7 +249,7 @@ def test_assign_one_to_many_counts_match_quantities():
     assert all(c >= (round(m * 0.75) // len(gold)) for c in counts.values())
 
     one = TrainConfig(quantity_mode="one_to_one")
-    labels1 = assign_labels_per_layer([(scores, types)], gold, one, m, np.random.default_rng(7))
+    labels1 = assign_labels([[(scores, types)]], [gold], one, m, np.random.default_rng(7))[0][0]
     for g in gold:
         assert sum(1 for lab in labels1[0] if lab is g) == 1
 
@@ -238,7 +257,7 @@ def test_assign_one_to_many_counts_match_quantities():
 def test_assign_share_final_assignment():
     head_outs = _stub_head_outs_for_cost() * 3
     config = TrainConfig(quantity_mode="one_to_one", share_final_assignment=True)
-    labels = assign_labels_per_layer(head_outs, GOLD_PAIR, config, 3, np.random.default_rng(0))
+    labels = assign_labels([head_outs], [GOLD_PAIR], config, 3, np.random.default_rng(0))[0][0]
     assert labels[0] == labels[1] == labels[2]
 
 
@@ -250,7 +269,7 @@ def test_assign_more_entities_than_queries_keeps_first_by_occurrence():
     types = TypeDistribution(logits=Tensor(np.zeros((2, 3))), probs=probs)
     gold = [EntityAnnotation(3, 3, 0), EntityAnnotation(0, 0, 1), EntityAnnotation(1, 2, 0)]
     config = TrainConfig(quantity_mode="one_to_one")
-    labels = assign_labels_per_layer([(scores, types)], gold, config, 2, np.random.default_rng(1))
+    labels = assign_labels([[(scores, types)]], [gold], config, 2, np.random.default_rng(1))[0][0]
     assigned = {lab for lab in labels[0] if lab is not None}
     assert assigned == {gold[1], gold[2]}  # occurrence order: (0,0), (1,2), then (3,3)
 
@@ -267,7 +286,7 @@ def test_adam_minimizes_quadratic():
     opt = AdamOptimizer([("w", w)])
     for _ in range(400):
         w.zero_grad()
-        diff = w + Tensor([-3.0, -1.0])
+        diff = add(w, Tensor([-3.0, -1.0]))
         backward(tsum(mul(diff, diff)))
         opt.step(0.1)
     assert np.allclose(w.data, [3.0, 1.0], atol=1e-3)
@@ -502,19 +521,20 @@ def test_model_gradcheck_checks_each_parameter_once_on_the_full_loss(seed, monke
     """Each checked function's gradient on its parameter is that of the full
     multi-layer loss under the same frozen labels."""
     seen, checks = {}, []
-    forward, assign = Model.forward, training.assign_labels_per_layer
+    forward, assign = Model.forward, training.assign_labels
 
     def recording_forward(self, token_ids):
         seen["model"], seen["token_ids"] = self, np.array(token_ids)
         return forward(self, token_ids)
 
     def recording_assign(*args):
-        seen["labels"] = assign(*args)
-        return seen["labels"]
+        labels, matched = assign(*args)
+        seen["labels"] = labels[0]  # the one sentence's labels, one list per layer
+        return labels, matched
 
     monkeypatch.setattr(Model, "forward", recording_forward)
-    monkeypatch.setattr(training, "assign_labels_per_layer", recording_assign)
-    monkeypatch.setattr(training, "grad_check",
+    monkeypatch.setattr(training, "assign_labels", recording_assign)
+    monkeypatch.setattr(training, "grad_check_stacked",
                         lambda f, point, eps: checks.append((f, point)) or 0.0)
     model_gradcheck(seed=seed)
     model, token_ids = seen["model"], seen["token_ids"]
@@ -527,9 +547,17 @@ def test_model_gradcheck_checks_each_parameter_once_on_the_full_loss(seed, monke
     full = {id(p): p.grad.copy() for p in params}
     for f, p in checks:
         p.zero_grad()
-        backward(f(p))
+        backward(tsum(f(1)))
         expected = full[id(p)]
         assert np.allclose(p.grad, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
+def test_model_gradcheck_equals_the_serial_check(monkeypatch):
+    """Batching the perturbations changes no bit of the result."""
+    batched = model_gradcheck(seed=1)
+    monkeypatch.setattr(training, "grad_check_stacked",
+                        lambda f, point, eps: grad_check(lambda _: tsum(f(1)), point, eps))
+    assert model_gradcheck(seed=1) == batched
 
 
 def test_model_gradcheck_rejects_bad_eps():
