@@ -231,18 +231,29 @@ def _emit(payload: dict) -> None:
     sys.stdout.flush()
 
 
-def _require_file_path(flag: str, path: str) -> None:
-    """Refuse an output path that is a directory or lies in a missing one,
-    so a command fails before it computes or writes anything."""
-    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
-        raise UsageError(f"{flag} {path} must name a file in an existing directory")
+def _require_outputs(outputs: dict[str, str | None], inputs: dict[str, str | None]) -> None:
+    """Refuse an output path that is a directory, lies in a missing one, or
+    is the same file as an input or another output, so a command fails
+    before it computes or writes anything. Keys are flags; a None path is
+    not given."""
+    given = {flag: path for flag, path in inputs.items() if path}
+    for flag, path in outputs.items():
+        if not path:
+            continue
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            raise UsageError(f"{flag} {path} must name a file in an existing directory")
+        for other, other_path in given.items():
+            if os.path.realpath(path) == os.path.realpath(other_path):
+                raise UsageError(f"{flag} {path} is the same file as {other} {other_path}")
+        given[flag] = path
 
 
 def cmd_train(config: RunConfig) -> int:
     if not config.train_path:
         raise UsageError("--train PATH is required")
     out = config.out or "model.npz"
-    _require_file_path("--out", out)
+    _require_outputs({"--out": out}, {"--train": config.train_path, "--dev": config.dev_path,
+                                      "--meta": config.meta_path})
     train_config = config.train_config()
     if config.meta_path:
         types = load_meta(config.meta_path)
@@ -348,9 +359,7 @@ def cmd_datagen(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
     out = args.out or "dataset.jsonl"
-    _require_file_path("--out", out)
-    if args.meta_out:
-        _require_file_path("--meta-out", args.meta_out)
+    _require_outputs({"--out": out, "--meta-out": args.meta_out}, {})
     examples, meta = generate_synthetic(SyntheticSpec(**_given(args, _SPEC_FIELDS)),
                                         seed=args.seed)
     save_dataset(out, examples, meta)

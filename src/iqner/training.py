@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import zipfile
 from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, Literal, get_args, get_type_hints
 
@@ -62,7 +64,7 @@ from .tensor import (
     softmax_cross_entropy,
 )
 
-CHECKPOINT_FORMAT = "iqner-checkpoint-v1"
+CHECKPOINT_FORMAT = "iqner-checkpoint-v2"
 GRADCHECK_EPS = 1e-5
 
 AssignmentMode = Literal["dynamic", "static"]
@@ -333,6 +335,23 @@ def assign_labels(
 # optimizer and schedule
 
 
+def flatten_parameters(params: list[tuple[str, Tensor]]) -> np.ndarray:
+    """One float64 vector of every parameter, each flattened, in the order
+    given. This is the one layout of the parameters: Adam steps it and a
+    checkpoint stores it."""
+    return np.concatenate([p.data for _, p in params], axis=None)
+
+
+def view_parameters(params: list[tuple[str, Tensor]], theta: np.ndarray) -> None:
+    """Make each parameter's ``data`` a view of its slice of ``theta``,
+    which is laid out as ``flatten_parameters`` lays it out."""
+    start = 0
+    for _, p in params:
+        stop = start + p.data.size
+        p.data = theta[start:stop].reshape(p.data.shape)
+        start = stop
+
+
 class AdamOptimizer:
     """Adam over one flat vector.
 
@@ -347,12 +366,8 @@ class AdamOptimizer:
         self.params = list(params)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
-        self.theta = np.concatenate([p.data for _, p in self.params], axis=None)
-        start = 0
-        for _, p in self.params:
-            stop = start + p.data.size
-            p.data = self.theta[start:stop].reshape(p.data.shape)
-            start = stop
+        self.theta = flatten_parameters(self.params)
+        view_parameters(self.params, self.theta)
         self.m = np.zeros_like(self.theta)
         self.v = np.zeros_like(self.theta)
         self._scratch = np.empty_like(self.theta)
@@ -545,8 +560,12 @@ def evaluate_model(
 
 
 def save_checkpoint(path, model: Model, meta: DatasetMeta) -> None:
-    """Single-file archive: format tag, config, vocabulary and parameters.
+    """Single-file archive of two members: ``header``, the JSON of the format
+    tag, config and vocabulary, and ``parameters``, every parameter in one
+    float64 vector (``flatten_parameters``).
 
+    The archive is written to a temporary file beside ``path`` and then
+    renamed onto it, so a save that fails leaves the old file as it was.
     Nothing resumes training, so the Adam moments are not written.
     """
     words = [None] * len(meta.vocab)
@@ -558,28 +577,43 @@ def save_checkpoint(path, model: Model, meta: DatasetMeta) -> None:
         "types": meta.types,
         "words": words,
     }
-    arrays = {f"param/{name}": p.data for name, p in model.named_parameters()}
-    arrays["header"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    directory, name = os.path.split(os.path.abspath(path))
+    temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "wb") as fh:
+            np.savez(fh, header=np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8),
+                     parameters=flatten_parameters(model.named_parameters()))
+        os.replace(temporary, path)
+    finally:
+        if os.path.exists(temporary):
+            os.unlink(temporary)
 
 
 def load_checkpoint(path) -> tuple[Model, DatasetMeta, None]:
-    """Rebuild the model and metadata.
+    """Rebuild the model and metadata, reading the archive's ``header`` and
+    ``parameters`` members and no other.
 
-    The Adam moments that older checkpoints hold are not read; the third
-    value, kept for callers that unpack three, is None.
+    The third value, kept for callers that unpack three, is None.
     """
     try:
-        archive = np.load(path)
-    except (OSError, ValueError) as err:
+        fh = open(path, "rb")
+    except OSError as err:  # missing, a directory or unreadable
         raise CheckpointError(f"cannot read checkpoint {path}: {err}") from None
-    if "header" not in archive:
-        raise CheckpointError(f"{path} is not a model checkpoint")
-    try:
-        header = json.loads(bytes(archive["header"].tobytes()).decode("utf-8"))
-    except ValueError as err:  # bad UTF-8 or bad JSON
-        raise CheckpointError(f"checkpoint header is not JSON: {err}") from None
+    with fh:  # np.load leaves a file it opened open when it is a broken zip
+        try:
+            archive = np.load(fh)
+        except (ValueError, EOFError, zipfile.BadZipFile):  # neither an archive nor an array
+            archive = None
+        if not isinstance(archive, np.lib.npyio.NpzFile) or "header" not in archive:
+            raise CheckpointError(f"{path} is not a model checkpoint")
+        try:
+            header = json.loads(archive["header"].tobytes().decode("utf-8"))
+        except (ValueError, zipfile.BadZipFile) as err:  # unreadable, bad UTF-8 or bad JSON
+            raise CheckpointError(f"checkpoint header is not JSON: {err}") from None
+        try:
+            theta = archive["parameters"] if "parameters" in archive else None
+        except (ValueError, zipfile.BadZipFile) as err:  # an object array needs pickle
+            raise CheckpointError(f"checkpoint parameters cannot be read: {err}") from None
     if not isinstance(header, dict):
         raise CheckpointError("checkpoint header must be a JSON object")
     if header.get("format") != CHECKPOINT_FORMAT:
@@ -608,23 +642,20 @@ def load_checkpoint(path) -> tuple[Model, DatasetMeta, None]:
                 and len(set(names)) == len(names) == size):
             raise CheckpointError(f"checkpoint {key} must be a list of {size} distinct "
                                   f"strings, as its config sets")
+    if theta is None:
+        raise CheckpointError("checkpoint has no parameters")
+    if theta.dtype != np.float64:  # what save_checkpoint writes
+        raise CheckpointError(f"checkpoint parameters have dtype {theta.dtype}, expected float64")
     model = Model(config)
-    for name, p in model.named_parameters():
-        key = f"param/{name}"
-        if key not in archive:
-            raise CheckpointError(f"checkpoint missing {key}")
-        try:
-            value = archive[key]
-        except ValueError as err:  # numpy loads an object array only with pickle
-            raise CheckpointError(f"checkpoint {key} cannot be read: {err}") from None
-        if value.dtype != np.float64:  # what save_checkpoint writes
-            raise CheckpointError(f"checkpoint {key} has dtype {value.dtype}, expected float64")
-        if value.shape != p.shape:
-            raise CheckpointError(
-                f"checkpoint {key} has shape {value.shape}, the model needs {p.shape}")
-        p.data[...] = value
-        if not np.isfinite(p.data).all():
-            raise CheckpointError(f"checkpoint {key} holds non-finite values")
+    params = model.named_parameters()
+    needed = sum(p.data.size for _, p in params)
+    if theta.shape != (needed,):
+        raise CheckpointError(f"checkpoint parameters have shape {theta.shape}, "
+                              f"the model needs ({needed},)")
+    view_parameters(params, theta)
+    if not np.isfinite(theta).all():
+        name = next(name for name, p in params if not np.isfinite(p.data).all())
+        raise CheckpointError(f"checkpoint parameter {name} holds non-finite values")
     meta = DatasetMeta(types=header["types"],
                        vocab={word: idx for idx, word in enumerate(header["words"])})
     return model, meta, None

@@ -8,7 +8,7 @@ import pytest
 from iqner import training
 from iqner.cli import RunConfig, build_parser, build_run_config, main
 from iqner.encoder import ModelConfig
-from iqner.training import TrainConfig
+from iqner.training import Model, TrainConfig
 from iqner.data import DatasetMeta, SyntheticSpec, generate_synthetic, save_dataset
 
 
@@ -88,6 +88,31 @@ def test_each_path_flag_refuses_a_missing_path_and_a_directory(
     if flag in ("--out", "--meta-out"):  # every output is checked before any is written
         assert flag in err
         assert not any(p.name in ("d.jsonl", "m.json") for p in tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag", ["--train", "--dev", "--meta", "--meta-out"])
+def test_an_output_that_is_an_input_or_the_other_output_exits_2_naming_both(flag, corpus,
+                                                                             tmp_path, capsys):
+    shared = tmp_path / "shared.jsonl"
+    shared.write_bytes(corpus[0].read_bytes())
+    alias = tmp_path / "alias.jsonl"
+    alias.symlink_to(shared)  # the same file by another name
+    if flag == "--meta-out":
+        argv = ["datagen", "--sentences", "4", "--out", str(shared), "--meta-out", str(alias)]
+    else:
+        meta = tmp_path / "meta.json"
+        meta.write_text(json.dumps({"types": corpus[1].types}))
+        argv = ["train", "--train", str(corpus[0]), "--meta", str(meta), "--epochs", "1",
+                "--hidden", "8", "--queries", "2", "--layers", "1", "--heads", "1",
+                flag, str(shared), "--out", str(alias)]
+    before = shared.read_bytes()
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    first, second = ("--meta-out", "--out") if flag == "--meta-out" else ("--out", flag)
+    assert out == "" and err.startswith(f"error: {first} ") and f"same file as {second} " in err
+    assert shared.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["shared.jsonl", "alias.jsonl"] + ([] if flag == "--meta-out" else ["meta.json"]))
 
 
 @pytest.mark.parametrize("command,flag", [("eval", "--data"), ("predict", "--input"),
@@ -226,7 +251,7 @@ def test_eval_unknown_type_exits_2(trained_checkpoint, tmp_path, capsys):
 
 
 def _tampered_checkpoint(source, target, edit):
-    """Copy a checkpoint's arrays, header decoded to a dict, through ``edit``,
+    """Copy a checkpoint's members, header decoded to a dict, through ``edit``,
     which may return a header to write in its place."""
     with np.load(source) as archive:
         arrays = {key: archive[key] for key in archive.files}
@@ -235,6 +260,17 @@ def _tampered_checkpoint(source, target, edit):
     arrays["header"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
     np.savez(target, **arrays)
     return target
+
+
+def _parameter(arrays, header, name):
+    """The view of parameter ``name`` in the flat ``parameters`` member: each
+    parameter flattened, in ``named_parameters`` order."""
+    start = 0
+    for other, p in Model(ModelConfig(**header["config"])).named_parameters():
+        if other == name:
+            return arrays["parameters"][start:start + p.data.size].reshape(p.shape)
+        start += p.data.size
+    raise KeyError(name)
 
 
 def test_checkpoint_unknown_config_key_exits_2(trained_checkpoint, corpus, tmp_path, capsys):
@@ -247,29 +283,40 @@ def test_checkpoint_unknown_config_key_exits_2(trained_checkpoint, corpus, tmp_p
 
 def test_checkpoint_wrong_parameter_shape_exits_2(trained_checkpoint, corpus, tmp_path,
                                                   capsys):
+    with np.load(trained_checkpoint) as archive:
+        size = archive["parameters"].size
+
     def shrink(arrays, header):
-        arrays["param/layer0.wq"] = np.zeros((3, 3))
+        arrays["parameters"] = arrays["parameters"][:-3]
+
+    def stack(arrays, header):
+        arrays["parameters"] = arrays["parameters"].reshape(1, -1)
+
+    def drop(arrays, header):
+        del arrays["parameters"]
 
     def poison(arrays, header):
-        arrays["param/layer0.wq"] = arrays["param/layer0.wq"] * np.nan
+        _parameter(arrays, header, "layer0.wq")[...] = np.nan
 
     def overflow(arrays, header):
-        arrays["param/emb.word"][1, 0] = -np.inf
+        _parameter(arrays, header, "emb.word")[1, 0] = -np.inf
 
     def retype(dtype):
         def edit(arrays, header):
-            arrays["param/layer0.bq"] = arrays["param/layer0.bq"].astype(dtype)
+            arrays["parameters"] = arrays["parameters"].astype(dtype)
         return edit
 
-    for edit, named in ((shrink, ("param/layer0.wq", "(3, 3)", "(16, 16)")),
-                        (poison, ("param/layer0.wq", "non-finite")),
-                        (overflow, ("param/emb.word", "non-finite")),
+    for edit, named in ((shrink, ("parameters", f"({size - 3},)", f"({size},)")),
+                        (stack, ("parameters", f"(1, {size})", f"({size},)")),
+                        (drop, ("has no parameters",)),
+                        (poison, ("parameter layer0.wq", "non-finite")),
+                        (overflow, ("parameter emb.word", "non-finite")),
                         # save_checkpoint writes float64, so any other dtype is
                         # refused by name; numpy loads no object array at all
-                        (retype(np.complex128), ("param/layer0.bq", "complex128")),
-                        (retype(np.str_), ("param/layer0.bq", "<U")),
-                        (retype(object), ("param/layer0.bq", "cannot be read", "Object arrays")),
-                        (retype(np.float32), ("param/layer0.bq", "float32"))):
+                        (retype(np.complex128), ("parameters", "complex128")),
+                        (retype(np.str_), ("parameters", "<U")),
+                        (retype(object), ("parameters", "cannot be read", "Object arrays")),
+                        (retype(np.float32), ("parameters", "float32"))):
         ckpt = _tampered_checkpoint(trained_checkpoint, tmp_path / "bad.npz", edit)
         # zero thresholds would print every query's score, NaN ones included
         code = main(["predict", "--checkpoint", str(ckpt), "--input", str(corpus[0]),
@@ -277,6 +324,40 @@ def test_checkpoint_wrong_parameter_shape_exits_2(trained_checkpoint, corpus, tm
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert all(part in captured.err for part in named), captured.err
+
+
+def test_version_1_checkpoint_exits_2_naming_its_format(trained_checkpoint, corpus, tmp_path,
+                                                        capsys):
+    def as_version_1(arrays, header):
+        # version 1 stored one param/<name> array per parameter
+        for name, p in Model(ModelConfig(**header["config"])).named_parameters():
+            arrays[f"param/{name}"] = _parameter(arrays, header, name).copy()
+        del arrays["parameters"]
+        return {**header, "format": "iqner-checkpoint-v1"}
+
+    ckpt = _tampered_checkpoint(trained_checkpoint, tmp_path / "v1.npz", as_version_1)
+    assert main(["predict", "--checkpoint", str(ckpt), "--input", str(corpus[0])]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unsupported checkpoint format 'iqner-checkpoint-v1'\n"
+
+
+def _npy_with_a_header_element(path):
+    with open(path, "wb") as fh:  # np.save would append .npy to a path
+        np.save(fh, np.array(["header", "parameters"]))
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: path.write_bytes(b""),
+    lambda path: path.write_text("not a checkpoint\n"),
+    lambda path: path.write_bytes(b"PK\x03\x04 not a zip archive"),
+    _npy_with_a_header_element,
+], ids=["empty", "text", "broken-zip", "npy-array"])
+def test_a_file_that_is_no_archive_exits_2_as_no_checkpoint(write, corpus, tmp_path, capsys):
+    bad = tmp_path / "bad.npz"
+    write(bad)
+    assert main(["predict", "--checkpoint", str(bad), "--input", str(corpus[0])]) == 2
+    assert capsys.readouterr() == ("", f"error: {bad} is not a model checkpoint\n")
 
 
 def test_predict_lines_align(trained_checkpoint, corpus, capsys):
@@ -585,21 +666,20 @@ def test_train_bad_config_value_exits_2_naming_the_field(flags, named, corpus, t
     assert captured.out == "" and captured.err == f"error: {named}\n"
 
 
-def test_checkpoint_moments_are_never_read(trained_checkpoint, corpus, tmp_path, capsys):
-    def spoil_moments(arrays, header):
-        # moments as older checkpoints wrote them, one missing, one misshapen
-        header["optimizer_step"] = 3
-        for key in [key for key in arrays if key.startswith("param/")]:
-            name = key[len("param/"):]
-            arrays[f"adam_m/{name}"] = np.zeros_like(arrays[key])
-            arrays[f"adam_v/{name}"] = np.zeros_like(arrays[key])
-        del arrays["adam_m/emb.word"]
-        arrays["adam_v/layer0.wq"] = np.zeros((3, 3))
+def test_checkpoint_extra_members_are_ignored(trained_checkpoint, corpus, tmp_path, capsys):
+    def add_members(arrays, header):
+        # what version 1 held, Adam moments, and a member numpy reads only with pickle
+        arrays["param/emb.word"] = np.zeros((3, 3))
+        arrays["adam_m"] = np.full(5, np.nan)
+        arrays["notes"] = np.array([{"a": 1}], dtype=object)
 
-    ckpt = _tampered_checkpoint(trained_checkpoint, tmp_path / "bad-moments.npz", spoil_moments)
-    code = main(["predict", "--checkpoint", str(ckpt), "--input", str(corpus[0])])
-    assert code == 0
-    capsys.readouterr()
+    argv = ["predict", "--checkpoint", str(trained_checkpoint), "--input", str(corpus[0]),
+            "--loc-threshold", "0", "--cls-threshold", "0"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    argv[2] = str(_tampered_checkpoint(trained_checkpoint, tmp_path / "extra.npz", add_members))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_train_checks_dev_lengths_before_training(corpus, tmp_path, capsys):

@@ -443,8 +443,10 @@ def test_checkpoint_round_trip(tmp_path):
     with np.load(path) as archive:
         header = json.loads(archive["header"].tobytes().decode("utf-8"))
         assert "optimizer_step" not in header
-        assert sorted(archive.files) == sorted(
-            ["header"] + [f"param/{name}" for name, _ in model.named_parameters()])
+        assert sorted(archive.files) == ["header", "parameters"]
+        # each parameter flattened, in named_parameters order
+        assert np.array_equal(archive["parameters"], np.concatenate(
+            [p.data.ravel() for _, p in model.named_parameters()]))
     for (name_a, a), (name_b, b) in zip(model.named_parameters(), loaded.named_parameters()):
         assert name_a == name_b
         assert np.array_equal(a.data, b.data)
@@ -502,6 +504,45 @@ def test_parameter_names_are_pinned():
         "head0.right.w_query", "head0.right.w_word", "head0.right.scorer", "head0.right.bias",
         "head0.w_type", "head0.type_scorer", "head0.type_bias",
     ]
+
+
+@pytest.mark.parametrize("hidden,queries,word_layers,heads", [(32, 12, 2, 4), (64, 60, 5, 4)])
+def test_load_reads_the_header_and_the_parameter_vector_alone(hidden, queries, word_layers, heads,
+                                                              tmp_path, monkeypatch):
+    """At the acceptance fixture's size and the paper default's, a load reads
+    two archive members, however many parameters the model has."""
+    _, meta, config = _tiny_fixture()
+    config = ModelConfig(**{**config.__dict__, "hidden": hidden, "queries": queries,
+                            "word_layers": word_layers, "heads": heads})
+    save_checkpoint(tmp_path / "model.npz", Model(config), meta)
+    reads = []
+    read = np.lib.npyio.NpzFile.__getitem__
+
+    def counted(archive, key):
+        reads.append(key)
+        return read(archive, key)
+
+    monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", counted)
+    loaded, _, _ = load_checkpoint(tmp_path / "model.npz")
+    assert len(loaded.named_parameters()) > 2
+    assert sorted(reads) == ["header", "parameters"]
+
+
+def test_failed_save_leaves_the_previous_checkpoint(tmp_path, monkeypatch):
+    _, meta, config = _tiny_fixture()
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, Model(config), meta)
+    before = path.read_bytes()
+
+    def interrupted(fh, **arrays):
+        fh.write(b"PK partial archive")
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(np, "savez", interrupted)
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(path, Model(ModelConfig(**{**config.__dict__, "seed": 1})), meta)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
