@@ -204,10 +204,18 @@ def _given(args: argparse.Namespace, names) -> dict:
     return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
+def _config_file(args: argparse.Namespace) -> tuple[str, str | None]:
+    """What names the run's config file, ``--config`` or else the PIQN_CONFIG
+    environment variable, and its path, None when neither names one."""
+    if args.config:
+        return "--config", args.config
+    return "PIQN_CONFIG", os.environ.get("PIQN_CONFIG")
+
+
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, then the config file, then the subcommand's explicit flags."""
     values: dict = {}
-    config_path = args.config or os.environ.get("PIQN_CONFIG")
+    _, config_path = _config_file(args)
     if config_path:
         try:
             with open(config_path, encoding="utf-8") as fh:
@@ -248,12 +256,13 @@ def _require_outputs(outputs: dict[str, str | None], inputs: dict[str, str | Non
         given[flag] = path
 
 
-def cmd_train(config: RunConfig) -> int:
+def cmd_train(config: RunConfig, args: argparse.Namespace) -> int:
     if not config.train_path:
         raise UsageError("--train PATH is required")
     out = config.out or "model.npz"
+    config_flag, config_path = _config_file(args)
     _require_outputs({"--out": out}, {"--train": config.train_path, "--dev": config.dev_path,
-                                      "--meta": config.meta_path})
+                                      "--meta": config.meta_path, config_flag: config_path})
     train_config = config.train_config()
     if config.meta_path:
         types = load_meta(config.meta_path)
@@ -410,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_gradcheck(args)
         config = build_run_config(args)
         if args.command == "train":
-            return cmd_train(config)
+            return cmd_train(config, args)
         if args.command == "eval":
             return cmd_eval(config, args)
         if args.command == "predict":

@@ -35,10 +35,8 @@ from .encoder import (
     LayerOutputs,
     ModelConfig,
     TransformerLayer,
-    attention_mask,
     build_input,
     encode,
-    one_way_self_attention,
     pad_batch,
 )
 from .evaluation import EvalReport, evaluate_corpus
@@ -59,7 +57,6 @@ from .tensor import (
     bce_with_logits,
     grad_check_stacked,
     mul,
-    narrow,
     no_grad,
     softmax_cross_entropy,
 )
@@ -677,14 +674,10 @@ def model_gradcheck(seed: int, eps: float = GRADCHECK_EPS, inject_error: bool = 
     dependence on one parameter (a deliberately missing gradient rule) as a
     negative control.
 
-    Each parameter is checked on the loss terms downstream of it: the
-    embeddings and layer i on the word-layer losses from layer i on, a head
-    on its own layer's loss. The terms left out are constant in it. Every
-    perturbation of one parameter is one sentence of a single batched
-    forward (``grad_check_stacked``).
+    The checked function is the training loss itself, ``sentence_loss`` of
+    ``Model.forward_batch``. Every perturbation of one parameter is one
+    sentence of a single batched forward (``grad_check_stacked``).
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
     tokens, queries, type_count = 3, 2, 2
     rng = np.random.default_rng(seed)
     config = ModelConfig(hidden=8, queries=queries, base_layers=1, word_layers=2, heads=1,
@@ -703,40 +696,13 @@ def model_gradcheck(seed: int, eps: float = GRADCHECK_EPS, inject_error: bool = 
     _, head_outs = model.forward(token_ids)
     labels = assign_labels([head_outs], [gold], TrainConfig(seed=seed), queries,
                            np.random.default_rng(seed))[0][0]
-    # the training path's batch: (copies, N+M, h) activations of one sentence
-    mask = attention_mask(np.array([tokens]), config)
-    base = config.base_layers
-    with no_grad():  # entering[i] enters layer i; the last is the last layer's output
-        entering = [build_input(token_ids[None], model.tables)]
-        for layer in model.layers:
-            entering.append(one_way_self_attention(entering[-1], mask, layer, config.heads))
 
-    def copied(x: Tensor, copies: int) -> Tensor:
-        return Tensor(np.repeat(x.data, copies, axis=0))
-
-    def head_loss(tau: int, x) -> Tensor:
-        copies = x.shape[0]
-        h_w, h_q = narrow(x, -2, 0, tokens), narrow(x, -2, tokens, queries)
-        return sentence_loss([_run_heads(h_q, h_w, model.heads[tau])], [[labels[tau]] * copies],
-                             [tokens] * copies, per_sentence=True)
-
-    def loss_from(start: int, x) -> Tensor:
-        """The losses of the word layers that ``layers[start:]`` reach from ``x``."""
-        total = None
-        for i in range(start, len(model.layers)):
-            x = one_way_self_attention(x, mask, model.layers[i], config.heads)
-            if i >= base:
-                piece = head_loss(i - base, x)
-                total = piece if total is None else add(total, piece)
+    def loss(copies: int) -> Tensor:
+        _, head_outs = model.forward_batch([token_ids] * copies)
+        total = sentence_loss(head_outs, [[row] * copies for row in labels],
+                              [tokens] * copies, per_sentence=True)
         if inject_error:
             total = add(total, Tensor(0.05 * model.layers[0].wq.data.sum(axis=(-2, -1))))
         return total
 
-    stages = [(model.tables.named(""), lambda copies: loss_from(
-        0, build_input(np.repeat(token_ids[None], copies, axis=0), model.tables)))]
-    stages += [(layer.named(""), lambda copies, i=i: loss_from(i, copied(entering[i], copies)))
-               for i, layer in enumerate(model.layers)]
-    stages += [(heads.named(""),
-                lambda copies, tau=tau: head_loss(tau, copied(entering[base + tau + 1], copies)))
-               for tau, heads in enumerate(model.heads)]
-    return max(grad_check_stacked(loss, p, eps) for params, loss in stages for _, p in params)
+    return max(grad_check_stacked(loss, p, eps) for _, p in model.named_parameters())

@@ -90,11 +90,12 @@ def test_each_path_flag_refuses_a_missing_path_and_a_directory(
         assert not any(p.name in ("d.jsonl", "m.json") for p in tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("flag", ["--train", "--dev", "--meta", "--meta-out"])
-def test_an_output_that_is_an_input_or_the_other_output_exits_2_naming_both(flag, corpus,
-                                                                             tmp_path, capsys):
+@pytest.mark.parametrize("flag", ["--train", "--dev", "--meta", "--config", "PIQN_CONFIG",
+                                  "--meta-out"])
+def test_an_output_that_is_an_input_or_the_other_output_exits_2_naming_both(
+        flag, corpus, tmp_path, capsys, monkeypatch):
     shared = tmp_path / "shared.jsonl"
-    shared.write_bytes(corpus[0].read_bytes())
+    shared.write_bytes(b"{}" if flag in ("--config", "PIQN_CONFIG") else corpus[0].read_bytes())
     alias = tmp_path / "alias.jsonl"
     alias.symlink_to(shared)  # the same file by another name
     if flag == "--meta-out":
@@ -104,7 +105,11 @@ def test_an_output_that_is_an_input_or_the_other_output_exits_2_naming_both(flag
         meta.write_text(json.dumps({"types": corpus[1].types}))
         argv = ["train", "--train", str(corpus[0]), "--meta", str(meta), "--epochs", "1",
                 "--hidden", "8", "--queries", "2", "--layers", "1", "--heads", "1",
-                flag, str(shared), "--out", str(alias)]
+                "--out", str(alias)]
+        if flag == "PIQN_CONFIG":
+            monkeypatch.setenv(flag, str(shared))
+        else:
+            argv += [flag, str(shared)]
     before = shared.read_bytes()
     assert main(argv) == 2
     out, err = capsys.readouterr()

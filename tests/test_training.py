@@ -557,6 +557,21 @@ def test_model_gradcheck_passes_and_negative_control_fails():
     assert model_gradcheck(seed=0, inject_error=True) > 1e-2
 
 
+def test_model_gradcheck_sees_a_missing_gradient_inside_encode(monkeypatch):
+    """The check differentiates the encoder that training runs: a value-only
+    dependence of its output on a parameter fails it."""
+    encode = training.encode
+
+    def leaky(h0, sentence_length, layers, config):
+        outputs = encode(h0, sentence_length, layers, config)
+        leak = Tensor(0.05 * layers[0].wq.data.sum(axis=(-2, -1))[..., None, None])
+        outputs.word[-1] = add(outputs.word[-1], leak)
+        return outputs
+
+    monkeypatch.setattr(training, "encode", leaky)
+    assert model_gradcheck(seed=0) > 1e-2
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_model_gradcheck_checks_each_parameter_once_on_the_full_loss(seed, monkeypatch):
     """Each checked function's gradient on its parameter is that of the full
@@ -589,8 +604,7 @@ def test_model_gradcheck_checks_each_parameter_once_on_the_full_loss(seed, monke
     for f, p in checks:
         p.zero_grad()
         backward(tsum(f(1)))
-        expected = full[id(p)]
-        assert np.allclose(p.grad, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+        assert np.array_equal(p.grad, full[id(p)])
 
 
 def test_model_gradcheck_equals_the_serial_check(monkeypatch):
