@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -347,8 +348,8 @@ def cmd_stats(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    if not args.eps > 0:
-        raise UsageError(f"--eps must be positive, got {args.eps}")
+    if not 0 < args.eps < math.inf:
+        raise UsageError(f"--eps must be finite and positive, got {args.eps}")
     if args.seeds < 1:
         raise UsageError("--seeds must be at least 1")
     errors = []

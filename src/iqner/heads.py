@@ -81,22 +81,13 @@ class BoundaryScores:
                                 (self.left_logits, self.right_logits, self.left, self.right)))
 
 
+@dataclass
 class TypeDistribution:
-    """Class logits (on-graph) and the row-stochastic probabilities.
+    """Class logits (on-graph) and their row softmax ((..., M, C) each), a value
+    computed with them once per batch for the matching cost and decode."""
 
-    Unless given, the probabilities are the row softmax of the logits,
-    computed when first read: the losses read only the logits.
-    """
-
-    def __init__(self, logits: Tensor, probs: np.ndarray | None = None):
-        self.logits = logits
-        self._probs = probs
-
-    @property
-    def probs(self) -> np.ndarray:
-        if self._probs is None:
-            self._probs = row_softmax(self.logits.data).data
-        return self._probs
+    logits: Tensor
+    probs: np.ndarray
 
     @property
     def none_id(self) -> int:
@@ -104,8 +95,7 @@ class TypeDistribution:
 
     def sentence(self, index: int) -> "TypeDistribution":
         """Sentence ``index``'s (M, C) distribution, as values off the graph."""
-        probs = None if self._probs is None else self._probs[index]
-        return TypeDistribution(Tensor(self.logits.data[index]), probs)
+        return TypeDistribution(Tensor(self.logits.data[index]), self.probs[index])
 
 
 @dataclass(frozen=True)
@@ -154,7 +144,7 @@ def entity_classifier(
     right_part = matmul(scores.right, h_w)
     fused = relu(concat([query_part, left_part, right_part], axis=-1))
     logits = linear(fused, heads.type_scorer, heads.type_bias)
-    return TypeDistribution(logits)
+    return TypeDistribution(logits, row_softmax(logits.data).data)
 
 
 def decode_entities(

@@ -444,9 +444,11 @@ def test_gradcheck_negative_control_fails(capsys):
     capsys.readouterr()
 
 
-def test_gradcheck_zero_eps_exits_2(capsys):
-    assert main(["gradcheck", "--seeds", "1", "--eps", "0"]) == 2
-    capsys.readouterr()
+@pytest.mark.parametrize("eps", ["0", "-1e-5", "inf"])
+def test_gradcheck_zero_eps_exits_2(eps, capsys):
+    assert main(["gradcheck", "--seeds", "1", f"--eps={eps}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"--eps must be finite and positive, got {float(eps)}" in err
 
 
 def test_datagen_deterministic_and_counts(tmp_path, capsys):

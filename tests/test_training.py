@@ -643,6 +643,35 @@ def test_predict_runs_only_the_final_layer_heads(monkeypatch):
     assert len(calls) == 2  # one per sentence
 
 
+@pytest.mark.parametrize("word_layers, share_final", [(2, True), (3, False)])
+def test_a_train_step_computes_each_layers_class_probabilities_once(word_layers, share_final,
+                                                                   monkeypatch):
+    from iqner import heads
+
+    spec = SyntheticSpec(sentences=4, vocab_size=20, min_length=5, max_length=9, type_count=3,
+                         nesting_ratio=0.3, max_entities=3)
+    examples, meta = generate_synthetic(spec, seed=3)
+    config = ModelConfig(hidden=32, queries=12, base_layers=1, word_layers=word_layers, heads=4,
+                         vocab_size=meta.vocab_size, max_len=9, type_count=meta.type_count,
+                         seed=2)
+    model = Model(config)
+    batch = [meta.encode(ex.tokens) for ex in examples]
+    golds = [list(ex.entities) for ex in examples]
+    assert all(golds) and len({len(ids) for ids in batch}) > 1  # every sentence solved, padded
+    softmax = heads.row_softmax
+    calls = []
+    monkeypatch.setattr(heads, "row_softmax", lambda x: calls.append(np.shape(x)) or softmax(x))
+    training.train_step(model, batch, golds, AdamOptimizer(model.named_parameters()),
+                        TrainConfig(batch_size=4, share_final_assignment=share_final),
+                        np.random.default_rng(0), 1e-3)
+    assert calls == [(4, config.queries, meta.type_count + 1)] * word_layers  # one per layer
+
+    _, head_outs = model.forward_batch(batch)
+    for _, types in head_outs:
+        for b in range(len(batch)):
+            assert np.array_equal(types.sentence(b).probs, softmax(types.logits.data[b]).data)
+
+
 # ---------------------------------------------------------------------------
 # one graph per padded batch
 
