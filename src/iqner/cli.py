@@ -15,7 +15,9 @@ config file and the flags are derived from those fields: field
 ``stats`` take only the decode thresholds, as they read the model structure
 from the checkpoint. Flags override a JSON config file of flat ``RunConfig``
 field names (``--config``, or the file the PIQN_CONFIG environment variable
-names), which overrides the defaults. ``gradcheck`` reads no config file.
+names), which overrides the defaults. A ``train`` knob that the chosen
+mode ignores, set by the file or a flag, is refused (``_IGNORED_UNDER``).
+``gradcheck`` reads no config file.
 ``datagen`` takes one flag per ``SyntheticSpec`` field, derived the same way.
 """
 
@@ -66,6 +68,12 @@ _FLAG_NAMES = {"word_layers": "layers", "learning_rate": "lr", "warmup_fraction"
                "train_path": "train", "dev_path": "dev", "meta_path": "meta",
                "type_count": "types", "nesting_ratio": "nesting", "min_length": "min_len",
                "max_length": "max_len"}
+
+
+# The knobs each (mode field, value) leaves unread, so train refuses them set.
+_IGNORED_UNDER = {("quantity_mode", "one_to_one"): ("ratio",),
+                  ("assignment_mode", "static"): ("ratio", "quantity_mode",
+                                                  "share_final_assignment")}
 
 
 class UsageError(ValueError):
@@ -191,13 +199,17 @@ def _config_value(name: str, hint, value):
     raise UsageError(f"config field {name}: expected {kind}, got {value!r}")
 
 
+def _flag(name: str) -> str:
+    return "--" + _FLAG_NAMES.get(name, name).replace("_", "-")
+
+
 def _add_field_flags(parser: argparse.ArgumentParser, cls, names) -> None:
     """One flag per field of dataclass ``cls`` in ``names``; an unset flag is None."""
     hints = get_type_hints(cls)
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     for name in names:
-        parser.add_argument("--" + _FLAG_NAMES.get(name, name).replace("_", "-"), dest=name,
-                            default=None, **_flag_kwargs(hints[name], defaults[name]))
+        parser.add_argument(_flag(name), dest=name, default=None,
+                            **_flag_kwargs(hints[name], defaults[name]))
 
 
 def _given(args: argparse.Namespace, names) -> dict:
@@ -214,7 +226,8 @@ def _config_file(args: argparse.Namespace) -> tuple[str, str | None]:
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, then the config file, then the subcommand's explicit flags."""
+    """Defaults, then the config file, then the subcommand's explicit flags.
+    A ``train`` knob that the file or a flag sets and the mode ignores is refused."""
     values: dict = {}
     _, config_path = _config_file(args)
     if config_path:
@@ -232,7 +245,14 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         values.update({name: _config_value(name, hints[name], value)
                        for name, value in file_values.items()})
     values.update(_given(args, _COMMAND_FIELDS[args.command]))
-    return RunConfig(**values)
+    config = RunConfig(**values)
+    if args.command == "train":
+        for (mode, value), knobs in _IGNORED_UNDER.items():
+            ignored = [_flag(knob) for knob in knobs if knob in values]
+            if getattr(config, mode) == value and ignored:
+                raise UsageError(f"{_flag(mode)} {value.replace('_', '-')} ignores "
+                                 f"{' and '.join(ignored)}")
+    return config
 
 
 def _emit(payload: dict) -> None:

@@ -19,6 +19,7 @@ from .data import require
 from .tensor import (
     DimensionError,
     ParameterGroup,
+    ParameterLayout,
     Tensor,
     add,
     attention,
@@ -26,7 +27,6 @@ from .tensor import (
     layer_norm,
     linear,
     narrow,
-    parameter,
     relu,
     take_rows,
 )
@@ -82,15 +82,15 @@ class EmbeddingTables(ParameterGroup):
     type_query: Tensor
 
     @classmethod
-    def init(cls, config: ModelConfig, rng: np.random.Generator) -> "EmbeddingTables":
+    def declare(cls, config: ModelConfig, new: ParameterLayout) -> "EmbeddingTables":
         h = config.hidden
         return cls(
-            word=parameter((config.vocab_size, h), rng, INIT_STD),
-            query=parameter((config.queries, h), rng, QUERY_INIT_STD),
-            pos_word=parameter((config.max_len, h), rng, INIT_STD),
-            pos_query=parameter((config.queries, h), rng, INIT_STD),
-            type_word=parameter((h,), rng, INIT_STD),
-            type_query=parameter((h,), rng, INIT_STD),
+            word=new((config.vocab_size, h), INIT_STD),
+            query=new((config.queries, h), QUERY_INIT_STD),
+            pos_word=new((config.max_len, h), INIT_STD),
+            pos_query=new((config.queries, h), INIT_STD),
+            type_word=new(h, INIT_STD),
+            type_query=new(h, INIT_STD),
         )
 
 
@@ -115,24 +115,24 @@ class TransformerLayer(ParameterGroup):
     ln2_beta: Tensor
 
     @classmethod
-    def init(cls, hidden: int, rng: np.random.Generator) -> "TransformerLayer":
+    def declare(cls, hidden: int, new: ParameterLayout) -> "TransformerLayer":
         ff = FF_MULT * hidden
         return cls(
-            wq=parameter((hidden, hidden), rng, INIT_STD),
-            bq=parameter(np.zeros(hidden)),
-            wk=parameter((hidden, hidden), rng, INIT_STD),
-            wv=parameter((hidden, hidden), rng, INIT_STD),
-            bv=parameter(np.zeros(hidden)),
-            wo=parameter((hidden, hidden), rng, INIT_STD),
-            bo=parameter(np.zeros(hidden)),
-            w1=parameter((hidden, ff), rng, INIT_STD),
-            b1=parameter(np.zeros(ff)),
-            w2=parameter((ff, hidden), rng, INIT_STD),
-            b2=parameter(np.zeros(hidden)),
-            ln1_gamma=parameter(np.ones(hidden)),
-            ln1_beta=parameter(np.zeros(hidden)),
-            ln2_gamma=parameter(np.ones(hidden)),
-            ln2_beta=parameter(np.zeros(hidden)),
+            wq=new((hidden, hidden), INIT_STD),
+            bq=new(hidden),
+            wk=new((hidden, hidden), INIT_STD),
+            wv=new((hidden, hidden), INIT_STD),
+            bv=new(hidden),
+            wo=new((hidden, hidden), INIT_STD),
+            bo=new(hidden),
+            w1=new((hidden, ff), INIT_STD),
+            b1=new(ff),
+            w2=new((ff, hidden), INIT_STD),
+            b2=new(hidden),
+            ln1_gamma=new(hidden, fill=1.0),
+            ln1_beta=new(hidden),
+            ln2_gamma=new(hidden, fill=1.0),
+            ln2_beta=new(hidden),
         )
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import require_fraction
-from .tensor import (ParameterGroup, Tensor, concat, linear, matmul, mul, pair_relu_score,
-                     parameter, relu, row_softmax, sigmoid)
+from .tensor import (ParameterGroup, ParameterLayout, Tensor, concat, linear, matmul, mul,
+                     pair_relu_score, relu, row_softmax, sigmoid)
 
 HEAD_INIT_STD = 0.02
 
@@ -30,12 +30,12 @@ class BoundaryHead(ParameterGroup):
     bias: Tensor
 
     @classmethod
-    def init(cls, hidden: int, rng: np.random.Generator) -> "BoundaryHead":
+    def declare(cls, hidden: int, new: ParameterLayout) -> "BoundaryHead":
         return cls(
-            w_query=parameter((hidden, hidden), rng, HEAD_INIT_STD),
-            w_word=parameter((hidden, hidden), rng, HEAD_INIT_STD),
-            scorer=parameter((hidden, 1), rng, HEAD_INIT_STD),
-            bias=parameter(np.zeros(1)),
+            w_query=new((hidden, hidden), HEAD_INIT_STD),
+            w_word=new((hidden, hidden), HEAD_INIT_STD),
+            scorer=new((hidden, 1), HEAD_INIT_STD),
+            bias=new(1),
         )
 
 
@@ -50,14 +50,14 @@ class LayerHeads(ParameterGroup):
     type_bias: Tensor
 
     @classmethod
-    def init(cls, hidden: int, type_count: int, rng: np.random.Generator) -> "LayerHeads":
+    def declare(cls, hidden: int, type_count: int, new: ParameterLayout) -> "LayerHeads":
         classes = type_count + 1  # trailing None class
         return cls(
-            left=BoundaryHead.init(hidden, rng),
-            right=BoundaryHead.init(hidden, rng),
-            w_type=parameter((hidden, hidden), rng, HEAD_INIT_STD),
-            type_scorer=parameter((3 * hidden, classes), rng, HEAD_INIT_STD),
-            type_bias=parameter(np.zeros(classes)),
+            left=BoundaryHead.declare(hidden, new),
+            right=BoundaryHead.declare(hidden, new),
+            w_type=new((hidden, hidden), HEAD_INIT_STD),
+            type_scorer=new((3 * hidden, classes), HEAD_INIT_STD),
+            type_bias=new(classes),
         )
 
 

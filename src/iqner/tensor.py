@@ -34,7 +34,7 @@ __all__ = [
     "DegenerateRowError",
     "NumericError",
     "topological_order",
-    "parameter",
+    "ParameterLayout",
     "ParameterGroup",
     "no_grad",
     "add",
@@ -88,15 +88,16 @@ class Tensor:
     """A dense float64 array plus optional gradient.
 
     ``tracked`` tensors participate in differentiation: operations consuming
-    them record a gradient rule, and :func:`backward` deposits ``grad`` on
-    every tracked leaf. Untracked tensors are plain values.
+    them record a gradient rule, and :func:`backward` adds into the ``grad``
+    of every tracked leaf it reaches, zeros from the start. Untracked tensors
+    are plain values.
     """
 
     __slots__ = ("data", "grad", "tracked", "_node", "__weakref__")
 
     def __init__(self, data, tracked: bool = False):
         self.data = np.array(data, dtype=np.float64, copy=True, order="C")
-        self.grad: np.ndarray | None = None
+        self.grad: np.ndarray | None = np.zeros_like(self.data) if tracked else None
         self.tracked = tracked
         # None marks a tracked leaf, which is its own graph node; holding
         # itself would keep a discarded model's parameters for the cycle collector
@@ -123,23 +124,66 @@ class Tensor:
         return float(self.data)
 
     def zero_grad(self) -> None:
-        self.grad = None
+        self.grad.fill(0.0)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, tracked={self.tracked})"
 
 
-def parameter(data, rng: np.random.Generator | None = None, std: float | None = None) -> Tensor:
-    """A tracked leaf tensor; optionally sampled N(0, std) of the given shape."""
-    if rng is not None:
-        if std is None:
-            raise ValueError("std required when sampling a parameter")
-        data = rng.normal(0.0, std, size=data)
-    return Tensor(data, tracked=True)
+class ParameterLayout:
+    """Declares tracked leaves without values, then lays them out on one
+    float64 vector ``theta`` and a ``grad`` vector of zeros alike: each
+    leaf's ``data`` and ``grad`` become views of its slices."""
+
+    def __init__(self):
+        self._specs: dict[int, tuple] = {}
+
+    def __call__(self, shape, std: float | None = None, fill: float = 0.0) -> Tensor:
+        """A leaf to be drawn N(0, ``std``) or, without ``std``, filled with ``fill``."""
+        leaf = Tensor.__new__(Tensor)
+        leaf.data, leaf.grad, leaf.tracked, leaf._node = None, None, True, None
+        self._specs[id(leaf)] = ((shape,) if isinstance(shape, int) else shape, std, fill)
+        return leaf
+
+    def place(self, leaves: list[Tensor], rng: np.random.Generator | None = None,
+              theta: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Lay ``leaves`` out in the order given and return ``theta`` and
+        ``grad``. A given ``theta`` is viewed as it is; else each leaf is drawn
+        from ``rng`` or filled, in that order, into a new vector of zeros."""
+        specs = [self._specs[id(leaf)] for leaf in leaves]
+        total = sum(math.prod(shape) for shape, _, _ in specs)
+        draw = theta is None
+        if draw:
+            theta = np.zeros(total)
+        elif theta.shape != (total,):
+            raise DimensionError(f"parameters have shape {theta.shape}, the model needs ({total},)")
+        grad = np.zeros(total)
+        start = 0
+        for leaf, (shape, std, fill) in zip(leaves, specs):
+            stop = start + math.prod(shape)
+            leaf.data, leaf.grad = theta[start:stop].reshape(shape), grad[start:stop].reshape(shape)
+            if draw and std is None:
+                leaf.data.fill(fill)
+            elif draw:  # the numbers rng.normal(0.0, std, shape) gives, drawn in place
+                rng.standard_normal(out=leaf.data)
+                leaf.data *= std
+            start = stop
+        return theta, grad
 
 
 class ParameterGroup:
-    """Base of a dataclass whose fields are parameters or nested groups."""
+    """Base of a dataclass whose fields are parameters or nested groups, built
+    by a classmethod ``declare(..., new)`` from a ``ParameterLayout``."""
+
+    @classmethod
+    def init(cls, *args) -> "ParameterGroup":
+        """A group on vectors of its own: ``declare``'s arguments, with the
+        generator to draw from in place of the layout."""
+        *args, rng = args
+        new = ParameterLayout()
+        group = cls.declare(*args, new)
+        new.place([p for _, p in group.named("")], rng)
+        return group
 
     def named(self, prefix: str) -> list[tuple[str, Tensor]]:
         """Every parameter in field order, named ``prefix.field``; a nested
@@ -676,23 +720,26 @@ def topological_order(root: Tensor) -> list:
     return order
 
 
-def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into ``grad`` of every tracked leaf.
+def backward(loss: Tensor) -> list[Tensor]:
+    """Add d(loss)/d(leaf) into ``grad`` of every tracked leaf ``loss``
+    depends on, in place, and return those leaves.
 
     Repeated calls without zeroing the grads sum their contributions.
     """
     if not isinstance(loss, Tensor) or loss.ndim != 0:
         shape = getattr(loss, "shape", None)
         raise DimensionError(f"backward requires a scalar tensor, got shape {shape}")
+    reached: list[Tensor] = []
     if not loss.tracked:
-        return
+        return reached
     grads: dict[int, np.ndarray] = {id(_node_of(loss)): np.ones(())}
     for node in reversed(topological_order(loss)):
         g = grads.pop(id(node), None)
         if g is None:
             continue
         if type(node) is Tensor:  # a parameter leaf
-            node.grad = g.copy() if node.grad is None else node.grad + g
+            node.grad += g
+            reached.append(node)
             continue
         for parent, pg in zip(node._parents, node._rule(g, *node._saved)):
             if pg is None or not parent.tracked:
@@ -702,6 +749,7 @@ def backward(loss: Tensor) -> None:
                 grads[key] = grads[key] + pg
             else:
                 grads[key] = pg
+    return reached
 
 
 def _analytic_gradient(loss: Callable[[], Tensor], point: Tensor, eps: float) -> np.ndarray:
@@ -717,7 +765,7 @@ def _analytic_gradient(loss: Callable[[], Tensor], point: Tensor, eps: float) ->
     if not np.isfinite(out.data):
         raise NumericError("grad_check: function value is not finite")
     backward(out)
-    return point.grad.reshape(-1).copy() if point.grad is not None else np.zeros(point.size)
+    return point.grad.reshape(-1).copy()
 
 
 def _max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:

@@ -50,7 +50,9 @@ from .heads import (
     entity_classifier,
 )
 from .tensor import (
+    DimensionError,
     NumericError,
+    ParameterLayout,
     Tensor,
     add,
     backward,
@@ -105,21 +107,30 @@ class TrainConfig:
 
 
 class Model:
-    """Embedding tables, encoder layers, and per-layer prediction heads."""
+    """Embedding tables, encoder layers, and per-layer prediction heads.
 
-    def __init__(self, config: ModelConfig, rng: np.random.Generator | None = None):
-        if rng is None:
-            rng = np.random.default_rng(config.seed)
+    Every parameter's ``data`` and ``grad`` view one float64 vector,
+    ``theta`` and ``grad``, laid out in ``named_parameters()`` order. They
+    are drawn from ``rng`` (by default seeded with the config's seed), or the
+    model is built on a given ``theta`` as it is, drawing nothing.
+    """
+
+    def __init__(self, config: ModelConfig, rng: np.random.Generator | None = None,
+                 theta: np.ndarray | None = None):
+        new = ParameterLayout()
         self.config = config
-        self.tables = EmbeddingTables.init(config, rng)
+        self.tables = EmbeddingTables.declare(config, new)
         self.layers = [
-            TransformerLayer.init(config.hidden, rng)
+            TransformerLayer.declare(config.hidden, new)
             for _ in range(config.base_layers + config.word_layers)
         ]
         self.heads = [
-            LayerHeads.init(config.hidden, config.type_count, rng)
+            LayerHeads.declare(config.hidden, config.type_count, new)
             for _ in range(config.word_layers)
         ]
+        if theta is None and rng is None:
+            rng = np.random.default_rng(config.seed)
+        self.theta, self.grad = new.place([p for _, p in self.named_parameters()], rng, theta)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         out = self.tables.named("emb")
@@ -130,8 +141,7 @@ class Model:
         return out
 
     def zero_grad(self) -> None:
-        for _, p in self.named_parameters():
-            p.zero_grad()
+        self.grad.fill(0.0)
 
     def encode(self, batch) -> LayerOutputs:
         """Encode the sentences (token id arrays) as one padded batch."""
@@ -332,49 +342,30 @@ def assign_labels(
 # optimizer and schedule
 
 
-def flatten_parameters(params: list[tuple[str, Tensor]]) -> np.ndarray:
-    """One float64 vector of every parameter, each flattened, in the order
-    given. This is the one layout of the parameters: Adam steps it and a
-    checkpoint stores it."""
-    return np.concatenate([p.data for _, p in params], axis=None)
-
-
-def view_parameters(params: list[tuple[str, Tensor]], theta: np.ndarray) -> None:
-    """Make each parameter's ``data`` a view of its slice of ``theta``,
-    which is laid out as ``flatten_parameters`` lays it out."""
-    start = 0
-    for _, p in params:
-        stop = start + p.data.size
-        p.data = theta[start:stop].reshape(p.data.shape)
-        start = stop
-
-
 class AdamOptimizer:
-    """Adam over one flat vector.
+    """Adam over a model's ``theta``: a step is a few in-place whole-vector
+    ops on it, its ``grad`` and the moments ``m`` and ``v``, laid out alike.
+    A step consumes ``grad``: it is clipped in place and then holds the update."""
 
-    ``theta`` holds every parameter, in the given order, and each
-    parameter's ``data`` becomes a view of its slice; the moments ``m`` and
-    ``v`` are laid out alike. A step concatenates every gradient once and
-    runs a few in-place whole-vector ops; every parameter must have one.
-    """
-
-    def __init__(self, params: list[tuple[str, Tensor]], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        self.params = list(params)
+    def __init__(self, model: Model, beta1: float = 0.9, beta2: float = 0.999,
+                 eps: float = 1e-8):
+        self.params = model.named_parameters()
+        self.theta, self.grad = model.theta, model.grad
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
-        self.theta = flatten_parameters(self.params)
-        view_parameters(self.params, self.theta)
         self.m = np.zeros_like(self.theta)
         self.v = np.zeros_like(self.theta)
-        self._scratch = np.empty_like(self.theta)
+        self._scratch = np.zeros_like(self.theta)
 
-    def step(self, lr: float, max_grad_norm: float | None = None) -> None:
+    def step(self, lr: float, reached: list[Tensor], max_grad_norm: float | None = None) -> None:
+        """One update; every parameter must be among the leaves ``reached``
+        that ``backward`` returned, as a zero in ``grad`` may be no gradient."""
+        reached_ids = {id(p) for p in reached}
         for name, p in self.params:
-            if p.grad is None:
+            if id(p) not in reached_ids:
                 raise ValueError(f"parameter {name} has no gradient")
         self.step_count += 1
-        g = np.concatenate([p.grad for _, p in self.params], axis=None)
+        g = self.grad
         if max_grad_norm is not None:
             norm = math.sqrt(float(g @ g))
             if norm > max_grad_norm:
@@ -443,8 +434,7 @@ def train_step(
     value = batch_mean.item()
     if not math.isfinite(value):
         raise NumericError("non-finite loss")
-    backward(batch_mean)
-    optimizer.step(lr, config.max_grad_norm)
+    optimizer.step(lr, backward(batch_mean), config.max_grad_norm)
     return value, predictions, matched
 
 
@@ -521,7 +511,7 @@ def train(
     encoded = [meta.encode(ex.tokens) for ex in examples]
     golds = [list(ex.entities) for ex in examples]
     rng = np.random.default_rng(config.seed)
-    optimizer = AdamOptimizer(model.named_parameters())
+    optimizer = AdamOptimizer(model)
     batches_per_epoch = math.ceil(len(examples) / config.batch_size)
     total_steps = config.epochs * batches_per_epoch
     history = []
@@ -558,8 +548,8 @@ def evaluate_model(
 
 def save_checkpoint(path, model: Model, meta: DatasetMeta) -> None:
     """Single-file archive of two members: ``header``, the JSON of the format
-    tag, config and vocabulary, and ``parameters``, every parameter in one
-    float64 vector (``flatten_parameters``).
+    tag, config and vocabulary, and ``parameters``, the model's ``theta``
+    as it is.
 
     The archive is written to a temporary file beside ``path`` and then
     renamed onto it, so a save that fails leaves the old file as it was.
@@ -579,7 +569,7 @@ def save_checkpoint(path, model: Model, meta: DatasetMeta) -> None:
     try:
         with open(temporary, "wb") as fh:
             np.savez(fh, header=np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8),
-                     parameters=flatten_parameters(model.named_parameters()))
+                     parameters=model.theta)
         os.replace(temporary, path)
     finally:
         if os.path.exists(temporary):
@@ -587,8 +577,9 @@ def save_checkpoint(path, model: Model, meta: DatasetMeta) -> None:
 
 
 def load_checkpoint(path) -> tuple[Model, DatasetMeta, None]:
-    """Rebuild the model and metadata, reading the archive's ``header`` and
-    ``parameters`` members and no other.
+    """Rebuild the model, on the file's parameter vector with no random
+    init, and metadata, reading the archive's ``header`` and ``parameters``
+    members and no other.
 
     The third value, kept for callers that unpack three, is None.
     """
@@ -643,15 +634,12 @@ def load_checkpoint(path) -> tuple[Model, DatasetMeta, None]:
         raise CheckpointError("checkpoint has no parameters")
     if theta.dtype != np.float64:  # what save_checkpoint writes
         raise CheckpointError(f"checkpoint parameters have dtype {theta.dtype}, expected float64")
-    model = Model(config)
-    params = model.named_parameters()
-    needed = sum(p.data.size for _, p in params)
-    if theta.shape != (needed,):
-        raise CheckpointError(f"checkpoint parameters have shape {theta.shape}, "
-                              f"the model needs ({needed},)")
-    view_parameters(params, theta)
+    try:
+        model = Model(config, theta=theta)
+    except DimensionError as err:
+        raise CheckpointError(f"checkpoint {err}") from None
     if not np.isfinite(theta).all():
-        name = next(name for name, p in params if not np.isfinite(p.data).all())
+        name = next(name for name, p in model.named_parameters() if not np.isfinite(p.data).all())
         raise CheckpointError(f"checkpoint parameter {name} holds non-finite values")
     meta = DatasetMeta(types=header["types"],
                        vocab={word: idx for idx, word in enumerate(header["words"])})

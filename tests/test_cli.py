@@ -158,7 +158,59 @@ def test_train_static_mode_runs(corpus, tmp_path, capsys):
     path, _ = corpus
     code = main(["train", "--train", str(path), "--out", str(tmp_path / "s.npz"),
                  "--epochs", "1", "--hidden", "16", "--queries", "4", "--layers", "1",
-                 "--base-layers", "1", "--heads", "2", "--assignment-mode", "static",
+                 "--base-layers", "1", "--heads", "2", "--assignment-mode", "static"])
+    assert code == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--quantity-mode", "one-to-one", "--ratio", "0.3"],
+     "--quantity-mode one-to-one ignores --ratio"),
+    (["--assignment-mode", "static", "--share-final-assignment", "on", "--ratio", "0.5"],
+     "--assignment-mode static ignores --ratio and --share-final-assignment"),
+    (["--assignment-mode", "static", "--quantity-mode", "one-to-many"],
+     "--assignment-mode static ignores --quantity-mode"),
+    # set to its default, the knob is still set, and still ignored
+    (["--assignment-mode", "static", "--share-final-assignment", "off"],
+     "--assignment-mode static ignores --share-final-assignment"),
+])
+def test_train_refuses_a_knob_its_mode_ignores_naming_both_flags(flags, named, corpus, tmp_path,
+                                                                  capsys):
+    path, _ = corpus
+    out = tmp_path / "m.npz"
+    code = main(["train", "--train", str(path), "--out", str(out), "--epochs", "1", *flags])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and not out.exists()
+    assert captured.err == f"error: {named}\n"
+
+
+@pytest.mark.parametrize("source", ["--config", "PIQN_CONFIG"])
+def test_train_refuses_an_ignored_knob_from_a_config_file(source, corpus, tmp_path, monkeypatch,
+                                                          capsys):
+    path, _ = corpus
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({"assignment_mode": "static", "ratio": 0.5}))
+    argv = ["train", "--train", str(path), "--out", str(tmp_path / "m.npz"), "--epochs", "1"]
+    if source == "--config":
+        argv += ["--config", str(config_path)]
+    else:
+        monkeypatch.setenv("PIQN_CONFIG", str(config_path))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --assignment-mode static ignores --ratio\n"
+    # the mode from the file and the knob from a flag are refused alike
+    config_path.write_text(json.dumps({"quantity_mode": "one_to_one"}))
+    assert main([*argv, "--ratio", "0.3"]) == 2
+    assert capsys.readouterr().err == "error: --quantity-mode one-to-one ignores --ratio\n"
+
+
+def test_a_mode_with_its_ignored_knobs_at_their_defaults_trains(corpus, tmp_path, capsys):
+    """Only an explicitly set knob is refused; the defaults stand with any mode."""
+    path, _ = corpus
+    for mode in (["--quantity-mode", "one-to-one"], ["--assignment-mode", "static"]):
+        config = build_run_config(build_parser().parse_args(["train", *mode]))
+        assert config.ratio == RunConfig().ratio
+    code = main(["train", "--train", str(path), "--out", str(tmp_path / "m.npz"), "--epochs", "1",
+                 "--hidden", "16", "--queries", "4", "--layers", "1", "--heads", "2",
                  "--quantity-mode", "one-to-one"])
     assert code == 0
     capsys.readouterr()
@@ -532,26 +584,31 @@ def test_train_flags_reach_config_fields():
                     "max_len": 20, "one_way": False, "query_interaction": False, "seed": 9}
     train_values = {"epochs": 11, "learning_rate": 0.5, "warmup_fraction": 0.25,
                     "batch_size": 3, "seed": 9, "loc_threshold": 0.1, "cls_threshold": 0.2,
-                    "assignment_mode": "static", "quantity_mode": "one_to_one", "ratio": 0.5,
-                    "share_final_assignment": True, "max_grad_norm": 2.5}
+                    "max_grad_norm": 2.5}
     argv = ["train", "--hidden", "48", "--queries", "7", "--base-layers", "2", "--layers", "3",
             "--heads", "6", "--max-len", "20", "--one-way", "off", "--query-interaction", "off",
             "--seed", "9", "--epochs", "11", "--lr", "0.5", "--warmup", "0.25",
             "--batch-size", "3", "--loc-threshold", "0.1", "--cls-threshold", "0.2",
-            "--assignment-mode", "static", "--quantity-mode", "one-to-one", "--ratio", "0.5",
-            "--share-final-assignment", "--max-grad-norm", "2.5"]
-    config = build_run_config(build_parser().parse_args(argv))
-    model = config.model_config(vocab_size=30, type_count=3)
-    trainer = config.train_config()
+            "--max-grad-norm", "2.5"]
+    # a mode refuses the knobs it ignores, so each mode's knobs get a run of their own
+    modes = [(["--ratio", "0.5", "--share-final-assignment"],
+              {"ratio": 0.5, "share_final_assignment": True}),
+             (["--quantity-mode", "one-to-one"], {"quantity_mode": "one_to_one"}),
+             (["--assignment-mode", "static"], {"assignment_mode": "static"})]
     defaults = ModelConfig()
     assert set(model_values) == {f.name for f in dataclasses.fields(ModelConfig)} - {
         "vocab_size", "type_count"}
-    assert set(train_values) == {f.name for f in dataclasses.fields(TrainConfig)}
-    for name, value in model_values.items():
-        assert getattr(model, name) == value != getattr(defaults, name), name
-    for name, value in train_values.items():
-        assert getattr(trainer, name) == value != getattr(TrainConfig(), name), name
-    assert (model.vocab_size, model.type_count) == (30, 3)
+    assert set(train_values).union(*(values for _, values in modes)) == {
+        f.name for f in dataclasses.fields(TrainConfig)}
+    for flags, mode_values in modes:
+        config = build_run_config(build_parser().parse_args(argv + flags))
+        model = config.model_config(vocab_size=30, type_count=3)
+        trainer = config.train_config()
+        for name, value in model_values.items():
+            assert getattr(model, name) == value != getattr(defaults, name), name
+        for name, value in {**train_values, **mode_values}.items():
+            assert getattr(trainer, name) == value != getattr(TrainConfig(), name), name
+        assert (model.vocab_size, model.type_count) == (30, 3)
 
 
 def test_config_file_and_flag_precedence(tmp_path):

@@ -146,6 +146,16 @@ def test_backward_accumulates_and_reset_is_deterministic():
     assert np.array_equal(x.grad, first)
 
 
+def test_backward_adds_in_place_and_returns_the_leaves_it_reached():
+    x, y, unused = (Tensor(np.ones(2), tracked=True) for _ in range(3))
+    grads = [x.grad, y.grad, unused.grad]
+    reached = backward(T.tsum(T.add(x, T.mul(y, 0.0))))  # y's gradient is zero
+    assert {id(p) for p in reached} == {id(x), id(y)} and len(reached) == 2
+    assert all(p.grad is g for p, g in zip((x, y, unused), grads))
+    assert np.array_equal(x.grad, [1.0, 1.0]) and not y.grad.any() and not unused.grad.any()
+    assert backward(T.tsum(Tensor(np.ones(2)))) == []  # an untracked loss reaches nothing
+
+
 def test_grad_check_linear_is_exact():
     x = Tensor([0.3, -1.2, 4.0], tracked=True)
     err = grad_check(lambda p: T.tsum(T.mul(p, 3.0)), x, 1e-5)
@@ -506,7 +516,7 @@ RECORDING_CASES = [
 
 def test_no_grad_suppresses_recording():
     not_ops = {"Tensor", "DimensionError", "DegenerateRowError", "NumericError",
-               "topological_order", "parameter", "ParameterGroup", "no_grad", "backward",
+               "topological_order", "ParameterLayout", "ParameterGroup", "no_grad", "backward",
                "grad_check", "grad_check_stacked"}
     assert {case[0] for case in RECORDING_CASES} == set(T.__all__) - not_ops
     rng = np.random.default_rng(0)
@@ -564,7 +574,7 @@ def test_graph_objects_are_freed_without_the_cycle_collector():
     # so a discarded model's parameters would pile up until then
     gc.disable()
     try:
-        w = T.parameter(np.ones(3))
+        w = Tensor(np.ones(3), tracked=True)
         loss = T.tsum(T.mul(T.relu(w), w))
         backward(loss)
         refs = [weakref.ref(x) for x in (w, loss, loss._node)]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import weakref
@@ -281,27 +282,40 @@ def test_linear_warmup_decay_schedule():
     assert linear_warmup_decay(99, 100, 1.0, 0.1) == pytest.approx(1.0 / 90)
 
 
+def _small_model() -> Model:
+    return Model(ModelConfig(hidden=4, queries=2, base_layers=1, word_layers=1, heads=1,
+                             vocab_size=5, max_len=4, type_count=1))
+
+
+def _leaves(model: Model) -> list[Tensor]:
+    return [p for _, p in model.named_parameters()]
+
+
 def test_adam_minimizes_quadratic():
-    w = Tensor(np.array([10.0, -4.0]), tracked=True)
-    opt = AdamOptimizer([("w", w)])
+    model = _small_model()
+    target = np.random.default_rng(3).uniform(-3.0, 3.0, size=model.theta.size)
+    opt = AdamOptimizer(model)
     for _ in range(400):
-        w.zero_grad()
-        diff = add(w, Tensor([-3.0, -1.0]))
-        backward(tsum(mul(diff, diff)))
-        opt.step(0.1)
-    assert np.allclose(w.data, [3.0, 1.0], atol=1e-3)
+        model.zero_grad()
+        start, total = 0, None
+        for p in _leaves(model):
+            diff = add(p, Tensor(-target[start:start + p.size].reshape(p.shape)))
+            start += p.size
+            term = tsum(mul(diff, diff))
+            total = term if total is None else add(total, term)
+        opt.step(0.1, backward(total))
+    assert np.allclose(model.theta, target, atol=1e-3)
 
 
 @pytest.mark.parametrize("norm,scale", [(2.5, 0.5), (5.0, 1.0), (10.0, 1.0)])
 def test_adam_clips_the_global_gradient_norm_down_to_the_bound(norm, scale):
-    a = Tensor(np.zeros(2), tracked=True)
-    b = Tensor(np.zeros((1, 1)), tracked=True)
-    a.grad, b.grad = np.array([3.0, 0.0]), np.array([[4.0]])  # global norm 5
-    opt = AdamOptimizer([("a", a), ("b", b)])
-    opt.step(0.1, max_grad_norm=norm)
+    model = _small_model()
+    model.grad[0], model.grad[-1] = 3.0, 4.0  # global norm 5
+    gradient = model.grad.copy()
+    opt = AdamOptimizer(model)
+    opt.step(0.1, _leaves(model), max_grad_norm=norm)
     # the first moment holds (1 - beta1) times the gradient the step used
-    assert np.allclose(opt.m[:2], 0.1 * scale * np.array([3.0, 0.0]), rtol=1e-12, atol=0.0)
-    assert np.allclose(opt.m[2:], 0.1 * scale * np.array([4.0]), rtol=1e-12, atol=0.0)
+    assert np.allclose(opt.m, 0.1 * scale * gradient, rtol=1e-12, atol=0.0)
 
 
 def _per_parameter_adam(params, grads, rates, max_grad_norm):
@@ -326,22 +340,22 @@ def _per_parameter_adam(params, grads, rates, max_grad_norm):
 @pytest.mark.parametrize("max_grad_norm", [None, 1.0])
 def test_flat_adam_matches_the_per_parameter_expressions(max_grad_norm):
     rng = np.random.default_rng(8)
-    shapes = [(3, 4), (4,), (1,), (2, 2, 2), (5,)]
-    start = [rng.normal(size=shape) for shape in shapes]
-    params = [Tensor(x, tracked=True) for x in start]
-    opt = AdamOptimizer([(f"p{i}", p) for i, p in enumerate(params)])
+    model = _small_model()
+    params = _leaves(model)
+    start = [p.data.copy() for p in params]
+    opt = AdamOptimizer(model)
     grads, rates = [], [1e-2 * (t + 1) for t in range(6)]
     for lr in rates:
-        step_grads = [rng.normal(size=shape) for shape in shapes]
+        step_grads = [rng.normal(size=p.shape) for p in params]
         for p, g in zip(params, step_grads):
-            p.grad = g
-        opt.step(lr, max_grad_norm)
+            p.grad[...] = g  # a step consumes grad
+        opt.step(lr, params, max_grad_norm)
         grads.append(step_grads)
     data, m, v = _per_parameter_adam(start, grads, rates, max_grad_norm)
     bounds = np.cumsum([x.size for x in start])[:-1]
     flat_m, flat_v = np.split(opt.m, bounds), np.split(opt.v, bounds)
     for p, expected, fm, em, fv, ev in zip(params, data, flat_m, m, flat_v, v):
-        assert np.shares_memory(p.data, opt.theta)
+        assert np.shares_memory(p.data, model.theta)
         if max_grad_norm is None:
             assert p.data.tobytes() == expected.tobytes()
             assert fm.tobytes() == em.reshape(-1).tobytes()
@@ -352,12 +366,23 @@ def test_flat_adam_matches_the_per_parameter_expressions(max_grad_norm):
 
 
 def test_adam_refuses_a_parameter_without_gradient_by_its_name():
-    params = [(name, Tensor(np.zeros(2), tracked=True)) for name in ("a", "b", "c")]
-    params[0][1].grad = np.ones(2)
-    opt = AdamOptimizer(params)
-    with pytest.raises(ValueError, match="^parameter b has no gradient$"):
-        opt.step(0.1)
-    assert opt.step_count == 0 and not opt.theta.any()
+    """A zero gradient is a gradient; a parameter that the backward pass
+    never reached is refused, though its slice of ``grad`` is zero too."""
+    model = _small_model()
+    total = None
+    for name, p in model.named_parameters():
+        if name != "layer0.bv":
+            term = tsum(mul(p, 0.0))  # every gradient zero
+            total = term if total is None else add(total, term)
+    reached = backward(total)
+    assert len(reached) == len(_leaves(model)) - 1 and not model.grad.any()
+    before = model.theta.copy()
+    opt = AdamOptimizer(model)
+    with pytest.raises(ValueError, match="^parameter layer0.bv has no gradient$"):
+        opt.step(0.1, reached)
+    assert opt.step_count == 0 and np.array_equal(model.theta, before)
+    opt.step(0.1, _leaves(model))  # every parameter reached: a zero gradient moves nothing
+    assert opt.step_count == 1 and np.array_equal(model.theta, before)
 
 
 @pytest.mark.parametrize("cls,field,value", [
@@ -472,13 +497,15 @@ def test_epoch_reports_the_mean_matched_cost_of_each_solved_layer(settings, solv
 
 
 def test_checkpoint_bytes_do_not_depend_on_the_flat_parameters(tmp_path):
-    """A model whose parameters are separate arrays and the same model with
-    parameters viewing the optimizer's flat vector write the same file."""
+    """An optimizer steps the model's own vector, which every parameter
+    views, so making one changes no byte of the checkpoint."""
     examples, meta, config = _tiny_fixture()
     model = Model(config)
     save_checkpoint(tmp_path / "separate.npz", model, meta)
-    opt = AdamOptimizer(model.named_parameters())
-    assert all(np.shares_memory(p.data, opt.theta) for _, p in model.named_parameters())
+    opt = AdamOptimizer(model)
+    assert opt.theta is model.theta and opt.grad is model.grad
+    assert all(np.shares_memory(p.data, model.theta) and np.shares_memory(p.grad, model.grad)
+               for _, p in model.named_parameters())
     save_checkpoint(tmp_path / "views.npz", model, meta)
     assert (tmp_path / "separate.npz").read_bytes() == (tmp_path / "views.npz").read_bytes()
     loaded, _, _ = load_checkpoint(tmp_path / "separate.npz")
@@ -526,6 +553,107 @@ def test_load_reads_the_header_and_the_parameter_vector_alone(hidden, queries, w
     loaded, _, _ = load_checkpoint(tmp_path / "model.npz")
     assert len(loaded.named_parameters()) > 2
     assert sorted(reads) == ["header", "parameters"]
+
+
+# sha256 of the random init's parameter vector, taken from the model as it
+# was before it owned one vector: separate arrays, each drawn in field order
+PINNED_INIT = {
+    ("fixture", 0): "b340284b50ef84d2bb7be17f35aa748f987e4fa7c45e580b5b3c499b4d1a4517",
+    ("fixture", 2): "b7bad65cefb4466e67c18fffeb2e99357e32caedc1b8f21f6bbd184d20b330ec",
+    ("paper", 0): "8bdcfd5cc2e4ddc65163bc4644dc32503096fbf6695b5934d75233d9123d562c",
+    ("paper", 2): "fef23040dd8c32da44351cf002663d4290342f35d2d65d4310afd2d84d128cda",
+}
+INIT_POINTS = {"fixture": (dict(hidden=32, queries=12, word_layers=2, max_len=16), 40270),
+               "paper": ({}, 324323)}
+
+
+@pytest.mark.parametrize("point,seed", sorted(PINNED_INIT))
+def test_random_init_is_pinned(point, seed):
+    """A random init draws each parameter into ``theta`` in
+    ``named_parameters()`` order, or fills it with its constant. A NaN-filled
+    block of the vector's size is freed just before, so a slot the init never
+    wrote would likely show."""
+    settings, size = INIT_POINTS[point]
+    garbage = np.full(size, np.nan)
+    del garbage
+    model = Model(ModelConfig(**settings, seed=seed))
+    assert model.theta.shape == (size,) and model.theta.dtype == np.float64
+    assert hashlib.sha256(model.theta.tobytes()).hexdigest() == PINNED_INIT[(point, seed)]
+    assert not model.grad.any() and model.grad.shape == (size,)
+
+
+def test_each_parameter_views_theta_and_grad_in_name_order():
+    model = _small_model()
+    start = 0
+    for _, p in model.named_parameters():
+        assert np.shares_memory(p.data, model.theta[start:start + p.size])
+        assert np.shares_memory(p.grad, model.grad[start:start + p.size])
+        start += p.size
+    assert start == model.theta.size
+
+
+def test_load_builds_on_the_file_vector_and_draws_nothing(tmp_path, monkeypatch):
+    """Generator.normal cannot be patched on numpy's type, so every way to
+    make a generator is: ``default_rng`` raises, and ``Generator`` makes one
+    whose ``normal`` raises."""
+    _, meta, config = _tiny_fixture()
+    model = Model(config)
+    save_checkpoint(tmp_path / "model.npz", model, meta)
+
+    class Refusing(np.random.Generator):
+        def normal(self, *args, **kwargs):
+            raise AssertionError("drew a random number")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("made a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(np.random, "Generator", Refusing)
+    read = np.lib.npyio.NpzFile.__getitem__
+    arrays = {}
+    monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__",
+                        lambda archive, key: arrays.setdefault(key, read(archive, key)))
+    loaded, _, _ = load_checkpoint(tmp_path / "model.npz")
+    assert loaded.theta is arrays["parameters"]  # the vector the file gave, not a copy
+    assert loaded.theta.tobytes() == model.theta.tobytes()
+    assert all(np.shares_memory(p.data, loaded.theta) for _, p in loaded.named_parameters())
+    with pytest.raises(AssertionError, match="made a random generator"):
+        Model(config)  # the patches bite on a random init
+
+
+def test_save_writes_theta_as_it_is(tmp_path, monkeypatch):
+    _, meta, config = _tiny_fixture()
+    model = Model(config)
+    savez = np.savez
+    written = []
+
+    def spy(fh, **arrays):
+        written.append(arrays["parameters"])
+        return savez(fh, **arrays)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("concatenated")
+
+    monkeypatch.setattr(np, "savez", spy)
+    monkeypatch.setattr(np, "concatenate", refuse)
+    save_checkpoint(tmp_path / "model.npz", model, meta)
+    monkeypatch.undo()
+    assert written == [model.theta] and written[0] is model.theta
+    with np.load(tmp_path / "model.npz") as archive:
+        assert archive["parameters"].tobytes() == model.theta.tobytes()
+
+
+def test_model_gradcheck_leaves_every_parameter_a_view_of_theta(monkeypatch):
+    """``grad_check_stacked`` swaps one parameter's ``data`` for a stack and
+    puts the view back."""
+    built = []
+    monkeypatch.setattr(training, "Model", lambda *args: built.append(Model(*args)) or built[-1])
+    model_gradcheck(seed=0)
+    (model,) = built
+    start = 0
+    for _, p in model.named_parameters():
+        assert p.data.base is model.theta and np.shares_memory(p.data, model.theta[start:])
+        start += p.size
 
 
 def test_failed_save_leaves_the_previous_checkpoint(tmp_path, monkeypatch):
@@ -661,7 +789,7 @@ def test_a_train_step_computes_each_layers_class_probabilities_once(word_layers,
     softmax = heads.row_softmax
     calls = []
     monkeypatch.setattr(heads, "row_softmax", lambda x: calls.append(np.shape(x)) or softmax(x))
-    training.train_step(model, batch, golds, AdamOptimizer(model.named_parameters()),
+    training.train_step(model, batch, golds, AdamOptimizer(model),
                         TrainConfig(batch_size=4, share_final_assignment=share_final),
                         np.random.default_rng(0), 1e-3)
     assert calls == [(4, config.queries, meta.type_count + 1)] * word_layers  # one per layer
