@@ -8,11 +8,12 @@ entities (capacity q_k each), solved by successive shortest paths whose
 Dijkstra searches run over the G entity nodes plus the free-query source.
 Queries left unmatched take the None label through an extra column.
 
-A training step solves all of its (sentence, layer) instances in one call:
-their costs and quantities are stacked, padded to the largest G, and every
-augmentation round runs the Dijkstra sweep and the path walk-back for all
-instances at once, on arrays with +inf at absent entities. A single
-instance is the stack of one.
+A training step gathers each word layer's costs for its whole batch at a
+stack of (left, right, type) gold rows, and solves all of its (sentence,
+layer) instances in one call: their costs and quantities are stacked,
+padded to the largest G, and every augmentation round runs the Dijkstra
+sweep and the path walk-back for all instances at once, on arrays with
++inf at absent entities. A single instance is the stack of one.
 """
 
 from __future__ import annotations
@@ -60,14 +61,6 @@ class QuantityVector:
             raise ValueError("stacked quantities must be a (K, G) matrix of rows of positive "
                              "integers, each padded with zeros after its last entity")
 
-    @classmethod
-    def stack(cls, quantities: list["QuantityVector"]) -> "QuantityVector":
-        """The (K, G_max) stack of single instances, zero-padded."""
-        counts = np.zeros((len(quantities), max(len(q) for q in quantities)), dtype=np.int64)
-        for row, q in zip(counts, quantities):
-            row[:len(q)] = q.counts
-        return cls(counts)
-
     @property
     def total(self) -> int:
         return int(self.counts.sum())
@@ -90,24 +83,35 @@ class AssignmentResult:
     total_cost: float
 
 
-def compute_cost_matrix(scores, types, gold: list[EntityAnnotation]) -> np.ndarray:
-    """Cost[i][k] = -(P_type + P_left + P_right) for query i and gold entity k."""
-    if not gold:
-        raise AnnotationError("cost matrix requires at least one gold entity")
-    left = scores.left.data
-    right = scores.right.data
-    type_probs = types.probs
-    n = left.shape[1]
-    type_count = type_probs.shape[1] - 1
+def gold_array(gold: list[EntityAnnotation], length: int, type_count: int) -> np.ndarray:
+    """One sentence's gold entities as a (G, 3) int64 array of (left, right,
+    type) rows in the given order, once every span is checked to end inside
+    the sentence's ``length`` words and every type to be below ``type_count``."""
     for e in gold:
-        if e.right >= n:
-            raise AnnotationError(f"gold span ({e.left}, {e.right}) outside sentence of length {n}")
+        if e.right >= length:
+            raise AnnotationError(f"gold span ({e.left}, {e.right}) outside sentence of length "
+                                  f"{length}")
         if e.type_id >= type_count:
             raise AnnotationError(f"gold type {e.type_id} outside inventory of size {type_count}")
-    lefts = np.array([e.left for e in gold])
-    rights = np.array([e.right for e in gold])
-    type_ids = np.array([e.type_id for e in gold])
-    cost = -(type_probs[:, type_ids] + left[:, lefts] + right[:, rights])
+    return np.array([(e.left, e.right, e.type_id) for e in gold], dtype=np.int64).reshape(-1, 3)
+
+
+def compute_cost_matrix(scores, types, gold) -> np.ndarray:
+    """Cost[..., i, k] = -(P_type + P_left + P_right) for query i and gold entity k.
+
+    One gather from the (..., M, N) boundary probabilities of ``scores`` and
+    the (..., M, C) class probabilities of ``types`` at the (..., G, 3) stack
+    of (left, right, type) rows ``gold``, giving (..., M, G). One sentence's
+    gold may also be its list of entities, which ``gold_array`` checks and
+    converts.
+    """
+    left, right, type_probs = scores.left.data, scores.right.data, types.probs
+    if isinstance(gold, list):
+        gold = gold_array(gold, left.shape[-1], type_probs.shape[-1] - 1)
+    at = gold[..., None, :, :]  # every query looks up the same G rows
+    cost = -(np.take_along_axis(type_probs, at[..., 2], -1)
+             + np.take_along_axis(left, at[..., 0], -1)
+             + np.take_along_axis(right, at[..., 1], -1))
     if not np.all(np.isfinite(cost)):
         raise NumericError("non-finite assignment costs")
     return cost
@@ -292,11 +296,3 @@ def brute_force_lap(cost: np.ndarray, quantities: QuantityVector) -> AssignmentR
     owner = np.full(queries, entities)
     owner[rows[np.argmin(totals)]] = entity_of_column
     return _fold_owners(cost[None], owner[None], [entities])[0]
-
-
-def labels_from_assignment(
-    result: AssignmentResult, gold: list[EntityAnnotation]
-) -> list[EntityAnnotation | None]:
-    """Per-query labels: the assigned gold entity, or None when unmatched."""
-    entities = len(gold)
-    return [gold[k] if k < entities else None for k in result.labels]

@@ -17,6 +17,8 @@ from the checkpoint. Flags override a JSON config file of flat ``RunConfig``
 field names (``--config``, or the file the PIQN_CONFIG environment variable
 names), which overrides the defaults. A ``train`` knob that the chosen
 mode ignores, set by the file or a flag, is refused (``_IGNORED_UNDER``).
+So is a model knob the file gives ``eval``, ``predict`` or ``stats`` that the
+checkpoint disagrees with (``max_len`` up to the checkpoint's agrees).
 ``gradcheck`` reads no config file.
 ``datagen`` takes one flag per ``SyntheticSpec`` field, derived the same way.
 """
@@ -225,25 +227,29 @@ def _config_file(args: argparse.Namespace) -> tuple[str, str | None]:
     return "PIQN_CONFIG", os.environ.get("PIQN_CONFIG")
 
 
+def _file_values(args: argparse.Namespace) -> dict:
+    """The fields the run's config file sets, parsed; none without a file."""
+    _, config_path = _config_file(args)
+    if not config_path:
+        return {}
+    try:
+        with open(config_path, encoding="utf-8") as fh:
+            file_values = json.load(fh)
+    except (OSError, ValueError) as err:  # unreadable, not UTF-8 or not JSON
+        raise UsageError(f"cannot read config {config_path}: {err}") from None
+    if not isinstance(file_values, dict):
+        raise UsageError(f"config {config_path} must hold one JSON object")
+    hints = get_type_hints(RunConfig)
+    unknown = set(file_values) - set(hints)
+    if unknown:
+        raise UsageError(f"unknown config fields: {sorted(unknown)}")
+    return {name: _config_value(name, hints[name], value) for name, value in file_values.items()}
+
+
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, then the config file, then the subcommand's explicit flags.
     A ``train`` knob that the file or a flag sets and the mode ignores is refused."""
-    values: dict = {}
-    _, config_path = _config_file(args)
-    if config_path:
-        try:
-            with open(config_path, encoding="utf-8") as fh:
-                file_values = json.load(fh)
-        except (OSError, ValueError) as err:  # unreadable, not UTF-8 or not JSON
-            raise UsageError(f"cannot read config {config_path}: {err}") from None
-        if not isinstance(file_values, dict):
-            raise UsageError(f"config {config_path} must hold one JSON object")
-        hints = get_type_hints(RunConfig)
-        unknown = set(file_values) - set(hints)
-        if unknown:
-            raise UsageError(f"unknown config fields: {sorted(unknown)}")
-        values.update({name: _config_value(name, hints[name], value)
-                       for name, value in file_values.items()})
+    values = _file_values(args)
     values.update(_given(args, _COMMAND_FIELDS[args.command]))
     config = RunConfig(**values)
     if args.command == "train":
@@ -319,12 +325,13 @@ def cmd_train(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _decode(
-    config: RunConfig, path: str | None, flag: str
+    config: RunConfig, args: argparse.Namespace, path: str | None, flag: str
 ) -> tuple[Model, DatasetMeta, list[SentenceExample], Iterator[list[Prediction]]]:
-    """What ``eval``, ``predict`` and ``stats`` share: check the thresholds
-    and that both paths are given, load the checkpoint, read every sentence
-    in ``path`` against its ``max_len``, and return the model, metadata and
-    sentences with their predictions, decoded lazily in file order."""
+    """What ``eval``, ``predict`` and ``stats`` share: check the thresholds,
+    that both paths are given and the config file's model knobs against the
+    checkpoint, read every sentence in ``path`` against its ``max_len``, and
+    return the model, metadata and sentences with their predictions, decoded
+    lazily in file order."""
     for name in ("loc_threshold", "cls_threshold"):
         require_fraction(name, getattr(config, name))
     if not config.checkpoint:
@@ -332,6 +339,12 @@ def _decode(
     if not path:
         raise UsageError(f"{flag} PATH is required")
     model, meta, _ = load_checkpoint(config.checkpoint)
+    for key, value in _file_values(args).items():
+        held = getattr(model.config, key, value)  # a training knob is not held
+        if value != held and not (key == "max_len" and value < held):
+            source, config_path = _config_file(args)
+            raise UsageError(f"{source} {config_path} sets {key} {value!r}, but checkpoint "
+                             f"{config.checkpoint} has {held!r}")
     examples, _ = load_dataset(path, meta, model.config.max_len)
     predictions = model.predict((meta.encode(ex.tokens) for ex in examples),
                                 config.loc_threshold, config.cls_threshold)
@@ -339,13 +352,13 @@ def _decode(
 
 
 def cmd_eval(config: RunConfig, args: argparse.Namespace) -> int:
-    _, _, examples, predictions = _decode(config, args.data, "--data")
+    _, _, examples, predictions = _decode(config, args, args.data, "--data")
     _emit(evaluate_corpus(list(predictions), [ex.entities for ex in examples]).to_dict())
     return 0
 
 
 def cmd_predict(config: RunConfig, args: argparse.Namespace) -> int:
-    _, meta, _, predictions = _decode(config, args.input, "--input")
+    _, meta, _, predictions = _decode(config, args, args.input, "--input")
     for sentence in predictions:  # each line goes out as soon as its sentence is decoded
         _emit({
             "entities": [
@@ -359,7 +372,7 @@ def cmd_predict(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_stats(config: RunConfig, args: argparse.Namespace) -> int:
-    model, meta, examples, predictions = _decode(config, args.data, "--data")
+    model, meta, examples, predictions = _decode(config, args, args.data, "--data")
     stats = query_affinity_stats(zip(predictions, map(len, examples)), model.config.queries,
                                  meta.type_count)
     stats["types"] = meta.types

@@ -2,12 +2,13 @@
 
 Each word-level layer carries its own pointer/classifier heads. A training
 step encodes its mini-batch as one padded batch and builds one autodiff
-graph for it. Labels are assigned to each sentence's queries dynamically,
-every (sentence, layer) instance of the step in one lockstep solve (or
-statically in the ablation), boundary and classification losses are
-summed over layers and sentences, and the sum is averaged per batch.
-Inference, ``Model.predict``, decodes the final layer only, lazily, each
-sentence as a batch of one.
+graph for it. Each layer's matching costs are gathered for the whole batch
+at the sentences' (G, 3) gold rows, every (sentence, layer) instance is
+solved in one lockstep call (or labeled statically in the ablation), and
+the owners index the gold rows into the loss targets. Boundary and
+classification losses are summed over layers and sentences, and the sum is
+averaged per batch. Inference, ``Model.predict``, decodes the final layer
+only, lazily, each sentence as a batch of one.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import math
 import os
 import zipfile
 from dataclasses import asdict, dataclass
+from itertools import product
 from typing import Iterable, Iterator, Literal, get_args, get_type_hints
 
 import numpy as np
@@ -25,7 +27,7 @@ from .assignment import (
     QuantityVector,
     allocate_quantities,
     compute_cost_matrix,
-    labels_from_assignment,
+    gold_array,
     solve_one_to_many_lap,
 )
 from .data import (AnnotationError, DatasetMeta, EntityAnnotation, SentenceExample, require,
@@ -163,7 +165,8 @@ class Model:
         """One sentence as a batch of one: its encodings, and each layer's
         (M, N) head outputs off the graph, as assignment and decode read them."""
         outputs, head_outs = self.forward_batch([token_ids])
-        return outputs, _sentence_outputs(head_outs, 0, len(token_ids))
+        return outputs, [(scores.sentence(0, len(token_ids)), types.sentence(0))
+                         for scores, types in head_outs]
 
     def predict(self, sentences: Iterable[np.ndarray], loc_threshold: float,
                 cls_threshold: float) -> Iterator[list[Prediction]]:
@@ -184,90 +187,57 @@ def _run_heads(h_q, h_w, heads: LayerHeads,
     return scores, entity_classifier(h_q, h_w, scores, heads)
 
 
-def _sentence_outputs(head_outs, index: int, length: int):
-    """Each layer's head outputs for one sentence of a padded batch, unpadded."""
-    return [(scores.sentence(index, length), types.sentence(index))
-            for scores, types in head_outs]
-
-
 # ---------------------------------------------------------------------------
 # losses
 #
-# Each loss takes one sentence's (M, N) outputs with its labels and length,
-# or a padded batch's (B, M, N) outputs with a list of labels and a list of
-# lengths, one per sentence; the single sentence is a batch of one. With
+# Each loss takes one sentence's (M, N) outputs with its (M, 3) targets and
+# length, or a padded batch's (B, M, N) outputs with (B, M, 3) targets and a
+# list of lengths, one per sentence. A target row is the query's label,
+# (left, right, type), or (-1, -1, type_count) for None. With
 # ``per_sentence`` a batch's loss is one sum per sentence, (B,), not one total.
 
 
-def boundary_loss(scores: BoundaryScores, labels, sentence_length,
+def boundary_loss(scores: BoundaryScores, targets: np.ndarray, sentence_length,
                   per_sentence: bool = False) -> Tensor:
     """Binary cross entropy of both boundary maps against one-hot targets.
 
     Only real words count. Queries labeled None carry no boundary target and
     are excluded; the classification loss alone supervises them.
     """
-    shape = scores.left_logits.shape
-    if len(shape) == 2:
-        labels, sentence_length = [labels], [sentence_length]
-    *_, m, n = shape
-    longest = max(sentence_length)
-    if n != longest:
-        raise AnnotationError(f"scores cover {n} words, the longest sentence has {longest}")
-    left, right = np.full((2, len(labels), m), -1)  # -1: no label, so no target
-    for b, sentence_labels in enumerate(labels):
-        left[b, :len(sentence_labels)] = [-1 if x is None else x.left for x in sentence_labels]
-        right[b, :len(sentence_labels)] = [-1 if x is None else x.right for x in sentence_labels]
-    lengths = np.array(sentence_length)
-    outside = np.argwhere(right >= lengths[:, None])
-    if len(outside):
-        b, i = outside[0]
-        label = labels[b][i]
-        raise AnnotationError(
-            f"label span ({label.left}, {label.right}) outside {lengths[b]} words")
-    labeled = left >= 0
+    n = scores.left_logits.shape[-1]
+    lengths = np.asarray(sentence_length)[..., None, None]
+    if n != lengths.max():
+        raise AnnotationError(f"scores cover {n} words, the longest sentence has {lengths.max()}")
+    labeled = targets[..., 0] >= 0
     if not labeled.any():
-        return Tensor(np.zeros(len(labels)) if per_sentence else 0.0)
+        return Tensor(np.zeros(lengths.size) if per_sentence else 0.0)
     words = np.arange(n)
-    mask = (labeled[..., None] & (words < lengths[:, None, None])).astype(np.float64)
-    left_target = (left[..., None] == words).astype(np.float64)
-    right_target = (right[..., None] == words).astype(np.float64)
-    mask = mask.reshape(shape)
-    return add(bce_with_logits(scores.left_logits, left_target.reshape(shape), mask,
-                               per_item=per_sentence),
-               bce_with_logits(scores.right_logits, right_target.reshape(shape), mask,
-                               per_item=per_sentence))
+    mask = (labeled[..., None] & (words < lengths)).astype(np.float64)
+    left_target = (targets[..., 0, None] == words).astype(np.float64)
+    right_target = (targets[..., 1, None] == words).astype(np.float64)
+    return add(bce_with_logits(scores.left_logits, left_target, mask, per_item=per_sentence),
+               bce_with_logits(scores.right_logits, right_target, mask, per_item=per_sentence))
 
 
-def classification_loss(types: TypeDistribution, labels, per_sentence: bool = False) -> Tensor:
+def classification_loss(types: TypeDistribution, targets: np.ndarray,
+                        per_sentence: bool = False) -> Tensor:
     """Cross entropy over the type inventory plus None, summed over queries."""
-    shape = types.logits.shape
-    if len(shape) == 2:
-        labels = [labels]
-    *_, m, classes = shape
-    none_id = classes - 1
-    target = np.full((len(labels), m), -1)  # -1: no label, so an all-zero row
-    for b, sentence_labels in enumerate(labels):
-        target[b, :len(sentence_labels)] = [none_id if x is None else x.type_id
-                                            for x in sentence_labels]
-    outside = target[target >= classes]
-    if outside.size:
-        raise AnnotationError(f"label type {outside[0]} outside {classes} classes")
-    one_hot = (target[..., None] == np.arange(classes)).astype(np.float64)
-    return softmax_cross_entropy(types.logits, one_hot.reshape(shape), per_item=per_sentence)
+    one_hot = (targets[..., 2, None] == np.arange(types.logits.shape[-1])).astype(np.float64)
+    return softmax_cross_entropy(types.logits, one_hot, per_item=per_sentence)
 
 
 def sentence_loss(
     head_outs: list[tuple[BoundaryScores, TypeDistribution]],
-    labels_per_layer: list,
+    targets: np.ndarray,
     sentence_length,
     per_sentence: bool = False,
 ) -> Tensor:
     """Total loss of a sentence or a padded batch: boundary + classification
-    at every layer. ``labels_per_layer[layer]`` is what the two losses take."""
+    at every layer. ``targets[layer]`` is what the two losses take."""
     total: Tensor | None = None
-    for (scores, types), labels in zip(head_outs, labels_per_layer):
-        layer_total = add(boundary_loss(scores, labels, sentence_length, per_sentence),
-                          classification_loss(types, labels, per_sentence))
+    for (scores, types), layer_targets in zip(head_outs, targets):
+        layer_total = add(boundary_loss(scores, layer_targets, sentence_length, per_sentence),
+                          classification_loss(types, layer_targets, per_sentence))
         total = layer_total if total is None else add(total, layer_total)
     assert total is not None
     return total
@@ -277,65 +247,73 @@ def sentence_loss(
 # label assignment orchestration
 
 
-def _occurrence_order(gold: list[EntityAnnotation]) -> list[EntityAnnotation]:
-    return sorted(gold, key=lambda e: (e.left, e.right, e.type_id))
+def gold_arrays(examples: list[SentenceExample], type_count: int, query_count: int,
+                static: bool) -> list[np.ndarray]:
+    """Each sentence's gold as ``gold_array`` rows, checked once for the corpus:
+    an AnnotationError names the first sentence with a bad entity. The rows
+    keep the given order, except in ``static`` mode and in a sentence of more
+    than ``query_count`` entities, which keep the first ``query_count`` in
+    occurrence order."""
+    golds = []
+    for s, example in enumerate(examples):
+        try:
+            gold = gold_array(example.entities, len(example), type_count)
+        except AnnotationError as err:
+            raise AnnotationError(f"sentence {s}: {err}") from None
+        if static or len(gold) > query_count:
+            gold = gold[np.lexsort(gold.T[::-1])][:query_count]  # by (left, right, type)
+        golds.append(gold)
+    return golds
 
 
 def assign_labels(
-    outs: list[list[tuple[BoundaryScores, TypeDistribution]]],
-    golds: list[list[EntityAnnotation]],
+    head_outs: list[tuple[BoundaryScores, TypeDistribution]],
+    golds: list[np.ndarray],
     config: TrainConfig,
-    query_count: int,
     rng: np.random.Generator,
-) -> tuple[list[list[list[EntityAnnotation | None]]], list[list[float | None]]]:
-    """Per-sentence, per-layer query labels under the configured assignment
-    scheme, and the optimal total cost of each solved (sentence, layer).
+) -> tuple[np.ndarray, list[list[float | None]]]:
+    """The (L, B, M, 3) loss targets of a padded batch's queries under the
+    configured scheme, and the optimal total cost of each solved (sentence,
+    layer), None where nothing was solved.
 
-    ``outs[s]`` holds sentence s's (M, N) head outputs, one per layer.
-    Dynamic mode matches each layer's own predictions (or reuses the final
-    layer's matching when ``share_final_assignment``); static mode hands
-    entity k to query k in occurrence order. Sentences with more entities
-    than queries keep the first ``query_count`` in occurrence order. The
-    quantities are drawn in (sentence, layer) order, and every instance is
-    then solved in one lockstep call. The cost is None where nothing was solved.
+    ``head_outs`` holds each layer's (B, M, N) outputs and ``golds`` each
+    sentence's rows from ``gold_arrays``. Dynamic mode matches each layer's
+    own predictions (or reuses the final layer's matching when
+    ``share_final_assignment``); static mode hands row k to query k. The
+    quantities are drawn in (sentence, layer) order, each solved layer's
+    costs are one gather over the batch, and every instance is solved in one
+    lockstep call. A query's target is its owner's row, or the None row.
     """
-    labels, matched = [], []
-    solves, costs, quantities = [], [], []  # one per (sentence, layer) instance
-    for s, (head_outs, gold) in enumerate(zip(outs, golds)):
-        depth = len(head_outs)
-        labels.append([[None] * query_count for _ in range(depth)])
-        matched.append([None] * depth)
-        if not gold:
-            continue
-        usable = gold
-        if len(gold) > query_count:
-            usable = _occurrence_order(gold)[:query_count]
-        if config.assignment_mode == "static":
-            ordered = _occurrence_order(usable)
-            row = [ordered[i] if i < len(ordered) else None for i in range(query_count)]
-            labels[-1] = [list(row) for _ in range(depth)]
-            continue
-        for layer in [depth - 1] if config.share_final_assignment else range(depth):
-            if config.quantity_mode == "one_to_one":
-                quantities.append(QuantityVector(np.ones(len(usable), dtype=np.int64)))
-            else:
-                quantities.append(allocate_quantities(len(usable), query_count, config.ratio, rng))
-            costs.append(compute_cost_matrix(*head_outs[layer], usable))
-            solves.append((s, layer, usable))
-    if not solves:
-        return labels, matched
-    stacked = QuantityVector.stack(quantities)
-    cost = np.zeros((len(costs), query_count, len(stacked)))
-    for padded, instance_cost in zip(cost, costs):
-        padded[:, :instance_cost.shape[1]] = instance_cost
-    for (s, layer, usable), result in zip(solves, solve_one_to_many_lap(cost, stacked)):
-        row = labels_from_assignment(result, usable)
-        matched[s][layer] = result.total_cost
-        if config.share_final_assignment:
-            labels[s] = [list(row) for _ in labels[s]]
-        else:
-            labels[s][layer] = row
-    return labels, matched
+    types = head_outs[-1][1]
+    batch, queries, _ = types.probs.shape
+    depth = len(head_outs)
+    sizes = [len(gold) for gold in golds]
+    # row k < G of sentence b is its gold entity k, and every later row is None
+    table = np.tile(np.array([-1, -1, types.none_id]), (batch, queries + 1, 1))
+    for rows, gold in zip(table, golds):
+        rows[:len(gold)] = gold
+    owner = np.full((depth, batch, queries), queries)
+    matched: list[list[float | None]] = [[None] * depth for _ in golds]
+    solved = [b for b, size in enumerate(sizes) if size]
+    if config.assignment_mode == "static":
+        owner[:] = np.arange(queries)
+    elif solved:
+        layers = [depth - 1] if config.share_final_assignment else list(range(depth))
+        instances = list(product(solved, layers))
+        counts = np.zeros((len(instances), max(sizes)), dtype=np.int64)  # 0 past each G
+        for row, (b, _) in zip(counts, instances):
+            row[:sizes[b]] = (1 if config.quantity_mode == "one_to_one" else
+                              allocate_quantities(sizes[b], queries, config.ratio, rng).counts)
+        # the None rows past a sentence's own G gather costs that the solver ignores
+        widest = table[:, :counts.shape[1]]
+        cost = np.stack([compute_cost_matrix(*head_outs[layer], widest) for layer in layers], 1)
+        results = solve_one_to_many_lap(cost[solved].reshape(len(instances), queries, -1),
+                                        QuantityVector(counts))
+        labels = np.reshape([result.labels for result in results], (len(solved), len(layers), -1))
+        owner[:, solved] = labels.swapaxes(0, 1)  # one layer's labels go to all when shared
+        for (b, layer), result in zip(instances, results):
+            matched[b][layer] = result.total_cost
+    return table[np.arange(batch)[:, None], owner], matched
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +388,14 @@ def linear_warmup_decay(step: int, total_steps: int, peak: float,
 def train_step(
     model: Model,
     batch: list[np.ndarray],
-    golds: list[list[EntityAnnotation]],
+    golds: list[np.ndarray],
     optimizer: AdamOptimizer,
     config: TrainConfig,
     rng: np.random.Generator,
     lr: float,
 ) -> tuple[float, list[list[Prediction]], list[list[float | None]]]:
-    """One optimizer step on a mini-batch of encoded sentences and their gold.
+    """One optimizer step on a mini-batch of encoded sentences and their gold
+    rows (``gold_arrays``).
 
     Builds the batch graph, assigns labels, decodes the final layer, and
     runs backward and the Adam step. Returns the batch-mean loss, each
@@ -426,11 +405,12 @@ def train_step(
     model.zero_grad()
     lengths = [len(ids) for ids in batch]
     _, head_outs = model.forward_batch(batch)
-    outs = [_sentence_outputs(head_outs, b, length) for b, length in enumerate(lengths)]
-    labels, matched = assign_labels(outs, golds, config, model.config.queries, rng)
-    predictions = [decode_entities(*sentence_outs[-1], config.loc_threshold, config.cls_threshold)
-                   for sentence_outs in outs]
-    batch_mean = mul(sentence_loss(head_outs, list(zip(*labels)), lengths), 1.0 / len(batch))
+    targets, matched = assign_labels(head_outs, golds, config, rng)
+    scores, types = head_outs[-1]
+    predictions = [decode_entities(scores.sentence(b, length), types.sentence(b),
+                                   config.loc_threshold, config.cls_threshold)
+                   for b, length in enumerate(lengths)]
+    batch_mean = mul(sentence_loss(head_outs, targets, lengths), 1.0 / len(batch))
     value = batch_mean.item()
     if not math.isfinite(value):
         raise NumericError("non-finite loss")
@@ -441,7 +421,8 @@ def train_step(
 def train_epoch(
     model: Model,
     encoded: list[np.ndarray],
-    golds: list[list[EntityAnnotation]],
+    golds: list[np.ndarray],
+    entities: list[list[EntityAnnotation]],
     optimizer: AdamOptimizer,
     config: TrainConfig,
     rng: np.random.Generator,
@@ -451,7 +432,9 @@ def train_epoch(
 ) -> tuple[dict, int]:
     """One pass over seeded-shuffled batches; returns epoch metrics.
 
-    The reported train F1 is decoded from the final-layer outputs of the
+    ``golds`` holds each sentence's rows from ``gold_arrays``, and
+    ``entities`` its whole gold, which the reported train F1 is scored
+    against. That F1 is decoded from the final-layer outputs of the
     training forward passes (the model as it moves through the epoch).
     ``matched_cost`` holds, per word layer, the mean optimal assignment cost
     over the sentences solved at that layer, or None where none was.
@@ -481,7 +464,7 @@ def train_epoch(
                     cost_counts[layer] += 1
         losses.append(value)
         step += 1
-    report = evaluate_corpus(predictions, golds)
+    report = evaluate_corpus(predictions, entities)
     metrics = {
         "epoch": epoch,
         "loss": float(np.mean(losses)),
@@ -503,13 +486,16 @@ def train(
 ) -> list[dict]:
     """Full training run; deterministic given the config seed.
 
-    ``stop_f1`` optionally ends training early once the epoch's train F1
-    reaches the given value.
+    Every sentence's gold is checked against the model's type inventory
+    before the first step (``gold_arrays``). ``stop_f1`` optionally ends
+    training early once the epoch's train F1 reaches the given value.
     """
     if not examples:
         raise ValueError("cannot train on an empty dataset")
     encoded = [meta.encode(ex.tokens) for ex in examples]
-    golds = [list(ex.entities) for ex in examples]
+    golds = gold_arrays(examples, model.config.type_count, model.config.queries,
+                        config.assignment_mode == "static")
+    entities = [list(ex.entities) for ex in examples]
     rng = np.random.default_rng(config.seed)
     optimizer = AdamOptimizer(model)
     batches_per_epoch = math.ceil(len(examples) / config.batch_size)
@@ -518,7 +504,7 @@ def train(
     step = 0
     for epoch in range(config.epochs):
         metrics, step = train_epoch(
-            model, encoded, golds, optimizer, config, rng, epoch, step, total_steps
+            model, encoded, golds, entities, optimizer, config, rng, epoch, step, total_steps
         )
         history.append(metrics)
         if on_epoch is not None:
@@ -677,18 +663,15 @@ def model_gradcheck(seed: int, eps: float = GRADCHECK_EPS, inject_error: bool = 
         else:
             p.data[...] = rng.normal(0.0, 0.35, size=p.shape)
     token_ids = rng.integers(2, config.vocab_size, size=tokens)
-    gold = [
-        EntityAnnotation(0, tokens - 1, int(rng.integers(type_count))),
-        EntityAnnotation(1, 1, int(rng.integers(type_count))),
-    ]
-    _, head_outs = model.forward(token_ids)
-    labels = assign_labels([head_outs], [gold], TrainConfig(seed=seed), queries,
-                           np.random.default_rng(seed))[0][0]
+    gold = np.array([(0, tokens - 1, rng.integers(type_count)), (1, 1, rng.integers(type_count))])
+    _, head_outs = model.forward_batch([token_ids])
+    targets, _ = assign_labels(head_outs, [gold], TrainConfig(seed=seed),
+                               np.random.default_rng(seed))
 
     def loss(copies: int) -> Tensor:
         _, head_outs = model.forward_batch([token_ids] * copies)
-        total = sentence_loss(head_outs, [[row] * copies for row in labels],
-                              [tokens] * copies, per_sentence=True)
+        total = sentence_loss(head_outs, targets.repeat(copies, axis=1), [tokens] * copies,
+                              per_sentence=True)
         if inject_error:
             total = add(total, Tensor(0.05 * model.layers[0].wq.data.sum(axis=(-2, -1))))
         return total

@@ -294,13 +294,14 @@ def test_criterion_8_closed_form_losses():
         left=sigmoid(Tensor(np.zeros((m, n)))),
         right=sigmoid(Tensor(np.zeros((m, n)))),
     )
-    labels = [EntityAnnotation(2, 5, 0)] + [None] * (m - 1)
-    b = boundary_loss(scores, labels, n).item()
+    none = (-1, -1, classes - 1)
+    targets = np.array([(2, 5, 0)] + [none] * (m - 1))
+    b = boundary_loss(scores, targets, n).item()
     boundary_ok = abs(b - 2 * n * math.log(2)) < 1e-9
 
     types = TypeDistribution(logits=Tensor(np.zeros((m, classes))),
                              probs=np.full((m, classes), 1.0 / classes))
-    t = classification_loss(types, [None] * m).item()
+    t = classification_loss(types, np.array([none] * m)).item()
     classification_ok = abs(t - m * math.log(classes)) < 1e-9
     _report(
         8,

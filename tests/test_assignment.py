@@ -10,7 +10,6 @@ from iqner.assignment import (
     QuantityVector,
     allocate_quantities,
     brute_force_lap,
-    labels_from_assignment,
     solve_one_to_many_lap,
     compute_cost_matrix,
 )
@@ -146,20 +145,33 @@ def test_scale_invariance_of_argmin():
     assert np.array_equal(base.matrix, scaled.matrix)
 
 
-def test_labels_from_assignment():
-    gold = [EntityAnnotation(0, 1, 0), EntityAnnotation(2, 3, 1)]
-    cost = np.array([[-0.9, -0.1], [-0.5, -0.6], [-0.2, -0.8]])
-    result = solve_one_to_many_lap(cost, QuantityVector(np.array([1, 1])))
-    labels = labels_from_assignment(result, gold)
-    assert labels == [gold[0], None, gold[1]]
+def _batch_outputs(left, right, probs):
+    """One layer's head outputs for a batch, from (B, M, N) and (B, M, C) arrays."""
+    from iqner.heads import BoundaryScores, TypeDistribution
+    from iqner.tensor import Tensor
+
+    left, right, probs = (np.asarray(a, dtype=np.float64) for a in (left, right, probs))
+    return (BoundaryScores(Tensor(left), Tensor(right), Tensor(left), Tensor(right)),
+            TypeDistribution(Tensor(probs), probs))
 
 
-def test_all_none_labels_for_zero_matrix():
-    result = solve_one_to_many_lap(np.array([[-1.0], [-0.5]]), QuantityVector(np.array([1])))
-    synthetic = result
-    synthetic.labels = np.array([1, 1])
-    labels = labels_from_assignment(synthetic, [EntityAnnotation(0, 0, 0)])
-    assert labels == [None, None]
+def test_targets_index_each_gold_row_or_the_none_row():
+    from iqner.training import TrainConfig, assign_labels
+
+    # sentence 0's costs are [[-0.9, -0.1], [-0.5, -0.6], [-0.2, -0.8]], by type alone;
+    # sentence 1 has no gold, so each of its queries is free
+    probs = np.array([[[0.9, 0.1, 0.0], [0.5, 0.6, 0.0], [0.2, 0.8, 0.0]]] * 2)
+    outs = [_batch_outputs(np.zeros((2, 3, 4)), np.zeros((2, 3, 4)), probs)]
+    gold = np.array([(0, 1, 0), (2, 3, 1)])
+    result = solve_one_to_many_lap(-probs[0, :, :2], QuantityVector(np.array([1, 1])))
+    assert np.array_equal(result.labels, [0, 2, 1])  # query 1 is free: its owner is G
+    config = TrainConfig(quantity_mode="one_to_one")
+    targets, matched = assign_labels(outs, [gold, gold[:0]], config, np.random.default_rng(0))
+    none = (-1, -1, 2)
+    assert targets.dtype == np.int64 and targets.shape == (1, 2, 3, 3)
+    assert np.array_equal(targets[0, 0], [gold[0], none, gold[1]])
+    assert np.array_equal(targets[0, 1], [none] * 3)
+    assert matched == [[result.total_cost], [None]]
 
 
 class _Stub:
@@ -185,6 +197,21 @@ def test_cost_matrix_formula():
     cost = compute_cost_matrix(scores, types, gold)
     assert cost.shape == (1, 1)
     assert cost[0, 0] == pytest.approx(-(0.5 + 0.2 + 0.3))
+
+
+def test_cost_gather_over_a_batch_equals_each_sentence_alone():
+    rng = np.random.default_rng(3)
+    batch, queries, words, classes = 3, 5, 6, 4
+    left, right = rng.random((2, batch, queries, words))
+    probs = rng.random((batch, queries, classes))
+    golds = [[EntityAnnotation(l, l + int(rng.integers(words - l)), int(rng.integers(classes - 1)))
+              for l in rng.integers(words, size=4).tolist()] for _ in range(batch)]
+    stack = np.array([[(e.left, e.right, e.type_id) for e in gold] for gold in golds])
+    cost = compute_cost_matrix(_StubScores(left, right), _StubTypes(probs), stack)
+    assert cost.shape == (batch, queries, 4)
+    for b, gold in enumerate(golds):
+        alone = compute_cost_matrix(_StubScores(left[b], right[b]), _StubTypes(probs[b]), gold)
+        assert np.array_equal(cost[b], alone)
 
 
 def test_cost_matrix_extremum_and_shape():
@@ -326,9 +353,11 @@ def test_lockstep_solve_matches_each_instance_alone(case):
     queries, instances = case
     width = max(len(q) for _, q in instances)
     cost = np.full((len(instances), queries, width), 7.0)  # padded entries are ignored
+    counts = np.zeros((len(instances), width), dtype=np.int64)
     for k, (c, q) in enumerate(instances):
         cost[k, :, :len(q)] = c
-    stacked = QuantityVector.stack([q for _, q in instances])
+        counts[k, :len(q)] = q.counts
+    stacked = QuantityVector(counts)
     assert stacked.total == sum(q.total for _, q in instances)
     together = solve_one_to_many_lap(cost, stacked)
     assert len(together) == len(instances)
@@ -368,30 +397,31 @@ def test_stacked_quantities_are_checked():
 
 
 def test_batch_assignment_draws_the_per_sentence_random_stream():
-    from iqner.heads import BoundaryScores, TypeDistribution
-    from iqner.tensor import Tensor
     from iqner.training import TrainConfig, assign_labels
 
     rng = np.random.default_rng(11)
-    queries, depth = 12, 3
-    outs, golds = [], []
-    for entities in (3, 0, 5, 1, 2):
-        n = 6
-        layers = []
-        for _ in range(depth):
-            left, right = rng.random((queries, n)), rng.random((queries, n))
-            raw = rng.random((queries, 4))
-            layers.append((BoundaryScores(Tensor(left), Tensor(right), Tensor(left), Tensor(right)),
-                           TypeDistribution(Tensor(raw), raw / raw.sum(axis=1, keepdims=True))))
-        outs.append(layers)
-        golds.append([EntityAnnotation(k, min(k + 1, n - 1), k % 3) for k in range(entities)])
+    queries, depth, n = 12, 3, 6
+    sizes = (3, 0, 5, 1, 2)
+    arrays = []
+    for _ in range(depth):
+        raw = rng.random((len(sizes), queries, 4))
+        arrays.append((rng.random((len(sizes), queries, n)), rng.random((len(sizes), queries, n)),
+                       raw / raw.sum(axis=-1, keepdims=True)))
+    outs = [_batch_outputs(*layer) for layer in arrays]
+    golds = [np.array([(k, min(k + 1, n - 1), k % 3) for k in range(g)]).reshape(-1, 3)
+             for g in sizes]
     for ratio in (0.75, 0.5):  # 9 and 6 queries over G entities: remainders are drawn
-        config = TrainConfig(ratio=ratio)
-        batch_rng, alone_rng = np.random.default_rng(4), np.random.default_rng(4)
-        labels, matched = assign_labels(outs, golds, config, queries, batch_rng)
-        alone = [assign_labels([o], [g], config, queries, alone_rng)[0][0]
-                 for o, g in zip(outs, golds)]
-        assert labels == alone
-        assert batch_rng.integers(1 << 30) == alone_rng.integers(1 << 30)
-        assert matched[1] == [None] * depth
-        assert all(cost < 0 for costs in matched if costs[0] is not None for cost in costs)
+        for share in (False, True):
+            config = TrainConfig(ratio=ratio, share_final_assignment=share)
+            batch_rng, alone_rng = np.random.default_rng(4), np.random.default_rng(4)
+            targets, matched = assign_labels(outs, golds, config, batch_rng)
+            for b, gold in enumerate(golds):
+                alone, alone_matched = assign_labels(
+                    [_batch_outputs(*(a[b:b + 1] for a in layer)) for layer in arrays], [gold],
+                    config, alone_rng)
+                assert np.array_equal(targets[:, b:b + 1], alone)
+                assert matched[b] == alone_matched[0]
+            assert batch_rng.integers(1 << 30) == alone_rng.integers(1 << 30)
+            assert matched[1] == [None] * depth
+            assert all(cost < 0 for costs in matched if costs[-1] is not None
+                       for cost in costs if cost is not None)

@@ -1,11 +1,14 @@
+import contextlib
 import dataclasses
+import io
 import json
 import sys
+from typing import Literal, get_args, get_origin
 
 import numpy as np
 import pytest
 
-from iqner import training
+from iqner import cli, training
 from iqner.cli import RunConfig, build_parser, build_run_config, main
 from iqner.encoder import ModelConfig
 from iqner.training import Model, TrainConfig
@@ -830,3 +833,94 @@ def test_decode_commands_check_every_length_before_output(command, trained_check
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{data}:3:" in captured.err and "70" in captured.err
+
+
+# Every `cli._KNOBS` entry is checked against one base run by one generic rule,
+# so a knob added to ModelConfig or TrainConfig is checked with no new test
+# code. The base's zero thresholds and dev file let the thresholds show in the
+# dev line.
+KNOB_BASE = ["--hidden", "8", "--queries", "4", "--layers", "2", "--base-layers", "1",
+             "--heads", "1", "--epochs", "2", "--batch-size", "4", "--warmup", "0.5",
+             "--loc-threshold", "0", "--cls-threshold", "0"]
+
+
+def _other_value(hint, value):
+    """A value of a knob's type other than ``value``, one its checks accept."""
+    if hint is bool:
+        return not value
+    if get_origin(hint) is Literal:
+        return next(other for other in get_args(hint) if other != value)
+    if value is None or type(value) is float:
+        return value / 2 if value else 0.5
+    return value + 1
+
+
+def _spelled_flag_value(value) -> str:
+    if isinstance(value, bool):
+        return "on" if value else "off"
+    return str(value).replace("_", "-")
+
+
+@pytest.fixture(scope="module")
+def knob_base_run(corpus, tmp_path_factory):
+    argv = ["train", "--train", str(corpus[0]), "--dev", str(corpus[0]), *KNOB_BASE]
+    out = tmp_path_factory.mktemp("knob-base") / "model.npz"
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        assert main(argv + ["--out", str(out)]) == 0
+    return argv, stdout.getvalue(), out.read_bytes()
+
+
+@pytest.mark.parametrize("name", list(cli._KNOBS))
+def test_each_train_knob_changes_the_run_or_exits_2_naming_its_flag(name, knob_base_run,
+                                                                    tmp_path, capsys):
+    argv, base_stdout, base_checkpoint = knob_base_run
+    base = getattr(build_run_config(build_parser().parse_args(argv)), name)
+    value = _other_value(cli._HINTS[name], base)
+    flag = cli._flag(name)
+    out = tmp_path / "model.npz"
+    code = main(argv + [flag, _spelled_flag_value(value), "--out", str(out)])
+    captured = capsys.readouterr()
+    if code == 2:
+        assert flag in captured.err
+    else:
+        assert code == 0 and (captured.out != base_stdout
+                              or out.read_bytes() != base_checkpoint), (
+            f"{flag} {value} changed neither the epoch lines nor the checkpoint")
+
+
+@pytest.mark.parametrize("source", ["--config", "PIQN_CONFIG"])
+@pytest.mark.parametrize("command", ["eval", "predict", "stats"])
+@pytest.mark.parametrize("key,value,held", [("hidden", 99, 16), ("one_way", False, True),
+                                            ("max_len", 65, 64), ("seed", 4, 5)])
+def test_decode_commands_refuse_a_model_key_the_checkpoint_disagrees_with(
+        key, value, held, command, source, trained_checkpoint, corpus, tmp_path, monkeypatch,
+        capsys):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({key: value}))
+    data = "--input" if command == "predict" else "--data"
+    argv = [command, "--checkpoint", str(trained_checkpoint), data, str(corpus[0])]
+    if source == "--config":
+        argv += ["--config", str(config_path)]
+    else:
+        monkeypatch.setenv("PIQN_CONFIG", str(config_path))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {source} {config_path} sets {key} {value!r}, but "
+                            f"checkpoint {trained_checkpoint} has {held!r}\n")
+
+
+@pytest.mark.parametrize("command", ["eval", "predict", "stats"])
+def test_decode_commands_take_the_config_file_of_the_whole_pipeline(command, trained_checkpoint,
+                                                                    corpus, tmp_path, capsys):
+    data = "--input" if command == "predict" else "--data"
+    argv = [command, "--checkpoint", str(trained_checkpoint), data, str(corpus[0])]
+    assert main(argv) == 0
+    alone = capsys.readouterr().out
+    # the keys that trained the checkpoint, training knobs, and a max_len train grew past
+    config_path = tmp_path / "pipeline.json"
+    config_path.write_text(json.dumps({
+        "epochs": 3, "hidden": 16, "queries": 4, "word_layers": 1, "base_layers": 1, "heads": 2,
+        "seed": 5, "one_way": True, "max_len": 8, "learning_rate": 0.5, "ratio": 0.5}))
+    assert main(argv + ["--config", str(config_path)]) == 0
+    assert capsys.readouterr().out == alone

@@ -10,6 +10,7 @@ from iqner.data import (
     AnnotationError,
     DatasetMeta,
     EntityAnnotation,
+    SentenceExample,
     SyntheticSpec,
     generate_synthetic,
 )
@@ -24,6 +25,7 @@ from iqner.training import (
     assign_labels,
     boundary_loss,
     classification_loss,
+    gold_arrays,
     linear_warmup_decay,
     load_checkpoint,
     model_gradcheck,
@@ -49,6 +51,16 @@ def types_from_logits(logits):
     return TypeDistribution(logits=Tensor(logits), probs=e / e.sum(axis=-1, keepdims=True))
 
 
+def _rows(labels, none_id):
+    """The target rows of nested per-query labels: each entity's (left,
+    right, type), and (-1, -1, none_id) for None."""
+    if labels is None:
+        return (-1, -1, none_id)
+    if isinstance(labels, EntityAnnotation):
+        return (labels.left, labels.right, labels.type_id)
+    return np.array([_rows(label, none_id) for label in labels], dtype=np.int64)
+
+
 def test_boundary_loss_zero_at_perfect_prediction():
     n = 4
     left = np.full((1, n), -1000.0)
@@ -56,27 +68,21 @@ def test_boundary_loss_zero_at_perfect_prediction():
     left[0, 1] = 1000.0
     right[0, 2] = 1000.0
     scores = scores_from_logits(left, right)
-    loss = boundary_loss(scores, [EntityAnnotation(1, 2, 0)], n)
+    loss = boundary_loss(scores, np.array([(1, 2, 0)]), n)
     assert loss.item() == 0.0
 
 
 def test_boundary_loss_closed_form_at_half():
     n = 6
     scores = scores_from_logits(np.zeros((3, n)), np.zeros((3, n)))
-    labels = [EntityAnnotation(0, 2, 0), None, None]
-    loss = boundary_loss(scores, labels, n)
+    targets = np.array([(0, 2, 0), (-1, -1, 1), (-1, -1, 1)])
+    loss = boundary_loss(scores, targets, n)
     assert loss.item() == pytest.approx(2 * n * math.log(2), abs=1e-9)
 
 
 def test_boundary_loss_all_none_is_zero():
     scores = scores_from_logits(np.zeros((2, 3)), np.zeros((2, 3)))
-    assert boundary_loss(scores, [None, None], 3).item() == 0.0
-
-
-def test_boundary_loss_rejects_out_of_range_label():
-    scores = scores_from_logits(np.zeros((1, 3)), np.zeros((1, 3)))
-    with pytest.raises(AnnotationError):
-        boundary_loss(scores, [EntityAnnotation(0, 5, 0)], 3)
+    assert boundary_loss(scores, np.array([(-1, -1, 1)] * 2), 3).item() == 0.0
 
 
 def test_classification_loss_zero_at_one_hot():
@@ -84,22 +90,22 @@ def test_classification_loss_zero_at_one_hot():
     logits[0, 1] = 1000.0
     logits[1, 2] = 1000.0
     types = types_from_logits(logits)
-    labels = [EntityAnnotation(0, 0, 1), None]
-    assert classification_loss(types, labels).item() == pytest.approx(0.0, abs=1e-12)
+    targets = np.array([(0, 0, 1), (-1, -1, 2)])
+    assert classification_loss(types, targets).item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_classification_loss_uniform_closed_form():
     m, classes = 5, 4  # three types plus None
     types = types_from_logits(np.zeros((m, classes)))
-    labels = [None] * m
-    assert classification_loss(types, labels).item() == pytest.approx(
+    targets = np.array([(-1, -1, classes - 1)] * m)
+    assert classification_loss(types, targets).item() == pytest.approx(
         m * math.log(classes), abs=1e-9
     )
 
 
 def test_classification_loss_single_query_half():
     types = types_from_logits(np.zeros((1, 2)))
-    assert classification_loss(types, [EntityAnnotation(0, 0, 0)]).item() == pytest.approx(
+    assert classification_loss(types, np.array([(0, 0, 0)])).item() == pytest.approx(
         math.log(2), abs=1e-12
     )
 
@@ -108,8 +114,8 @@ def test_sentence_loss_sums_both_losses_over_layers():
     n, m, classes = 4, 2, 3
     half = (scores_from_logits(np.zeros((m, n)), np.zeros((m, n))),
             types_from_logits(np.zeros((m, classes))))
-    labels = [[EntityAnnotation(0, 1, 0), None], [None, None]]
-    loss = sentence_loss([half, half], labels, n)
+    targets = _rows([[EntityAnnotation(0, 1, 0), None], [None, None]], classes - 1)
+    loss = sentence_loss([half, half], targets, n)
     assert isinstance(loss, Tensor)
     # 2n boundary terms of log 2 for the one labeled query, m log(classes) per layer
     expected = 2 * n * math.log(2) + 2 * m * math.log(classes)
@@ -120,17 +126,18 @@ def test_per_sentence_loss_is_each_sentences_own_loss():
     rng = np.random.default_rng(5)
     lengths, m, classes = [4, 2, 3], 2, 3
     shape = (len(lengths), m, max(lengths))
-    labels = [[EntityAnnotation(0, 1, 0), None], [None, EntityAnnotation(1, 1, 2)],
-              [EntityAnnotation(2, 2, 1)]]
+    targets = _rows([[[EntityAnnotation(0, 1, 0), None], [None, EntityAnnotation(1, 1, 2)],
+                      [EntityAnnotation(2, 2, 1), None]]] * 2, classes - 1)
     outs = [(scores_from_logits(rng.normal(size=shape), rng.normal(size=shape)),
              types_from_logits(rng.normal(size=(len(lengths), m, classes)))) for _ in range(2)]
-    per = sentence_loss(outs, [labels] * 2, lengths, per_sentence=True)
+    per = sentence_loss(outs, targets, lengths, per_sentence=True)
     assert per.shape == (len(lengths),)
     for b, length in enumerate(lengths):
         own = [(scores.sentence(b, length), types.sentence(b)) for scores, types in outs]
-        assert per.data[b] == pytest.approx(sentence_loss(own, [labels[b]] * 2, length).item(),
+        assert per.data[b] == pytest.approx(sentence_loss(own, targets[:, b], length).item(),
                                             rel=1e-14)
-    unlabeled = sentence_loss(outs, [[[None], [], [None]]] * 2, lengths, per_sentence=True)
+    unlabeled = sentence_loss(outs, _rows([[[None] * m] * 3] * 2, classes - 1), lengths,
+                              per_sentence=True)
     assert unlabeled.shape == (len(lengths),)
 
 
@@ -155,9 +162,9 @@ def test_loss_targets_equal_the_query_by_query_loop(seed, monkeypatch):
     lengths = [int(x) for x in rng.integers(1, 9, size=batch)]
     n = max(lengths)
     labels = []
-    for length in lengths:  # some sentences label fewer than m queries
+    for length in lengths:
         sentence_labels = []
-        for _ in range(int(rng.integers(0, m + 1))):
+        for _ in range(m):
             left = int(rng.integers(length))
             right = int(rng.integers(left, length))
             # type ids up to the None id itself, which a label may carry
@@ -171,8 +178,9 @@ def test_loss_targets_equal_the_query_by_query_loop(seed, monkeypatch):
     monkeypatch.setattr(training, "softmax_cross_entropy",
                         lambda logits, target, per_item: seen.append(target) or Tensor(0.0))
     shape = (batch, m, n)
-    boundary_loss(scores_from_logits(np.zeros(shape), np.zeros(shape)), labels, lengths)
-    classification_loss(types_from_logits(np.zeros((batch, m, classes))), labels)
+    targets = _rows(labels, classes - 1)
+    boundary_loss(scores_from_logits(np.zeros(shape), np.zeros(shape)), targets, lengths)
+    classification_loss(types_from_logits(np.zeros((batch, m, classes))), targets)
     mask, left, right, one_hot = _loop_targets(labels, lengths, m, n, classes)
     if mask.any():
         (mask_l, got_left), (mask_r, got_right), got_one_hot = seen
@@ -183,96 +191,117 @@ def test_loss_targets_equal_the_query_by_query_loop(seed, monkeypatch):
         assert len(seen) == 1 and np.array_equal(seen[0], one_hot)
 
 
-def test_loss_targets_keep_their_error_texts():
-    scores = scores_from_logits(np.zeros((2, 2, 3)), np.zeros((2, 2, 3)))
-    with pytest.raises(AnnotationError, match=r"^label span \(1, 2\) outside 2 words$"):
-        boundary_loss(scores, [[None], [None, EntityAnnotation(1, 2, 0)]], [3, 2])
-    types = types_from_logits(np.zeros((2, 2, 3)))
-    with pytest.raises(AnnotationError, match="^label type 4 outside 3 classes$"):
-        classification_loss(types, [[EntityAnnotation(0, 0, 2)],
-                                    [EntityAnnotation(0, 0, 4), EntityAnnotation(0, 0, 3)]])
+def test_gold_arrays_name_the_sentence_with_a_bad_span_or_type():
+    from iqner.assignment import gold_array
+
+    with pytest.raises(AnnotationError,
+                       match=r"^gold span \(1, 2\) outside sentence of length 2$"):
+        gold_array([EntityAnnotation(0, 0, 0), EntityAnnotation(1, 2, 0)], 2, 3)
+    examples = [SentenceExample(["a", "b"], [EntityAnnotation(0, 0, 2)]),
+                SentenceExample(["a"], [EntityAnnotation(0, 0, 4), EntityAnnotation(0, 0, 3)])]
+    with pytest.raises(AnnotationError,
+                       match="^sentence 1: gold type 4 outside inventory of size 3$"):
+        gold_arrays(examples, 3, 4, static=False)
+
+
+@pytest.mark.parametrize("mode", ["dynamic", "static"])
+def test_train_refuses_a_gold_type_outside_the_inventory_before_any_step(mode, monkeypatch):
+    """Type ``type_count`` is the None id, so static mode once trained such an
+    entity as None; both modes now refuse it before the first Adam step."""
+    examples, meta, config = _tiny_fixture()
+    examples = [*examples, SentenceExample(["w0"], [EntityAnnotation(0, 0, meta.type_count)])]
+    steps = []
+    monkeypatch.setattr(AdamOptimizer, "step", lambda *args: steps.append(args))
+    with pytest.raises(AnnotationError, match=f"^sentence {len(examples) - 1}: gold type "
+                                              f"{meta.type_count} outside inventory of size "
+                                              f"{meta.type_count}$"):
+        train(Model(config), examples, meta, TrainConfig(assignment_mode=mode, batch_size=1))
+    assert steps == []
+
+
+def _batch_of_one(left, right, probs, logits=None):
+    """One layer's head outputs for a batch of one sentence's (M, N) and (M, C) arrays."""
+    left, right, probs = (np.asarray(a, dtype=np.float64)[None] for a in (left, right, probs))
+    logits = probs if logits is None else np.asarray(logits, dtype=np.float64)[None]
+    return (BoundaryScores(left_logits=Tensor(left), right_logits=Tensor(left),
+                           left=Tensor(left), right=Tensor(right)),
+            TypeDistribution(logits=Tensor(logits), probs=probs))
 
 
 def _stub_head_outs_for_cost():
     # cost matrix [[-0.9, -0.1], [-0.5, -0.6], [-0.2, -0.8]] via type probs only
-    left = np.zeros((3, 2))
-    right = np.zeros((3, 2))
-    scores = BoundaryScores(
-        left_logits=Tensor(left), right_logits=Tensor(right),
-        left=Tensor(left), right=Tensor(right),
-    )
     probs = np.array([[0.9, 0.1, 0.0], [0.5, 0.6, 0.0], [0.2, 0.8, 0.0]])
-    types = TypeDistribution(logits=Tensor(np.zeros((3, 3))), probs=probs)
-    return [(scores, types)]
+    return [_batch_of_one(np.zeros((3, 2)), np.zeros((3, 2)), probs, np.zeros((3, 3)))]
 
 
-GOLD_PAIR = [EntityAnnotation(0, 0, 0), EntityAnnotation(1, 1, 1)]
+GOLD_PAIR = np.array([(0, 0, 0), (1, 1, 1)])
+NONE = (-1, -1, 2)  # the stubs' None row: two types plus None
 
 
 def test_assign_empty_gold_all_none():
     head_outs = _stub_head_outs_for_cost()
-    labels = assign_labels([head_outs], [[]], TrainConfig(), 3, np.random.default_rng(0))[0][0]
-    assert labels == [[None, None, None]]
+    targets, matched = assign_labels(head_outs, [GOLD_PAIR[:0]], TrainConfig(),
+                                     np.random.default_rng(0))
+    assert np.array_equal(targets, [[[NONE] * 3]]) and matched == [[None]]
 
 
 def test_assign_static_mode_order_of_occurrence():
     head_outs = _stub_head_outs_for_cost()
+    example = SentenceExample(["a", "b"], [EntityAnnotation(1, 1, 1), EntityAnnotation(0, 0, 0)])
+    golds = gold_arrays([example], 2, 3, static=True)
     config = TrainConfig(assignment_mode="static")
-    labels = assign_labels([head_outs], [GOLD_PAIR], config, 5, np.random.default_rng(0))[0][0]
-    assert labels == [[GOLD_PAIR[0], GOLD_PAIR[1], None, None, None]]
+    targets, _ = assign_labels(head_outs, golds, config, np.random.default_rng(0))
+    assert np.array_equal(targets[0, 0], [GOLD_PAIR[0], GOLD_PAIR[1], NONE])
+    # dynamic mode keeps the given order
+    assert np.array_equal(gold_arrays([example], 2, 3, static=False)[0], GOLD_PAIR[::-1])
 
 
 def test_assign_dynamic_matches_brute_force_optimum():
     head_outs = _stub_head_outs_for_cost()
     config = TrainConfig(quantity_mode="one_to_one")
-    labels = assign_labels([head_outs], [GOLD_PAIR], config, 3, np.random.default_rng(0))[0][0]
-    assert labels == [[GOLD_PAIR[0], None, GOLD_PAIR[1]]]
+    targets, _ = assign_labels(head_outs, [GOLD_PAIR], config, np.random.default_rng(0))
+    assert np.array_equal(targets[0, 0], [GOLD_PAIR[0], NONE, GOLD_PAIR[1]])
 
 
 def test_assign_one_to_many_counts_match_quantities():
     rng = np.random.default_rng(5)
     m, n, classes = 8, 4, 3
     left = rng.uniform(size=(m, n))
-    scores = BoundaryScores(
-        left_logits=Tensor(left), right_logits=Tensor(left),
-        left=Tensor(left), right=Tensor(rng.uniform(size=(m, n))),
-    )
+    right = rng.uniform(size=(m, n))
     raw = rng.uniform(size=(m, classes))
-    types = TypeDistribution(logits=Tensor(raw), probs=raw / raw.sum(1, keepdims=True))
-    gold = [EntityAnnotation(0, 1, 0), EntityAnnotation(2, 3, 1)]
+    head_outs = [_batch_of_one(left, right, raw / raw.sum(1, keepdims=True), raw)]
+    gold = np.array([(0, 1, 0), (2, 3, 1)])
     config = TrainConfig(ratio=0.75)
-    labels = assign_labels([[(scores, types)]], [gold], config, m, np.random.default_rng(7))[0][0]
-    counts = {id(g): 0 for g in gold}
-    for lab in labels[0]:
-        if lab is not None:
-            counts[id(lab)] += 1
-    assert sum(counts.values()) == round(m * 0.75)
-    assert all(c >= (round(m * 0.75) // len(gold)) for c in counts.values())
+    targets, _ = assign_labels(head_outs, [gold], config, np.random.default_rng(7))
+    counts = [int((targets[0, 0] == row).all(axis=1).sum()) for row in gold]
+    assert sum(counts) == round(m * 0.75)
+    assert all(c >= (round(m * 0.75) // len(gold)) for c in counts)
+    assert ((targets[0, 0] == gold[:, None]).all(axis=2).any(axis=0)
+            | (targets[0, 0] == (-1, -1, classes - 1)).all(axis=1)).all()
 
     one = TrainConfig(quantity_mode="one_to_one")
-    labels1 = assign_labels([[(scores, types)]], [gold], one, m, np.random.default_rng(7))[0][0]
-    for g in gold:
-        assert sum(1 for lab in labels1[0] if lab is g) == 1
+    targets1, _ = assign_labels(head_outs, [gold], one, np.random.default_rng(7))
+    for row in gold:
+        assert (targets1[0, 0] == row).all(axis=1).sum() == 1
 
 
 def test_assign_share_final_assignment():
     head_outs = _stub_head_outs_for_cost() * 3
     config = TrainConfig(quantity_mode="one_to_one", share_final_assignment=True)
-    labels = assign_labels([head_outs], [GOLD_PAIR], config, 3, np.random.default_rng(0))[0][0]
-    assert labels[0] == labels[1] == labels[2]
+    targets, matched = assign_labels(head_outs, [GOLD_PAIR], config, np.random.default_rng(0))
+    assert np.array_equal(targets[0], targets[1]) and np.array_equal(targets[1], targets[2])
+    assert matched[0][:2] == [None, None] and matched[0][2] is not None
 
 
 def test_assign_more_entities_than_queries_keeps_first_by_occurrence():
-    left = np.zeros((2, 4))
-    scores = BoundaryScores(left_logits=Tensor(left), right_logits=Tensor(left),
-                            left=Tensor(left), right=Tensor(left))
     probs = np.full((2, 3), 1 / 3)
-    types = TypeDistribution(logits=Tensor(np.zeros((2, 3))), probs=probs)
+    head_outs = [_batch_of_one(np.zeros((2, 4)), np.zeros((2, 4)), probs, np.zeros((2, 3)))]
     gold = [EntityAnnotation(3, 3, 0), EntityAnnotation(0, 0, 1), EntityAnnotation(1, 2, 0)]
+    golds = gold_arrays([SentenceExample(list("abcd"), gold)], 2, 2, static=False)
     config = TrainConfig(quantity_mode="one_to_one")
-    labels = assign_labels([[(scores, types)]], [gold], config, 2, np.random.default_rng(1))[0][0]
-    assigned = {lab for lab in labels[0] if lab is not None}
-    assert assigned == {gold[1], gold[2]}  # occurrence order: (0,0), (1,2), then (3,3)
+    targets, _ = assign_labels(head_outs, golds, config, np.random.default_rng(1))
+    assigned = {tuple(row) for row in targets[0, 0].tolist()} - {(-1, -1, 2)}
+    assert assigned == {(0, 0, 1), (1, 2, 0)}  # occurrence order: (0,0), (1,2), then (3,3)
 
 
 def test_linear_warmup_decay_schedule():
@@ -705,18 +734,19 @@ def test_model_gradcheck_checks_each_parameter_once_on_the_full_loss(seed, monke
     """Each checked function's gradient on its parameter is that of the full
     multi-layer loss under the same frozen labels."""
     seen, checks = {}, []
-    forward, assign = Model.forward, training.assign_labels
+    forward, assign = Model.forward_batch, training.assign_labels
 
-    def recording_forward(self, token_ids):
-        seen["model"], seen["token_ids"] = self, np.array(token_ids)
-        return forward(self, token_ids)
+    def recording_forward(self, batch):
+        seen.setdefault("model", self)  # the first forward is the one labels are assigned on
+        seen.setdefault("token_ids", np.array(batch[0]))
+        return forward(self, batch)
 
     def recording_assign(*args):
-        labels, matched = assign(*args)
-        seen["labels"] = labels[0]  # the one sentence's labels, one list per layer
-        return labels, matched
+        targets, matched = assign(*args)
+        seen["targets"] = targets  # the one sentence's, (L, 1, M, 3)
+        return targets, matched
 
-    monkeypatch.setattr(Model, "forward", recording_forward)
+    monkeypatch.setattr(Model, "forward_batch", recording_forward)
     monkeypatch.setattr(training, "assign_labels", recording_assign)
     monkeypatch.setattr(training, "grad_check_stacked",
                         lambda f, point, eps: checks.append((f, point)) or 0.0)
@@ -727,7 +757,7 @@ def test_model_gradcheck_checks_each_parameter_once_on_the_full_loss(seed, monke
 
     model.zero_grad()
     _, head_outs = model.forward_batch([token_ids])
-    backward(sentence_loss(head_outs, [[labels] for labels in seen["labels"]], [len(token_ids)]))
+    backward(sentence_loss(head_outs, seen["targets"], [len(token_ids)]))
     full = {id(p): p.grad.copy() for p in params}
     for f, p in checks:
         p.zero_grad()
@@ -784,8 +814,8 @@ def test_a_train_step_computes_each_layers_class_probabilities_once(word_layers,
                          seed=2)
     model = Model(config)
     batch = [meta.encode(ex.tokens) for ex in examples]
-    golds = [list(ex.entities) for ex in examples]
-    assert all(golds) and len({len(ids) for ids in batch}) > 1  # every sentence solved, padded
+    golds = gold_arrays(examples, meta.type_count, config.queries, static=False)
+    assert all(map(len, golds)) and len({len(ids) for ids in batch}) > 1  # all solved, padded
     softmax = heads.row_softmax
     calls = []
     monkeypatch.setattr(heads, "row_softmax", lambda x: calls.append(np.shape(x)) or softmax(x))
@@ -805,13 +835,14 @@ def test_a_train_step_computes_each_layers_class_probabilities_once(word_layers,
 
 
 def _random_labels(rng, lengths, queries, type_count, depth):
-    """[layer][sentence][query] labels: a random span inside the sentence, or None."""
+    """(L, B, M, 3) targets: a random span inside the sentence, or None."""
     def label(n):
         if rng.random() < 0.4:
             return None
         left = int(rng.integers(n))
         return EntityAnnotation(left, int(rng.integers(left, n)), int(rng.integers(type_count)))
-    return [[[label(n) for _ in range(queries)] for n in lengths] for _ in range(depth)]
+    return _rows([[[label(n) for _ in range(queries)] for n in lengths] for _ in range(depth)],
+                 type_count)
 
 
 def test_batched_loss_and_gradients_equal_the_per_sentence_sum():
@@ -836,7 +867,7 @@ def test_batched_loss_and_gradients_equal_the_per_sentence_sum():
         expected = 0.0
         for b, ids in enumerate(batch):
             _, head_outs = model.forward_batch([ids])
-            loss = sentence_loss(head_outs, [layer[b:b + 1] for layer in labels], [len(ids)])
+            loss = sentence_loss(head_outs, labels[:, b:b + 1], [len(ids)])
             backward(loss)
             expected += loss.item()
         per_sentence = {name: p.grad.copy() for name, p in model.named_parameters()}
@@ -861,26 +892,31 @@ def test_pad_columns_never_reach_decode_or_assignment():
     batch = [meta.encode(ex.tokens)[:n] for ex, n in zip(examples, (3, 7, 5))]
     with no_grad():
         _, head_outs = model.forward_batch(batch)
+    golds = [[EntityAnnotation(0, n - 1, 0), EntityAnnotation(n - 1, n - 1, 1)]
+             for n in map(len, batch)]
+    stack = np.array([[(e.left, e.right, e.type_id) for e in gold] for gold in golds])
+    before = [compute_cost_matrix(scores, types, stack) for scores, types in head_outs]
+    scores, types = head_outs[-1]
+    decoded = [decode_entities(scores.sentence(b, len(ids)), types.sentence(b), 0.0, 0.0)
+               for b, ids in enumerate(batch)]
+    for layer_scores, _ in head_outs:
+        for b, ids in enumerate(batch):
+            left, right = layer_scores.left.data[b], layer_scores.right.data[b]
+            assert not left[:, len(ids):].any() and not right[:, len(ids):].any()
+            # make every pad the most probable boundary of every query
+            left[:, len(ids):] = 1.0
+            right[:, len(ids):] = 1.0
+    after = [compute_cost_matrix(scores, types, stack) for scores, types in head_outs]
     for b, ids in enumerate(batch):
         n = len(ids)
-        gold = [EntityAnnotation(0, n - 1, 0), EntityAnnotation(n - 1, n - 1, 1)]
-        before = training._sentence_outputs(head_outs, b, n)
-        for scores, _ in head_outs:
-            assert not scores.left.data[b, :, n:].any() and not scores.right.data[b, :, n:].any()
-            # make every pad the most probable boundary of every query
-            scores.left.data[b, :, n:] = 1.0
-            scores.right.data[b, :, n:] = 1.0
-        after = training._sentence_outputs(head_outs, b, n)
         _, alone = model.forward(ids)
-        for (s0, t0), (s1, t1), (s2, t2) in zip(before, after, alone):
-            assert s1.left.shape == (config.queries, n)
-            assert np.array_equal(s0.left.data, s1.left.data)
-            assert np.array_equal(s0.right.data, s1.right.data)
-            assert np.array_equal(compute_cost_matrix(s0, t0, gold), compute_cost_matrix(s1, t1, gold))
-            assert np.allclose(compute_cost_matrix(s1, t1, gold), compute_cost_matrix(s2, t2, gold),
+        for cost_before, cost_after, (s2, t2) in zip(before, after, alone):
+            assert s2.left.shape == (config.queries, n)
+            assert np.array_equal(cost_before[b], cost_after[b])
+            assert np.allclose(cost_after[b], compute_cost_matrix(s2, t2, golds[b]),
                                rtol=0, atol=1e-12)
-        predictions = decode_entities(*after[-1], 0.0, 0.0)
-        assert predictions == decode_entities(*before[-1], 0.0, 0.0)
+        predictions = decode_entities(scores.sentence(b, n), types.sentence(b), 0.0, 0.0)
+        assert predictions == decoded[b]
         assert all(p.right < n for p in predictions)
 
 
