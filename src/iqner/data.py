@@ -143,79 +143,67 @@ def save_meta(path: str | Path, types: list[str]) -> None:
 def load_dataset(
     path: str | Path, meta: DatasetMeta | None = None, max_len: int | None = None
 ) -> tuple[list[SentenceExample], DatasetMeta]:
-    """Parse a JSON-lines file; build or validate against the given metadata.
+    """Parse a JSON-lines file in one pass, each line checked in full before
+    the next, so a file with several bad lines is named by its first.
 
-    Without ``meta``, the type inventory is collected in first-appearance
-    order and the vocabulary is built from the file's tokens. With ``meta``,
-    tokens map through its vocabulary (unknowns allowed) and unknown type
-    names are rejected. With ``max_len``, a longer sentence is rejected.
+    Without ``meta``, each type name gets the next id where it first appears
+    (``["ENT"]`` for a file with no entities) and the vocabulary is built
+    from the file's tokens. With ``meta``, only its type inventory is read:
+    a type name outside it is rejected. With ``max_len``, a longer sentence
+    is rejected.
     """
-    records = []
+    type_ids = {} if meta is None else {name: i for i, name in enumerate(meta.types)}
+    examples = []
     with open(path, "rb") as fh:  # bytes, so that a line that is not UTF-8 has a number
         # bytes.splitlines ends a line where text mode would: at \n, \r or \r\n
         lines = fh.read().splitlines()
-        for lineno, raw in enumerate(lines, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as err:
-                raise DatasetError(f"{path}:{lineno}: not UTF-8 ({err.reason} "
-                                   f"at byte {err.start})") from None
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise DatasetError(f"{path}:{lineno}: invalid JSON ({err.msg})") from None
-            if not isinstance(obj, dict) or "tokens" not in obj:
-                raise DatasetError(f"{path}:{lineno}: record must carry a 'tokens' list")
-            tokens = obj["tokens"]
-            if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-                raise DatasetError(f"{path}:{lineno}: 'tokens' must be a list of strings")
-            if max_len is not None and len(tokens) > max_len:
-                raise DatasetError(
-                    f"{path}:{lineno}: sentence length {len(tokens)} exceeds maximum {max_len}")
-            entities = obj.get("entities", [])
-            if not isinstance(entities, list):
-                raise DatasetError(f"{path}:{lineno}: 'entities' must be a list")
-            records.append((lineno, tokens, entities))
-
-    if meta is None:
-        type_names: list[str] = []
-        for _, _, entities in records:
-            for ent in entities:
-                name = ent.get("type") if isinstance(ent, dict) else None
-                if isinstance(name, str) and name not in type_names:
-                    type_names.append(name)
-        if not type_names:
-            type_names = ["ENT"]
-        resolved_types = type_names
-    else:
-        resolved_types = meta.types
-
-    examples = []
-    for lineno, tokens, entities in records:
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as err:
+            raise DatasetError(f"{path}:{lineno}: not UTF-8 ({err.reason} "
+                               f"at byte {err.start})") from None
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise DatasetError(f"{path}:{lineno}: invalid JSON ({err.msg})") from None
+        if not isinstance(obj, dict) or "tokens" not in obj:
+            raise DatasetError(f"{path}:{lineno}: record must carry a 'tokens' list")
+        tokens = obj["tokens"]
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise DatasetError(f"{path}:{lineno}: 'tokens' must be a list of strings")
+        if max_len is not None and len(tokens) > max_len:
+            raise DatasetError(
+                f"{path}:{lineno}: sentence length {len(tokens)} exceeds maximum {max_len}")
+        entities = obj.get("entities", [])
+        if not isinstance(entities, list):
+            raise DatasetError(f"{path}:{lineno}: 'entities' must be a list")
         gold = []
         for ent in entities:
             if not isinstance(ent, dict) or not {"start", "end", "type"} <= set(ent):
                 raise DatasetError(f"{path}:{lineno}: entity needs start/end/type")
             name = ent["type"]
-            if name not in resolved_types:
+            if meta is None and isinstance(name, str):
+                type_ids.setdefault(name, len(type_ids))
+            if not isinstance(name, str) or name not in type_ids:
                 raise AnnotationError(f"{path}:{lineno}: unknown entity type {name!r}")
             start, end = ent["start"], ent["end"]
             if type(start) is not int or type(end) is not int:  # a bool is no int here
                 raise DatasetError(f"{path}:{lineno}: entity start and end must be integers, "
                                    f"got {start!r} and {end!r}")
             try:
-                gold.append(EntityAnnotation(start, end, resolved_types.index(name)))
+                gold.append(EntityAnnotation(start, end, type_ids[name]))
             except AnnotationError as err:
                 raise AnnotationError(f"{path}:{lineno}: {err}") from None
         try:
-            examples.append(SentenceExample(tokens=list(tokens), entities=gold))
+            examples.append(SentenceExample(tokens=tokens, entities=gold))
         except (DatasetError, AnnotationError) as err:
             raise type(err)(f"{path}:{lineno}: {err}") from None
 
     if meta is None:
-        meta = DatasetMeta.build(examples, types=resolved_types)
+        meta = DatasetMeta.build(examples, types=list(type_ids) or ["ENT"])
     return examples, meta
 
 

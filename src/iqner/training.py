@@ -445,7 +445,6 @@ def train_epoch(
     predictions: list[list[Prediction]] = [[] for _ in encoded]
     cost_sums = [0.0] * model.config.word_layers
     cost_counts = [0] * model.config.word_layers
-    lr = linear_warmup_decay(step, total_steps, config.learning_rate, config.warmup_fraction)
     for start in range(0, len(order), config.batch_size):
         batch = order[start : start + config.batch_size]
         lr = linear_warmup_decay(step, total_steps, config.learning_rate, config.warmup_fraction)

@@ -3,7 +3,7 @@ import dataclasses
 import io
 import json
 import sys
-from typing import Literal, get_args, get_origin
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from iqner import cli, training
 from iqner.cli import RunConfig, build_parser, build_run_config, main
 from iqner.encoder import ModelConfig
 from iqner.training import Model, TrainConfig
-from iqner.data import DatasetMeta, SyntheticSpec, generate_synthetic, save_dataset
+from iqner.data import DatasetMeta, SyntheticSpec, generate_synthetic, load_meta, save_dataset
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +60,34 @@ def test_train_emits_metric_lines_and_is_deterministic(corpus, tmp_path, capsys)
 
 def test_train_missing_data_exits_2(tmp_path, capsys):
     assert main(["train", "--train", str(tmp_path / "nope.jsonl")]) == 2
+
+
+# argv and the one error line, with {empty} an empty file, {config} a config
+# file holding `[1]` and {out} a checkpoint path
+REFUSALS = {
+    "train-without-train": (["train"], "--train PATH is required"),
+    "train-on-an-empty-file": (["train", "--train", "{empty}", "--out", "{out}"],
+                               "training file {empty} is empty"),
+    "eval-without-checkpoint": (["eval", "--data", "{empty}"], "--checkpoint PATH is required"),
+    "predict-without-checkpoint": (["predict", "--input", "{empty}"],
+                                   "--checkpoint PATH is required"),
+    "stats-without-checkpoint": (["stats", "--data", "{empty}"], "--checkpoint PATH is required"),
+    "gradcheck-without-seeds": (["gradcheck", "--seeds", "0"], "--seeds must be at least 1"),
+    "config-that-is-no-object": (["train", "--config", "{config}", "--train", "{empty}",
+                                  "--out", "{out}"], "config {config} must hold one JSON object"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_each_refusal_exits_2_with_its_one_message(case, tmp_path, capsys):
+    paths = {"empty": tmp_path / "empty.jsonl", "config": tmp_path / "config.json",
+             "out": tmp_path / "model.npz"}
+    paths["empty"].write_text("")
+    paths["config"].write_text("[1]")
+    argv, message = REFUSALS[case]
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message.format(**paths)}\n")
+    assert not paths["out"].exists()
 
 
 # (command, flag) for every flag that names a file, read or written
@@ -555,6 +583,15 @@ def test_datagen_flags_reach_spec_fields(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_datagen_meta_out_holds_the_corpus_types(tmp_path, capsys):
+    out, meta_out = tmp_path / "corpus.jsonl", tmp_path / "meta.json"
+    assert main(["datagen", "--types", "3", "--seed", "2", "--out", str(out),
+                 "--meta-out", str(meta_out)]) == 0
+    _, meta = generate_synthetic(SyntheticSpec(type_count=3), seed=2)
+    assert load_meta(meta_out) == meta.types == ["T0", "T1", "T2"]
+    capsys.readouterr()
+
+
 TRAINING_ONLY_FLAGS = [["--one-way", "off"], ["--heads", "8"], ["--epochs", "99"],
                        ["--out", "x.npz"], ["--max-len", "2"]]
 
@@ -924,3 +961,33 @@ def test_decode_commands_take_the_config_file_of_the_whole_pipeline(command, tra
         "seed": 5, "one_way": True, "max_len": 8, "learning_rate": 0.5, "ratio": 0.5}))
     assert main(argv + ["--config", str(config_path)]) == 0
     assert capsys.readouterr().out == alone
+
+
+# Every `cli._SPEC_FIELDS` entry and --seed, checked against one default
+# datagen run by the same rule as the train knobs above.
+@pytest.fixture(scope="module")
+def datagen_base_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("datagen-base")
+    corpus, meta = root / "corpus.jsonl", root / "meta.json"
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(["datagen", "--out", str(corpus), "--meta-out", str(meta)]) == 0
+    return corpus.read_bytes(), meta.read_bytes()
+
+
+@pytest.mark.parametrize("name", [*cli._SPEC_FIELDS, "seed"])
+def test_each_datagen_flag_changes_the_corpus_or_exits_2_naming_it(name, datagen_base_run,
+                                                                  tmp_path, capsys):
+    if name == "seed":
+        flag, hint, base = "--seed", int, build_parser().parse_args(["datagen"]).seed
+    else:
+        flag, hint = cli._flag(name), get_type_hints(SyntheticSpec)[name]
+        base = getattr(SyntheticSpec(), name)
+    value = _other_value(hint, base)
+    corpus, meta = tmp_path / "corpus.jsonl", tmp_path / "meta.json"
+    code = main(["datagen", flag, str(value), "--out", str(corpus), "--meta-out", str(meta)])
+    captured = capsys.readouterr()
+    if code == 2:
+        assert flag in captured.err
+    else:
+        assert code == 0 and (corpus.read_bytes(), meta.read_bytes()) != datagen_base_run, (
+            f"{flag} {value} changed neither the corpus nor the meta file")

@@ -140,3 +140,51 @@ def test_generator_markers_match_types():
 def test_unknown_token_maps_to_unk():
     meta = DatasetMeta(types=["X"], vocab={"<pad>": 0, "<unk>": 1, "a": 2})
     assert meta.encode(["a", "zzz"]).tolist() == [2, 1]
+
+
+def test_load_names_the_first_bad_line_of_several(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text('{"tokens": ["a", "b"], "entities": [{"start": 1, "end": 0, "type": "T"}]}\n'
+                    '{"tokens": ["a"]}\n'
+                    '{not json\n')
+    with pytest.raises(AnnotationError) as err:
+        load_dataset(path)
+    assert str(err.value) == f"{path}:1: invalid span (1, 0)"
+
+
+def test_load_skips_a_blank_line_but_counts_it(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text('{"tokens": ["a"]}\n   \n{"tokens": ["a", 3]}\n')
+    with pytest.raises(DatasetError) as err:
+        load_dataset(path)
+    assert str(err.value) == f"{path}:3: 'tokens' must be a list of strings"
+    path.write_text('{"tokens": ["a"]}\n\n{"tokens": ["b"]}\n')
+    examples, _ = load_dataset(path)
+    assert [ex.tokens for ex in examples] == [["a"], ["b"]]
+
+
+def test_load_gives_an_entity_free_file_one_type(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text('{"tokens": ["a", "b"]}\n{"tokens": ["c"], "entities": []}\n')
+    examples, meta = load_dataset(path)
+    assert meta.types == ["ENT"]
+    assert list(meta.vocab) == ["<pad>", "<unk>", "a", "b", "c"]
+    assert all(ex.entities == [] for ex in examples)
+
+
+def test_load_numbers_types_where_they_first_appear(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text('{"tokens": ["a", "b"], "entities": [{"start": 0, "end": 0, "type": "Y"}]}\n'
+                    '{"tokens": ["a", "b"], "entities": [{"start": 1, "end": 1, "type": "X"}, '
+                    '{"start": 0, "end": 1, "type": "Y"}]}\n')
+    examples, meta = load_dataset(path)
+    assert meta.types == ["Y", "X"]
+    assert examples[1].entities == [EntityAnnotation(1, 1, 1), EntityAnnotation(0, 1, 0)]
+
+
+def test_load_rejects_tokens_that_are_not_all_strings(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text('{"tokens": ["a", 3]}\n')
+    with pytest.raises(DatasetError) as err:
+        load_dataset(path)
+    assert str(err.value) == f"{path}:1: 'tokens' must be a list of strings"

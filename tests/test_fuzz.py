@@ -95,41 +95,68 @@ def _entity(start=0, end=1, type_="T0"):
     return {"start": start, "end": end, "type": type_}
 
 
-bad_entities = st.one_of(
-    not_objects,
-    st.sampled_from(["start", "end", "type"]).map(
-        lambda key: {k: v for k, v in _entity().items() if k != key}),
-    st.tuples(st.sampled_from(["start", "end"]), not_integers).map(
-        lambda kv: _entity(**{kv[0]: kv[1]})),
-    st.integers(-5, -1).map(lambda start: _entity(start=start)),
-    st.integers(len(TOKENS), 40).map(lambda end: _entity(end=end)),
-    st.integers(1, 2).map(lambda start: _entity(start=start, end=0)),
-    json_values.filter(lambda name: name not in TYPES).map(lambda name: _entity(type_=name)),
-)
-bad_records = st.one_of(
-    not_objects,
-    st.just({"entities": []}),
-    not_objects.filter(lambda v: not (isinstance(v, list) and all(isinstance(t, str) for t in v)))
-    .map(lambda tokens: {"tokens": tokens}),
-    st.just({"tokens": []}),
-    st.integers(MAX_LEN + 1, 3 * MAX_LEN).map(lambda n: {"tokens": ["w0"] * n}),
-    not_objects.filter(lambda v: not isinstance(v, list)).map(
-        lambda entities: {"tokens": TOKENS, "entities": entities}),
-    bad_entities.map(lambda entity: {"tokens": TOKENS, "entities": [entity]}),
-)
+def _bad_records(unknown_types, max_len=None):
+    """Records that one dataset line may not hold. ``unknown_types`` draws the
+    type names outside the inventory; without ``max_len`` no length is too long."""
+    bad_entities = st.one_of(
+        not_objects,
+        st.sampled_from(["start", "end", "type"]).map(
+            lambda key: {k: v for k, v in _entity().items() if k != key}),
+        st.tuples(st.sampled_from(["start", "end"]), not_integers).map(
+            lambda kv: _entity(**{kv[0]: kv[1]})),
+        st.integers(-5, -1).map(lambda start: _entity(start=start)),
+        st.integers(len(TOKENS), 40).map(lambda end: _entity(end=end)),
+        st.integers(1, 2).map(lambda start: _entity(start=start, end=0)),
+        unknown_types.map(lambda name: _entity(type_=name)),
+    )
+    too_long = [] if max_len is None else [
+        st.integers(max_len + 1, 3 * max_len).map(lambda n: {"tokens": ["w0"] * n})]
+    return st.one_of(
+        not_objects,
+        st.just({"entities": []}),
+        not_objects.filter(
+            lambda v: not (isinstance(v, list) and all(isinstance(t, str) for t in v)))
+        .map(lambda tokens: {"tokens": tokens}),
+        st.just({"tokens": []}),
+        *too_long,
+        not_objects.filter(lambda v: not isinstance(v, list)).map(
+            lambda entities: {"tokens": TOKENS, "entities": entities}),
+        bad_entities.map(lambda entity: {"tokens": TOKENS, "entities": [entity]}),
+    )
 
 
-@FUZZ
-@given(lineno=st.integers(1, SENTENCES),
-       line=line_text | bad_records.map(json.dumps))
-def test_predict_rejects_a_bad_dataset_line_by_its_number(files, lineno, line):
-    root, corpus, checkpoint = files
+def _with_line(root, corpus, lineno, line):
+    """A copy of ``corpus`` whose line ``lineno`` is ``line``."""
     lines = corpus.read_text(encoding="utf-8").splitlines()
     lines[lineno - 1] = line
     data = root / "bad.jsonl"
     data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return data
+
+
+@FUZZ
+@given(lineno=st.integers(1, SENTENCES),
+       line=line_text | _bad_records(json_values.filter(lambda name: name not in TYPES),
+                                     MAX_LEN).map(json.dumps))
+def test_predict_rejects_a_bad_dataset_line_by_its_number(files, lineno, line):
+    root, corpus, checkpoint = files
+    data = _with_line(root, corpus, lineno, line)
     _assert_rejected(["predict", "--checkpoint", str(checkpoint), "--input", str(data)],
                      f"{data}:{lineno}:")
+
+
+# Without --meta the training file names the inventory, so only a type name
+# that is no string is unknown; the model's table grows to its longest sentence.
+@FUZZ
+@given(lineno=st.integers(1, SENTENCES),
+       line=line_text | _bad_records(json_values.filter(
+           lambda name: not isinstance(name, str))).map(json.dumps))
+def test_train_rejects_a_bad_dataset_line_by_its_number(files, lineno, line):
+    root, corpus, _ = files
+    data = _with_line(root, corpus, lineno, line)
+    _assert_rejected(["train", "--train", str(data), "--out", str(root / "never.npz")],
+                     f"{data}:{lineno}:")
+    assert not (root / "never.npz").exists()
 
 
 @FUZZ
