@@ -37,8 +37,8 @@ from typing import Iterator, Literal, get_args, get_origin, get_type_hints
 from .assignment import assignable_total
 from .data import (
     DatasetMeta,
-    SentenceExample,
     SyntheticSpec,
+    checked_lines,
     generate_synthetic,
     load_dataset,
     load_meta,
@@ -124,6 +124,8 @@ class RunConfig(_Knobs):
                            type_count=type_count)
 
 
+# Each field's type, resolved once: for the flags, and for the config file.
+_FIELD_HINTS = {cls: get_type_hints(cls) for cls in (RunConfig, SyntheticSpec)}
 _DECODE_FIELDS = ("checkpoint", "loc_threshold", "cls_threshold")
 # The RunConfig fields each subcommand takes as flags.
 _COMMAND_FIELDS = {
@@ -207,7 +209,7 @@ def _flag(name: str) -> str:
 
 def _add_field_flags(parser: argparse.ArgumentParser, cls, names) -> None:
     """One flag per field of dataclass ``cls`` in ``names``; an unset flag is None."""
-    hints = get_type_hints(cls)
+    hints = _FIELD_HINTS[cls]
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     for name in names:
         parser.add_argument(_flag(name), dest=name, default=None,
@@ -239,7 +241,7 @@ def _file_values(args: argparse.Namespace) -> dict:
         raise UsageError(f"cannot read config {config_path}: {err}") from None
     if not isinstance(file_values, dict):
         raise UsageError(f"config {config_path} must hold one JSON object")
-    hints = get_type_hints(RunConfig)
+    hints = _FIELD_HINTS[RunConfig]
     unknown = set(file_values) - set(hints)
     if unknown:
         raise UsageError(f"unknown config fields: {sorted(unknown)}")
@@ -325,13 +327,13 @@ def cmd_train(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _decode(
-    config: RunConfig, args: argparse.Namespace, path: str | None, flag: str
-) -> tuple[Model, DatasetMeta, list[SentenceExample], Iterator[list[Prediction]]]:
+    config: RunConfig, args: argparse.Namespace, path: str | None, flag: str, records: bool = True
+) -> tuple[Model, DatasetMeta, list, Iterator[list[Prediction]]]:
     """What ``eval``, ``predict`` and ``stats`` share: check the thresholds,
     that both paths are given and the config file's model knobs against the
-    checkpoint, read every sentence in ``path`` against its ``max_len``, and
+    checkpoint, check every line in ``path`` against its ``max_len``, and
     return the model, metadata and sentences with their predictions, decoded
-    lazily in file order."""
+    lazily in file order. The sentences are records, or token lists without ``records``."""
     for name in ("loc_threshold", "cls_threshold"):
         require_fraction(name, getattr(config, name))
     if not config.checkpoint:
@@ -345,10 +347,16 @@ def _decode(
             source, config_path = _config_file(args)
             raise UsageError(f"{source} {config_path} sets {key} {value!r}, but checkpoint "
                              f"{config.checkpoint} has {held!r}")
-    examples, _ = load_dataset(path, meta, model.config.max_len)
-    predictions = model.predict((meta.encode(ex.tokens) for ex in examples),
+    if records:
+        sentences, _ = load_dataset(path, meta, model.config.max_len)
+        token_lists = [ex.tokens for ex in sentences]
+    else:
+        type_ids = {name: i for i, name in enumerate(meta.types)}
+        sentences = token_lists = [
+            tokens for tokens, _ in checked_lines(path, type_ids, model.config.max_len)]
+    predictions = model.predict(map(meta.encode, token_lists),
                                 config.loc_threshold, config.cls_threshold)
-    return model, meta, examples, predictions
+    return model, meta, sentences, predictions
 
 
 def cmd_eval(config: RunConfig, args: argparse.Namespace) -> int:
@@ -358,7 +366,7 @@ def cmd_eval(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_predict(config: RunConfig, args: argparse.Namespace) -> int:
-    _, meta, _, predictions = _decode(config, args, args.input, "--input")
+    _, meta, _, predictions = _decode(config, args, args.input, "--input", records=False)
     for sentence in predictions:  # each line goes out as soon as its sentence is decoded
         _emit({
             "entities": [

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -42,6 +43,29 @@ def require_fraction(name: str, value: float) -> None:
         raise ValueError(f"{name} must be in [0, 1], got {value!r}")
 
 
+def entity_row(left: int, right: int, type_id: int) -> tuple[int, int, int]:
+    """``(left, right, type_id)``, checked: 0 <= left <= right, type_id >= 0."""
+    if not 0 <= left <= right:
+        raise AnnotationError(f"invalid span ({left}, {right})")
+    if type_id < 0:
+        raise AnnotationError(f"negative type id {type_id}")
+    return left, right, type_id
+
+
+def check_sentence(tokens: list[str], rows: list[tuple[int, int, int]]) -> None:
+    """Raise unless there are tokens, and each entity row ends inside them and is new."""
+    if not tokens:
+        raise DatasetError("sentence with no tokens")
+    seen = set()
+    for row in rows:
+        if row[1] >= len(tokens):
+            raise AnnotationError(
+                f"span ({row[0]}, {row[1]}) exceeds sentence length {len(tokens)}")
+        if row in seen:
+            raise AnnotationError(f"duplicate entity triple {row}")
+        seen.add(row)
+
+
 @dataclass(frozen=True)
 class EntityAnnotation:
     """One gold entity: inclusive word span plus type index."""
@@ -51,10 +75,7 @@ class EntityAnnotation:
     type_id: int
 
     def __post_init__(self):
-        if not (0 <= self.left <= self.right):
-            raise AnnotationError(f"invalid span ({self.left}, {self.right})")
-        if self.type_id < 0:
-            raise AnnotationError(f"negative type id {self.type_id}")
+        entity_row(self.left, self.right, self.type_id)
 
 
 @dataclass
@@ -65,18 +86,7 @@ class SentenceExample:
     entities: list[EntityAnnotation] = field(default_factory=list)
 
     def __post_init__(self):
-        if not self.tokens:
-            raise DatasetError("sentence with no tokens")
-        seen = set()
-        for e in self.entities:
-            if e.right >= len(self.tokens):
-                raise AnnotationError(
-                    f"span ({e.left}, {e.right}) exceeds sentence length {len(self.tokens)}"
-                )
-            triple = (e.left, e.right, e.type_id)
-            if triple in seen:
-                raise AnnotationError(f"duplicate entity triple {triple}")
-            seen.add(triple)
+        check_sentence(self.tokens, [(e.left, e.right, e.type_id) for e in self.entities])
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -140,11 +150,64 @@ def save_meta(path: str | Path, types: list[str]) -> None:
         fh.write("\n")
 
 
+def checked_lines(
+    path: str | Path, type_ids: dict[str, int], max_len: int | None = None, grow: bool = False
+) -> Iterator[tuple[list[str], list[tuple[int, int, int]]]]:
+    """Yield each non-blank line's tokens and its entities' ``(left, right,
+    type_id)`` rows, checking the line in full before it is yielded, so a
+    file with several bad lines is named by its first.
+
+    A type name outside ``type_ids`` is rejected, or with ``grow`` added to
+    it with the next id. With ``max_len``, a longer sentence is rejected.
+    """
+    with open(path, "rb") as fh:  # bytes, so that a line that is not UTF-8 has a number
+        # bytes.splitlines ends a line where text mode would: at \n, \r or \r\n
+        lines = fh.read().splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        try:  # each check raises its message, which the handlers prefix with the line
+            line = raw.decode("utf-8").strip()
+            if not line:
+                continue
+            obj = json.loads(line)
+            if not isinstance(obj, dict) or "tokens" not in obj:
+                raise DatasetError("record must carry a 'tokens' list")
+            tokens = obj["tokens"]
+            if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+                raise DatasetError("'tokens' must be a list of strings")
+            if max_len is not None and len(tokens) > max_len:
+                raise DatasetError(f"sentence length {len(tokens)} exceeds maximum {max_len}")
+            entities = obj.get("entities", [])
+            if not isinstance(entities, list):
+                raise DatasetError("'entities' must be a list")
+            rows = []
+            for ent in entities:
+                if not isinstance(ent, dict) or not {"start", "end", "type"} <= ent.keys():
+                    raise DatasetError("entity needs start/end/type")
+                name = ent["type"]
+                if grow and isinstance(name, str):
+                    type_ids.setdefault(name, len(type_ids))
+                if not isinstance(name, str) or name not in type_ids:
+                    raise AnnotationError(f"unknown entity type {name!r}")
+                start, end = ent["start"], ent["end"]
+                if type(start) is not int or type(end) is not int:  # a bool is no int here
+                    raise DatasetError(f"entity start and end must be integers, "
+                                       f"got {start!r} and {end!r}")
+                rows.append(entity_row(start, end, type_ids[name]))
+            check_sentence(tokens, rows)
+        except UnicodeDecodeError as err:
+            raise DatasetError(f"{path}:{lineno}: not UTF-8 ({err.reason} "
+                               f"at byte {err.start})") from None
+        except json.JSONDecodeError as err:
+            raise DatasetError(f"{path}:{lineno}: invalid JSON ({err.msg})") from None
+        except (DatasetError, AnnotationError) as err:
+            raise type(err)(f"{path}:{lineno}: {err}") from None
+        yield tokens, rows
+
+
 def load_dataset(
     path: str | Path, meta: DatasetMeta | None = None, max_len: int | None = None
 ) -> tuple[list[SentenceExample], DatasetMeta]:
-    """Parse a JSON-lines file in one pass, each line checked in full before
-    the next, so a file with several bad lines is named by its first.
+    """Read a JSON-lines file as records, each line checked by ``checked_lines``.
 
     Without ``meta``, each type name gets the next id where it first appears
     (``["ENT"]`` for a file with no entities) and the vocabulary is built
@@ -153,55 +216,8 @@ def load_dataset(
     is rejected.
     """
     type_ids = {} if meta is None else {name: i for i, name in enumerate(meta.types)}
-    examples = []
-    with open(path, "rb") as fh:  # bytes, so that a line that is not UTF-8 has a number
-        # bytes.splitlines ends a line where text mode would: at \n, \r or \r\n
-        lines = fh.read().splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        try:
-            line = raw.decode("utf-8").strip()
-        except UnicodeDecodeError as err:
-            raise DatasetError(f"{path}:{lineno}: not UTF-8 ({err.reason} "
-                               f"at byte {err.start})") from None
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as err:
-            raise DatasetError(f"{path}:{lineno}: invalid JSON ({err.msg})") from None
-        if not isinstance(obj, dict) or "tokens" not in obj:
-            raise DatasetError(f"{path}:{lineno}: record must carry a 'tokens' list")
-        tokens = obj["tokens"]
-        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-            raise DatasetError(f"{path}:{lineno}: 'tokens' must be a list of strings")
-        if max_len is not None and len(tokens) > max_len:
-            raise DatasetError(
-                f"{path}:{lineno}: sentence length {len(tokens)} exceeds maximum {max_len}")
-        entities = obj.get("entities", [])
-        if not isinstance(entities, list):
-            raise DatasetError(f"{path}:{lineno}: 'entities' must be a list")
-        gold = []
-        for ent in entities:
-            if not isinstance(ent, dict) or not {"start", "end", "type"} <= set(ent):
-                raise DatasetError(f"{path}:{lineno}: entity needs start/end/type")
-            name = ent["type"]
-            if meta is None and isinstance(name, str):
-                type_ids.setdefault(name, len(type_ids))
-            if not isinstance(name, str) or name not in type_ids:
-                raise AnnotationError(f"{path}:{lineno}: unknown entity type {name!r}")
-            start, end = ent["start"], ent["end"]
-            if type(start) is not int or type(end) is not int:  # a bool is no int here
-                raise DatasetError(f"{path}:{lineno}: entity start and end must be integers, "
-                                   f"got {start!r} and {end!r}")
-            try:
-                gold.append(EntityAnnotation(start, end, type_ids[name]))
-            except AnnotationError as err:
-                raise AnnotationError(f"{path}:{lineno}: {err}") from None
-        try:
-            examples.append(SentenceExample(tokens=tokens, entities=gold))
-        except (DatasetError, AnnotationError) as err:
-            raise type(err)(f"{path}:{lineno}: {err}") from None
-
+    examples = [SentenceExample(tokens, [EntityAnnotation(*row) for row in rows])
+                for tokens, rows in checked_lines(path, type_ids, max_len, grow=meta is None)]
     if meta is None:
         meta = DatasetMeta.build(examples, types=list(type_ids) or ["ENT"])
     return examples, meta

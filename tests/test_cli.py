@@ -1,8 +1,10 @@
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import sys
+import typing
 from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -11,8 +13,9 @@ import pytest
 from iqner import cli, training
 from iqner.cli import RunConfig, build_parser, build_run_config, main
 from iqner.encoder import ModelConfig
-from iqner.training import Model, TrainConfig
-from iqner.data import DatasetMeta, SyntheticSpec, generate_synthetic, load_meta, save_dataset
+from iqner.training import Model, TrainConfig, load_checkpoint
+from iqner.data import (DatasetMeta, EntityAnnotation, SentenceExample, SyntheticSpec,
+                        generate_synthetic, load_dataset, load_meta, save_dataset)
 
 
 @pytest.fixture(scope="module")
@@ -482,6 +485,45 @@ def test_predict_writes_each_line_before_decoding_the_next(trained_checkpoint, c
     assert events == ["decode", "line"] * 10
 
 
+def test_predict_builds_no_record_and_prints_what_the_model_predicts_over_load_dataset(
+        trained_checkpoint, corpus, monkeypatch, capsys):
+    built = []
+    for cls in (EntityAnnotation, SentenceExample):
+        def counted(self, check=cls.__post_init__):
+            built.append(type(self).__name__)
+            check(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    assert main(["predict", "--checkpoint", str(trained_checkpoint), "--input", str(corpus[0]),
+                 "--loc-threshold", "0.2", "--cls-threshold", "0.2"]) == 0
+    assert built == []
+    lines = _parse_lines(capsys.readouterr().out)
+    model, meta, _ = load_checkpoint(trained_checkpoint)
+    examples, _ = load_dataset(corpus[0], meta, model.config.max_len)
+    assert built.count("SentenceExample") == len(examples) == len(lines) == 10
+    assert built.count("EntityAnnotation") == sum(len(ex.entities) for ex in examples) > 0
+    expected = [{"entities": [{"start": p.left, "end": p.right, "type": meta.types[p.type_id],
+                               "score": p.type_prob} for p in sentence],
+                 "query_ids": [p.query_id for p in sentence]}
+                for sentence in model.predict((meta.encode(ex.tokens) for ex in examples),
+                                              loc_threshold=0.2, cls_threshold=0.2)]
+    assert lines == expected
+    assert any(line["entities"] for line in lines)
+
+
+def test_type_hints_are_resolved_once_at_import(trained_checkpoint, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("typing.get_type_hints called after import")
+
+    monkeypatch.setattr(typing, "get_type_hints", refuse)
+    for module in (cli, training):
+        monkeypatch.setattr(module, "get_type_hints", refuse, raising=False)
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({"cls_threshold": 0.5}))
+    args = build_parser().parse_args(["predict", "--config", str(config_path)])
+    assert build_run_config(args).cls_threshold == 0.5
+    load_checkpoint(trained_checkpoint)
+
+
 def test_predict_untrained_model_emits_nothing(corpus, tmp_path, capsys):
     path, _ = corpus
     ck = tmp_path / "fresh.npz"
@@ -923,6 +965,49 @@ def test_each_train_knob_changes_the_run_or_exits_2_naming_its_flag(name, knob_b
         assert code == 0 and (captured.out != base_stdout
                               or out.read_bytes() != base_checkpoint), (
             f"{flag} {value} changed neither the epoch lines nor the checkpoint")
+
+
+# The knobs of label assignment, where one knob may act only together with
+# another: each pair is checked against both of its single-knob runs.
+ASSIGNMENT_KNOBS = ("assignment_mode", "quantity_mode", "ratio", "share_final_assignment")
+
+
+def _train_with_other_values(argv, names, out):
+    """Exit code, stdout, stderr and checkpoint bytes (None unless it exits 0)
+    of ``argv`` with each knob in ``names`` at a value other than ``argv``'s."""
+    config = build_run_config(build_parser().parse_args(argv))
+    flags = []
+    for name in names:
+        value = _other_value(cli._HINTS[name], getattr(config, name))
+        flags += [cli._flag(name), _spelled_flag_value(value)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv + flags + ["--out", str(out)])
+    return code, stdout.getvalue(), stderr.getvalue(), out.read_bytes() if code == 0 else None
+
+
+@pytest.fixture(scope="module")
+def single_assignment_knob_runs(knob_base_run, tmp_path_factory):
+    root = tmp_path_factory.mktemp("assignment-knobs")
+    runs = {name: _train_with_other_values(knob_base_run[0], [name], root / f"{name}.npz")
+            for name in ASSIGNMENT_KNOBS}
+    assert all(run[0] == 0 for run in runs.values())
+    return runs
+
+
+@pytest.mark.parametrize("pair", list(itertools.combinations(ASSIGNMENT_KNOBS, 2)), ids="+".join)
+def test_each_pair_of_assignment_knobs_changes_the_run_or_exits_2_naming_a_flag(
+        pair, knob_base_run, single_assignment_knob_runs, tmp_path):
+    code, out, err, checkpoint = _train_with_other_values(knob_base_run[0], pair,
+                                                          tmp_path / "model.npz")
+    if code == 2:
+        assert any(cli._flag(name) in err for name in pair), err
+        return
+    assert code == 0, err
+    for name in pair:
+        _, single_out, _, single_checkpoint = single_assignment_knob_runs[name]
+        assert (out, checkpoint) != (single_out, single_checkpoint), (
+            f"{' and '.join(pair)} together ran as {name} alone")
 
 
 @pytest.mark.parametrize("source", ["--config", "PIQN_CONFIG"])

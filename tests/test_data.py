@@ -9,6 +9,7 @@ from iqner.data import (
     EntityAnnotation,
     SentenceExample,
     SyntheticSpec,
+    checked_lines,
     generate_synthetic,
     load_dataset,
     load_meta,
@@ -188,3 +189,18 @@ def test_load_rejects_tokens_that_are_not_all_strings(tmp_path):
     with pytest.raises(DatasetError) as err:
         load_dataset(path)
     assert str(err.value) == f"{path}:1: 'tokens' must be a list of strings"
+
+
+def test_checked_lines_yield_the_rows_of_load_datasets_records(tmp_path):
+    spec = SyntheticSpec(sentences=20, vocab_size=30, min_length=5, max_length=9,
+                         type_count=3, nesting_ratio=0.4, max_entities=3)
+    examples, meta = generate_synthetic(spec, seed=4)
+    path = tmp_path / "d.jsonl"
+    save_dataset(path, examples, meta)
+    for given in (meta, None):
+        records, read_meta = load_dataset(path, given)
+        type_ids = {} if given is None else {name: i for i, name in enumerate(meta.types)}
+        lines = list(checked_lines(path, type_ids, grow=given is None))
+        assert lines == [(ex.tokens, [(e.left, e.right, e.type_id) for e in ex.entities])
+                         for ex in records]
+        assert list(type_ids) == read_meta.types

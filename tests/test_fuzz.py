@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iqner.cli import RunConfig, main
-from iqner.data import SyntheticSpec, generate_synthetic, save_dataset
+from iqner.data import (AnnotationError, DatasetError, DatasetMeta, SyntheticSpec,
+                        generate_synthetic, load_dataset, save_dataset)
 from iqner.encoder import ModelConfig
 from iqner.training import Model, save_checkpoint
 
@@ -81,10 +82,19 @@ def _run(argv):
 
 
 def _assert_rejected(argv, named):
+    """Assert that ``argv`` exits 2 with one error line naming ``named``; return the line."""
     code, out, err = _run(argv)
     assert (code, out) == (2, ""), err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert named in err, err
+    return err
+
+
+def _load_error(data):
+    """The message ``load_dataset`` raises for ``data`` read as predict reads it."""
+    with pytest.raises((DatasetError, AnnotationError)) as raised:
+        load_dataset(data, DatasetMeta(types=TYPES, vocab={}), MAX_LEN)
+    return str(raised.value)
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +151,9 @@ def _with_line(root, corpus, lineno, line):
 def test_predict_rejects_a_bad_dataset_line_by_its_number(files, lineno, line):
     root, corpus, checkpoint = files
     data = _with_line(root, corpus, lineno, line)
-    _assert_rejected(["predict", "--checkpoint", str(checkpoint), "--input", str(data)],
-                     f"{data}:{lineno}:")
+    err = _assert_rejected(["predict", "--checkpoint", str(checkpoint), "--input", str(data)],
+                           f"{data}:{lineno}:")
+    assert err == f"error: {_load_error(data)}\n"
 
 
 # Without --meta the training file names the inventory, so only a type name
@@ -167,8 +178,9 @@ def test_predict_rejects_a_line_that_is_not_utf8_by_its_number(files, lineno, ra
     lines[lineno - 1] = raw
     data = root / "bad.jsonl"
     data.write_bytes(b"\n".join(lines) + b"\n")
-    _assert_rejected(["predict", "--checkpoint", str(checkpoint), "--input", str(data)],
-                     f"{data}:{lineno}: not UTF-8")
+    err = _assert_rejected(["predict", "--checkpoint", str(checkpoint), "--input", str(data)],
+                           f"{data}:{lineno}: not UTF-8")
+    assert err == f"error: {_load_error(data)}\n"
 
 
 # ---------------------------------------------------------------------------
