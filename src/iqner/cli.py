@@ -37,6 +37,7 @@ from typing import Iterator, Literal, get_args, get_origin, get_type_hints
 from .assignment import assignable_total
 from .data import (
     DatasetMeta,
+    EntityAnnotation,
     SyntheticSpec,
     checked_lines,
     generate_synthetic,
@@ -51,6 +52,7 @@ from .evaluation import evaluate_corpus, query_affinity_stats
 from .heads import Prediction
 from .tensor import NumericError
 from .training import (
+    CONFIG_HINTS,
     GRADCHECK_EPS,
     Model,
     TrainConfig,
@@ -85,7 +87,7 @@ class UsageError(ValueError):
 # Every ModelConfig and TrainConfig field a user sets, by name; both hold ``seed``.
 _KNOBS = {**{f.name: f for f in dataclasses.fields(ModelConfig) if f.name not in _FROM_DATA},
           **{f.name: f for f in dataclasses.fields(TrainConfig)}}
-_HINTS = {**get_type_hints(ModelConfig), **get_type_hints(TrainConfig)}
+_HINTS = {**CONFIG_HINTS, **get_type_hints(TrainConfig)}
 _Knobs = dataclasses.make_dataclass(
     "_Knobs", [(name, _HINTS[name], f.default) for name, f in _KNOBS.items()])
 
@@ -124,8 +126,9 @@ class RunConfig(_Knobs):
                            type_count=type_count)
 
 
-# Each field's type, resolved once: for the flags, and for the config file.
-_FIELD_HINTS = {cls: get_type_hints(cls) for cls in (RunConfig, SyntheticSpec)}
+# Each field's type, resolved once at import: a knob's, or a path's.
+_RUN_HINTS = {f.name: _HINTS.get(f.name, str | None) for f in dataclasses.fields(RunConfig)}
+_SPEC_HINTS = get_type_hints(SyntheticSpec)
 _DECODE_FIELDS = ("checkpoint", "loc_threshold", "cls_threshold")
 # The RunConfig fields each subcommand takes as flags.
 _COMMAND_FIELDS = {
@@ -207,9 +210,8 @@ def _flag(name: str) -> str:
     return "--" + _FLAG_NAMES.get(name, name).replace("_", "-")
 
 
-def _add_field_flags(parser: argparse.ArgumentParser, cls, names) -> None:
-    """One flag per field of dataclass ``cls`` in ``names``; an unset flag is None."""
-    hints = _FIELD_HINTS[cls]
+def _add_field_flags(parser: argparse.ArgumentParser, cls, hints: dict, names) -> None:
+    """A flag, typed by ``hints``, per field of dataclass ``cls`` in ``names``; unset is None."""
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     for name in names:
         parser.add_argument(_flag(name), dest=name, default=None,
@@ -241,11 +243,10 @@ def _file_values(args: argparse.Namespace) -> dict:
         raise UsageError(f"cannot read config {config_path}: {err}") from None
     if not isinstance(file_values, dict):
         raise UsageError(f"config {config_path} must hold one JSON object")
-    hints = _FIELD_HINTS[RunConfig]
-    unknown = set(file_values) - set(hints)
+    unknown = set(file_values) - set(_RUN_HINTS)
     if unknown:
         raise UsageError(f"unknown config fields: {sorted(unknown)}")
-    return {name: _config_value(name, hints[name], value) for name, value in file_values.items()}
+    return {name: _config_value(name, _RUN_HINTS[name], v) for name, v in file_values.items()}
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
@@ -327,13 +328,13 @@ def cmd_train(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _decode(
-    config: RunConfig, args: argparse.Namespace, path: str | None, flag: str, records: bool = True
-) -> tuple[Model, DatasetMeta, list, Iterator[list[Prediction]]]:
+    config: RunConfig, args: argparse.Namespace, path: str | None, flag: str
+) -> tuple[Model, DatasetMeta, list[tuple[list[str], list]], Iterator[list[Prediction]]]:
     """What ``eval``, ``predict`` and ``stats`` share: check the thresholds,
     that both paths are given and the config file's model knobs against the
     checkpoint, check every line in ``path`` against its ``max_len``, and
-    return the model, metadata and sentences with their predictions, decoded
-    lazily in file order. The sentences are records, or token lists without ``records``."""
+    return the model, metadata and each line's tokens and gold entity rows
+    with their predictions, decoded lazily in file order."""
     for name in ("loc_threshold", "cls_threshold"):
         require_fraction(name, getattr(config, name))
     if not config.checkpoint:
@@ -347,26 +348,21 @@ def _decode(
             source, config_path = _config_file(args)
             raise UsageError(f"{source} {config_path} sets {key} {value!r}, but checkpoint "
                              f"{config.checkpoint} has {held!r}")
-    if records:
-        sentences, _ = load_dataset(path, meta, model.config.max_len)
-        token_lists = [ex.tokens for ex in sentences]
-    else:
-        type_ids = {name: i for i, name in enumerate(meta.types)}
-        sentences = token_lists = [
-            tokens for tokens, _ in checked_lines(path, type_ids, model.config.max_len)]
-    predictions = model.predict(map(meta.encode, token_lists),
+    lines = list(checked_lines(path, meta.type_ids, model.config.max_len))
+    predictions = model.predict((meta.encode(tokens) for tokens, _ in lines),
                                 config.loc_threshold, config.cls_threshold)
-    return model, meta, sentences, predictions
+    return model, meta, lines, predictions
 
 
 def cmd_eval(config: RunConfig, args: argparse.Namespace) -> int:
-    _, _, examples, predictions = _decode(config, args, args.data, "--data")
-    _emit(evaluate_corpus(list(predictions), [ex.entities for ex in examples]).to_dict())
+    _, _, lines, predictions = _decode(config, args, args.data, "--data")
+    gold = [[EntityAnnotation(*row) for row in rows] for _, rows in lines]
+    _emit(evaluate_corpus(list(predictions), gold).to_dict())
     return 0
 
 
 def cmd_predict(config: RunConfig, args: argparse.Namespace) -> int:
-    _, meta, _, predictions = _decode(config, args, args.input, "--input", records=False)
+    _, meta, _, predictions = _decode(config, args, args.input, "--input")
     for sentence in predictions:  # each line goes out as soon as its sentence is decoded
         _emit({
             "entities": [
@@ -380,8 +376,8 @@ def cmd_predict(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_stats(config: RunConfig, args: argparse.Namespace) -> int:
-    model, meta, examples, predictions = _decode(config, args, args.data, "--data")
-    stats = query_affinity_stats(zip(predictions, map(len, examples)), model.config.queries,
+    model, meta, lines, predictions = _decode(config, args, args.data, "--data")
+    stats = query_affinity_stats(zip(predictions, (len(t) for t, _ in lines)), model.config.queries,
                                  meta.type_count)
     stats["types"] = meta.types
     _emit(stats)
@@ -433,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
                         ("stats", "per-query affinity statistics")):
         p_cmd = sub.add_parser(name, help=about)
         p_cmd.add_argument("--config", default=None, help="JSON config file")
-        _add_field_flags(p_cmd, RunConfig, _COMMAND_FIELDS[name])
+        _add_field_flags(p_cmd, RunConfig, _RUN_HINTS, _COMMAND_FIELDS[name])
         if name != "train":
             p_cmd.add_argument("--input" if name == "predict" else "--data", default=None)
 
@@ -444,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="negative control: corrupt one gradient rule")
 
     p_gen = sub.add_parser("datagen", help="write a synthetic nested-NER corpus")
-    _add_field_flags(p_gen, SyntheticSpec, _SPEC_FIELDS)
+    _add_field_flags(p_gen, SyntheticSpec, _SPEC_HINTS, _SPEC_FIELDS)
     p_gen.add_argument("--seed", type=int, default=0, help="default: %(default)s")
     p_gen.add_argument("--out", default=None)
     p_gen.add_argument("--meta-out", default=None, dest="meta_out")

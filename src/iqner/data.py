@@ -113,6 +113,10 @@ class DatasetMeta:
     def vocab_size(self) -> int:
         return len(self.vocab)
 
+    @property
+    def type_ids(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.types)}
+
     def encode(self, tokens: list[str]) -> np.ndarray:
         return np.array([self.vocab.get(t, UNK_ID) for t in tokens], dtype=np.int64)
 
@@ -215,7 +219,7 @@ def load_dataset(
     a type name outside it is rejected. With ``max_len``, a longer sentence
     is rejected.
     """
-    type_ids = {} if meta is None else {name: i for i, name in enumerate(meta.types)}
+    type_ids = {} if meta is None else meta.type_ids
     examples = [SentenceExample(tokens, [EntityAnnotation(*row) for row in rows])
                 for tokens, rows in checked_lines(path, type_ids, max_len, grow=meta is None)]
     if meta is None:

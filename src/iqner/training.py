@@ -67,7 +67,7 @@ from .tensor import (
 
 CHECKPOINT_FORMAT = "iqner-checkpoint-v2"
 # The type of each ModelConfig field, which a checkpoint's config value must have.
-_CONFIG_HINTS = get_type_hints(ModelConfig)
+CONFIG_HINTS = get_type_hints(ModelConfig)
 GRADCHECK_EPS = 1e-5
 
 AssignmentMode = Literal["dynamic", "static"]
@@ -599,13 +599,13 @@ def load_checkpoint(path) -> tuple[Model, DatasetMeta, None]:
     settings = header["config"]
     if not isinstance(settings, dict):
         raise CheckpointError(f"checkpoint config must be a JSON object, got {settings!r}")
-    unknown = set(settings) - set(_CONFIG_HINTS)
+    unknown = set(settings) - set(CONFIG_HINTS)
     if unknown:
         raise CheckpointError(f"checkpoint config has unknown keys {sorted(unknown)}")
     for key, value in settings.items():
-        if type(value) is not _CONFIG_HINTS[key]:  # a bool is no int here
+        if type(value) is not CONFIG_HINTS[key]:  # a bool is no int here
             raise CheckpointError(f"checkpoint config {key} is {value!r}, "
-                                  f"expected {_CONFIG_HINTS[key].__name__}")
+                                  f"expected {CONFIG_HINTS[key].__name__}")
     try:
         config = ModelConfig(**settings)
     except ValueError as err:

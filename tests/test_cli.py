@@ -522,6 +522,9 @@ def test_type_hints_are_resolved_once_at_import(trained_checkpoint, tmp_path, mo
     args = build_parser().parse_args(["predict", "--config", str(config_path)])
     assert build_run_config(args).cls_threshold == 0.5
     load_checkpoint(trained_checkpoint)
+    monkeypatch.undo()
+    assert cli._RUN_HINTS == get_type_hints(RunConfig)
+    assert cli._HINTS == {**get_type_hints(ModelConfig), **get_type_hints(TrainConfig)}
 
 
 def test_predict_untrained_model_emits_nothing(corpus, tmp_path, capsys):

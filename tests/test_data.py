@@ -199,7 +199,7 @@ def test_checked_lines_yield_the_rows_of_load_datasets_records(tmp_path):
     save_dataset(path, examples, meta)
     for given in (meta, None):
         records, read_meta = load_dataset(path, given)
-        type_ids = {} if given is None else {name: i for i, name in enumerate(meta.types)}
+        type_ids = {} if given is None else meta.type_ids
         lines = list(checked_lines(path, type_ids, grow=given is None))
         assert lines == [(ex.tokens, [(e.left, e.right, e.type_id) for e in ex.entities])
                          for ex in records]
