@@ -416,41 +416,52 @@ def cmd_datagen(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each subcommand and its help line, in the order `iqner --help` lists them.
+_ABOUT = {"train": "train a model and write a checkpoint",
+          "eval": "score a checkpoint on a dataset",
+          "predict": "decode entities for each sentence",
+          "stats": "per-query affinity statistics",
+          "gradcheck": "verify gradients of the full loss",
+          "datagen": "write a synthetic nested-NER corpus"}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or with ``command`` of that one alone,
+    which parses its command lines as the full parser does."""
     parser = _Parser(
         prog="iqner",
         description="Parallel instance-query extraction of flat and nested entities",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, about in (("train", "train a model and write a checkpoint"),
-                        ("eval", "score a checkpoint on a dataset"),
-                        ("predict", "decode entities for each sentence"),
-                        ("stats", "per-query affinity statistics")):
-        p_cmd = sub.add_parser(name, help=about)
-        p_cmd.add_argument("--config", default=None, help="JSON config file")
-        _add_field_flags(p_cmd, RunConfig, _RUN_HINTS, _COMMAND_FIELDS[name])
-        if name != "train":
-            p_cmd.add_argument("--input" if name == "predict" else "--data", default=None)
-
-    p_grad = sub.add_parser("gradcheck", help="verify gradients of the full loss")
-    p_grad.add_argument("--eps", type=float, default=GRADCHECK_EPS)
-    p_grad.add_argument("--seeds", type=int, default=10)
-    p_grad.add_argument("--inject-error", action="store_true", dest="inject_error",
-                        help="negative control: corrupt one gradient rule")
-
-    p_gen = sub.add_parser("datagen", help="write a synthetic nested-NER corpus")
-    _add_field_flags(p_gen, SyntheticSpec, _SPEC_HINTS, _SPEC_FIELDS)
-    p_gen.add_argument("--seed", type=int, default=0, help="default: %(default)s")
-    p_gen.add_argument("--out", default=None)
-    p_gen.add_argument("--meta-out", default=None, dest="meta_out")
+    for name in _ABOUT if command is None else (command,):
+        p_cmd = sub.add_parser(name, help=_ABOUT[name])
+        if name in _COMMAND_FIELDS:
+            p_cmd.add_argument("--config", default=None, help="JSON config file")
+            _add_field_flags(p_cmd, RunConfig, _RUN_HINTS, _COMMAND_FIELDS[name])
+            if name != "train":
+                p_cmd.add_argument("--input" if name == "predict" else "--data", default=None)
+        elif name == "gradcheck":
+            p_cmd.add_argument("--eps", type=float, default=GRADCHECK_EPS)
+            p_cmd.add_argument("--seeds", type=int, default=10)
+            p_cmd.add_argument("--inject-error", action="store_true", dest="inject_error",
+                               help="negative control: corrupt one gradient rule")
+        else:
+            _add_field_flags(p_cmd, SyntheticSpec, _SPEC_HINTS, _SPEC_FIELDS)
+            p_cmd.add_argument("--seed", type=int, default=0, help="default: %(default)s")
+            p_cmd.add_argument("--out", default=None)
+            p_cmd.add_argument("--meta-out", default=None, dest="meta_out")
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        # a command line that starts with a subcommand needs that one's flags
+        # alone; any other (none, an unknown one, --help) gets the full parser
+        command = argv[0] if argv and argv[0] in _ABOUT else None
+        args = build_parser(command).parse_args(argv)
         if args.command == "datagen":
             return cmd_datagen(args)
         if args.command == "gradcheck":

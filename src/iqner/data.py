@@ -154,6 +154,32 @@ def save_meta(path: str | Path, types: list[str]) -> None:
         fh.write("\n")
 
 
+# The scanner inside json.loads. Called directly it skips json.loads' search
+# for whitespace around the value, which a stripped line has none of.
+_scan_json = json.JSONDecoder().scan_once
+
+
+def _json_line(line: str):
+    """The value a stripped, non-blank line holds, as ``json.loads`` reads it.
+    A line the scanner does not read to its end is handed to ``json.loads``,
+    which raises its own error for it: a BOM, extra data or a bad value."""
+    try:
+        value, end = _scan_json(line, 0)
+    except (StopIteration, ValueError):  # no value at the start, or a bad one
+        end = None
+    return value if end == len(line) else json.loads(line)
+
+
+def _all_strings(items: list) -> bool:
+    """Whether every item is a str: ``str.join`` takes nothing else, and
+    checks each item in C."""
+    try:
+        "".join(items)
+    except TypeError:
+        return False
+    return True
+
+
 def checked_lines(
     path: str | Path, type_ids: dict[str, int], max_len: int | None = None, grow: bool = False
 ) -> Iterator[tuple[list[str], list[tuple[int, int, int]]]]:
@@ -172,11 +198,11 @@ def checked_lines(
             line = raw.decode("utf-8").strip()
             if not line:
                 continue
-            obj = json.loads(line)
+            obj = _json_line(line)
             if not isinstance(obj, dict) or "tokens" not in obj:
                 raise DatasetError("record must carry a 'tokens' list")
             tokens = obj["tokens"]
-            if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            if not isinstance(tokens, list) or not _all_strings(tokens):
                 raise DatasetError("'tokens' must be a list of strings")
             if max_len is not None and len(tokens) > max_len:
                 raise DatasetError(f"sentence length {len(tokens)} exceeds maximum {max_len}")
@@ -185,18 +211,19 @@ def checked_lines(
                 raise DatasetError("'entities' must be a list")
             rows = []
             for ent in entities:
-                if not isinstance(ent, dict) or not {"start", "end", "type"} <= ent.keys():
-                    raise DatasetError("entity needs start/end/type")
-                name = ent["type"]
+                try:  # only an object with all three keys can be indexed by them
+                    start, end, name = ent["start"], ent["end"], ent["type"]
+                except (TypeError, KeyError):
+                    raise DatasetError("entity needs start/end/type") from None
                 if grow and isinstance(name, str):
                     type_ids.setdefault(name, len(type_ids))
-                if not isinstance(name, str) or name not in type_ids:
+                type_id = type_ids.get(name) if isinstance(name, str) else None
+                if type_id is None:
                     raise AnnotationError(f"unknown entity type {name!r}")
-                start, end = ent["start"], ent["end"]
                 if type(start) is not int or type(end) is not int:  # a bool is no int here
                     raise DatasetError(f"entity start and end must be integers, "
                                        f"got {start!r} and {end!r}")
-                rows.append(entity_row(start, end, type_ids[name]))
+                rows.append(entity_row(start, end, type_id))
             check_sentence(tokens, rows)
         except UnicodeDecodeError as err:
             raise DatasetError(f"{path}:{lineno}: not UTF-8 ({err.reason} "
@@ -308,7 +335,8 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> tuple[list[SentenceExa
     nested_spans = 0
     for _ in range(spec.sentences):
         n = int(rng.integers(spec.min_length, spec.max_length + 1))
-        tokens = [fillers[int(rng.integers(len(fillers)))] for _ in range(n)]
+        # one call draws the values that n scalar calls would, so corpora are unchanged
+        tokens = [fillers[j] for j in rng.integers(len(fillers), size=n)]
         want = int(rng.integers(1, spec.max_entities + 1))
         desired_nested = int(np.floor(spec.nesting_ratio * (total_spans + want) + 0.5))
         plan_nested = min(want - 1, max(0, desired_nested - nested_spans))
@@ -327,9 +355,9 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> tuple[list[SentenceExa
 
         def top_level_span(min_len: int = 1, pref_len: int | None = None):
             # top-level spans stay disjoint from everything already placed
-            occupied = np.zeros(n, dtype=bool)
+            occupied = [False] * n
             for l1, r1, _, _ in placed:
-                occupied[l1 : r1 + 1] = True
+                occupied[l1 : r1 + 1] = [True] * (r1 + 1 - l1)
             gaps = []
             start = None
             for j in range(n + 1):

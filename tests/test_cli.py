@@ -1079,3 +1079,46 @@ def test_each_datagen_flag_changes_the_corpus_or_exits_2_naming_it(name, datagen
     else:
         assert code == 0 and (corpus.read_bytes(), meta.read_bytes()) != datagen_base_run, (
             f"{flag} {value} changed neither the corpus nor the meta file")
+
+
+def _parser_outcome(argv: list[str]) -> tuple:
+    """``main``'s exit code, stdout and stderr for a command line that ends
+    in the parser: a usage error or --help."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as done:  # --help prints and exits
+            code = done.code
+    return code, out.getvalue(), err.getvalue()
+
+
+PARSER_LINES = [[], ["--help"], ["bogus"], ["bogus", "--help"], ["predict", "--hidden", "3"],
+                ["train", "--lr", "fast"], ["datagen", "--types"], ["gradcheck", "--eps"],
+                *([command, "--help"] for command in cli._ABOUT)]
+
+
+@pytest.mark.parametrize("argv", PARSER_LINES, ids=" ".join)
+def test_main_parses_as_the_full_parser_does(argv, monkeypatch):
+    narrow = _parser_outcome(argv)
+    full_parser = build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+    assert narrow == _parser_outcome(argv)
+    assert narrow[0] in (0, 2) and (narrow[1] or narrow[2])
+
+
+@pytest.mark.parametrize("command", cli._ABOUT)
+def test_main_adds_flags_to_the_named_subparser_only(command, monkeypatch):
+    flagged = set()
+    add_argument = cli._Parser.add_argument
+
+    def spy(parser, *args, **kwargs):
+        flagged.add(parser.prog)
+        return add_argument(parser, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "add_argument", spy)
+    assert _parser_outcome([command, "--no-such-flag"])[0] == 2
+    assert flagged == {"iqner", f"iqner {command}"}
+    flagged.clear()
+    build_parser()
+    assert flagged == {"iqner", *(f"iqner {name}" for name in cli._ABOUT)}

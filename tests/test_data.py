@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from iqner.cli import main
 from iqner.data import (
     AnnotationError,
     DatasetError,
@@ -204,3 +206,117 @@ def test_checked_lines_yield_the_rows_of_load_datasets_records(tmp_path):
         assert lines == [(ex.tokens, [(e.left, e.right, e.type_id) for e in ex.entities])
                          for ex in records]
         assert list(type_ids) == read_meta.types
+
+
+_ENTITY = '{"start": %s, "end": %s, "type": "T"}'
+_ONE = '{"tokens": ["a"], "entities": [%s]}'
+_TWO = '{"tokens": ["a", "b"], "entities": [%s]}'
+
+# Each line's rows, or the error class and message the reader gives it
+# (after ``<path>:<line>: ``), with the types {"T": 0} and max_len 2.
+CRAFTED_LINES = [
+    ('{"tokens": ["a"]} x', (DatasetError, "1: invalid JSON (Extra data)")),
+    ('{"tokens": ["a"]}{"tokens": ["b"]}', (DatasetError, "1: invalid JSON (Extra data)")),
+    ('{"tokens": ["a"]} {"tokens": ["b"]}', (DatasetError, "1: invalid JSON (Extra data)")),
+    ('\ufeff{"tokens": ["a"]}',
+     (DatasetError, "1: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))")),
+    ('{"tokens": ["a"]', (DatasetError, "1: invalid JSON (Expecting ',' delimiter)")),
+    ('{tokens: ["a"]}',
+     (DatasetError, "1: invalid JSON (Expecting property name enclosed in double quotes)")),
+    ('{"tokens": ["a"],\n"entities": []}',
+     (DatasetError, "1: invalid JSON (Expecting property name enclosed in double quotes)")),
+    ('"entities": []}', (DatasetError, "1: invalid JSON (Extra data)")),
+    ("NaN", (DatasetError, "1: record must carry a 'tokens' list")),
+    ('[{"tokens": ["a"]}]', (DatasetError, "1: record must carry a 'tokens' list")),
+    (_ONE % (_ENTITY % ("NaN", 0)),
+     (DatasetError, "1: entity start and end must be integers, got nan and 0")),
+    (_ONE % (_ENTITY % (0, "Infinity")),
+     (DatasetError, "1: entity start and end must be integers, got 0 and inf")),
+    (_ONE % (_ENTITY % (0, "-Infinity")),
+     (DatasetError, "1: entity start and end must be integers, got 0 and -inf")),
+    (_ONE % (_ENTITY % ("1e400", 0)),
+     (DatasetError, "1: entity start and end must be integers, got inf and 0")),
+    (_ONE % (_ENTITY % ("true", 0)),
+     (DatasetError, "1: entity start and end must be integers, got True and 0")),
+    (_ONE % (_ENTITY % (0, "0.0")),
+     (DatasetError, "1: entity start and end must be integers, got 0 and 0.0")),
+    ("\x0c" + _TWO % (_ENTITY % (0, 1)) + "\x0c ", [(["a", "b"], [(0, 1, 0)])]),
+    (" \t\x0c\x0b \n" + '{"tokens": ["a", 3]}',
+     (DatasetError, "2: 'tokens' must be a list of strings")),
+    (" \t\x0c\x0b ", []),
+    # U+2028 ends a line for str.splitlines, but not for bytes.splitlines
+    ('{"tokens": ["a\u2028b"]}', [(["a\u2028b"], [])]),
+    ('{"tokens": "ab"}', (DatasetError, "1: 'tokens' must be a list of strings")),
+    ('{"tokens": ["a", ["b"]]}', (DatasetError, "1: 'tokens' must be a list of strings")),
+    ('{"tokens": ["a", null]}', (DatasetError, "1: 'tokens' must be a list of strings")),
+    ('{"tokens": ["a", "b", "c"]}', (DatasetError, "1: sentence length 3 exceeds maximum 2")),
+    ('{"tokens": ["a"], "entities": {}}', (DatasetError, "1: 'entities' must be a list")),
+    (_ONE % '["start", "end", "type"]', (DatasetError, "1: entity needs start/end/type")),
+    (_ONE % '"start"', (DatasetError, "1: entity needs start/end/type")),
+    (_ONE % "null", (DatasetError, "1: entity needs start/end/type")),
+    (_ONE % '{"start": 0, "end": 0}', (DatasetError, "1: entity needs start/end/type")),
+    (_ONE % '{"start": 0, "end": 0, "type": ["T"]}',
+     (AnnotationError, "1: unknown entity type ['T']")),
+    (_ONE % '{"start": 0.5, "end": 0, "type": "U"}',
+     (AnnotationError, "1: unknown entity type 'U'")),
+    (_TWO % ", ".join([_ENTITY % (1, 0), _ENTITY % (0, 0.5)]),
+     (AnnotationError, "1: invalid span (1, 0)")),
+    (_TWO % ", ".join([_ENTITY % (0, 0), _ENTITY % (0, 0), _ENTITY % (0, 5)]),
+     (AnnotationError, "1: duplicate entity triple (0, 0, 0)")),
+    (_TWO % ", ".join([_ENTITY % (0, 0), _ENTITY % (0, 5), _ENTITY % (0, 0)]),
+     (AnnotationError, "1: span (0, 5) exceeds sentence length 2")),
+    ('{"tokens": [], "entities": [%s]}' % (_ENTITY % (0, 0)),
+     (DatasetError, "1: sentence with no tokens")),
+    ('{"tokens": ["a"], "entities": [%s], "tokens": ["b", "c"]}' % (_ENTITY % (0, 1)),
+     [(["b", "c"], [(0, 1, 0)])]),
+]
+
+
+@pytest.mark.parametrize("text, expected", CRAFTED_LINES)
+def test_checked_lines_give_each_crafted_line_its_rows_or_message(text, expected, tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text(text + "\n", encoding="utf-8")
+    if isinstance(expected, list):
+        assert list(checked_lines(path, {"T": 0}, 2)) == expected
+        return
+    error, message = expected
+    with pytest.raises(error) as err:
+        list(checked_lines(path, {"T": 0}, 2))
+    assert type(err.value) is error and str(err.value) == f"{path}:{message}"
+
+
+def test_checked_lines_parse_a_valid_file_without_json_loads(tmp_path, monkeypatch):
+    spec = SyntheticSpec(sentences=1000, min_length=17, max_length=40, max_entities=8)
+    examples, meta = generate_synthetic(spec, seed=12)
+    path = tmp_path / "d.jsonl"
+    save_dataset(path, examples, meta)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.loads called for a valid line")
+
+    monkeypatch.setattr(json, "loads", refuse)
+    lines = list(checked_lines(path, meta.type_ids, 40))
+    assert lines == [(ex.tokens, [(e.left, e.right, e.type_id) for e in ex.entities])
+                     for ex in examples]
+
+
+# sha256 of `iqner datagen` output for the bench's set-up corpora: the
+# training file (seed 11) and the held-out file and its meta (seed 12).
+CORPUS_DIGESTS = [
+    (["--sentences", "64", "--max-entities", "8", "--seed", "11"],
+     "f6c8ba669fcf2a5e6ca27723f859d2f58d6a1dc7f8acd4472e95951baccf5644", None),
+    (["--sentences", "1000", "--max-entities", "8", "--min-len", "17", "--max-len", "40",
+      "--seed", "12"],
+     "dba0556500b9ab5c6065531b43ce6eac9211032802dccc0bc0d2dc7e78aab63c",
+     "0ba58a1b08d8bd2c5bc6310b8b915b097bb4675574f8d8957ffdc9147d200798"),
+]
+
+
+@pytest.mark.parametrize("flags, corpus_digest, meta_digest", CORPUS_DIGESTS,
+                         ids=["train-seed11", "heldout-seed12"])
+def test_datagen_writes_the_pinned_corpus(flags, corpus_digest, meta_digest, tmp_path, capsys):
+    corpus, meta = tmp_path / "d.jsonl", tmp_path / "meta.json"
+    assert main(["datagen", *flags, "--out", str(corpus), "--meta-out", str(meta)]) == 0
+    assert hashlib.sha256(corpus.read_bytes()).hexdigest() == corpus_digest
+    if meta_digest is not None:
+        assert hashlib.sha256(meta.read_bytes()).hexdigest() == meta_digest
