@@ -276,14 +276,14 @@ def encode(
         raise DimensionError(
             f"{len(layers)} layers for B={config.base_layers}, L={config.word_layers}"
         )
-    mask = attention_mask(lengths, config)
+    mask = attention_mask(lengths, config).astype(h0.data.dtype, copy=False)
     x = h0
     for layer in layers[: config.base_layers]:
         x = one_way_self_attention(x, mask, layer, config.heads)
     outputs = LayerOutputs()
     pads = pad_positions(lengths)
     if pads is not None:
-        outputs.word_mask = (~pads)[:, None, :].astype(np.float64)
+        outputs.word_mask = (~pads)[:, None, :].astype(h0.data.dtype)
     for layer in layers[config.base_layers :]:
         x = one_way_self_attention(x, mask, layer, config.heads)
         outputs.word.append(narrow(x, -2, 0, n))

@@ -144,7 +144,9 @@ def entity_classifier(
     right_part = matmul(scores.right, h_w)
     fused = relu(concat([query_part, left_part, right_part], axis=-1))
     logits = linear(fused, heads.type_scorer, heads.type_bias)
-    return TypeDistribution(logits, row_softmax(logits.data).data)
+    # in float64 also from float32 logits, where a probability within 6e-8 of 1
+    # would round to 1.0 and tie with another query's in decode's span dedup
+    return TypeDistribution(logits, row_softmax(logits.data.astype(np.float64, copy=False)).data)
 
 
 def decode_entities(

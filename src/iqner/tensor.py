@@ -1,8 +1,10 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float tensors with reverse-mode automatic differentiation.
 
 Everything the encoder, prediction heads, and losses need: a small set of
 differentiable operations over numpy arrays, a single-sweep backward pass,
-and a central-difference gradient checker. CPU only, 64-bit only.
+and a central-difference gradient checker. CPU only. Training and every
+gradient run in float64; an op computes in its operands' dtype, so a
+no-grad pass over float32 parameters (decoding) computes in float32.
 
 Every operation hands its result to ``_record``, the one place that decides
 whether to record it: only while gradients are on (outside ``no_grad``) and
@@ -85,7 +87,8 @@ _UNTRACKED = SimpleNamespace(tracked=False, _parents=())
 
 
 class Tensor:
-    """A dense float64 array plus optional gradient.
+    """A dense float64 array, or float32 when made from a float32 array, plus
+    optional gradient.
 
     ``tracked`` tensors participate in differentiation: operations consuming
     them record a gradient rule, and :func:`backward` adds into the ``grad``
@@ -96,7 +99,8 @@ class Tensor:
     __slots__ = ("data", "grad", "tracked", "_node", "__weakref__")
 
     def __init__(self, data, tracked: bool = False):
-        self.data = np.array(data, dtype=np.float64, copy=True, order="C")
+        dtype = np.float32 if getattr(data, "dtype", None) == np.float32 else np.float64
+        self.data = np.array(data, dtype=dtype, copy=True, order="C")
         self.grad: np.ndarray | None = np.zeros_like(self.data) if tracked else None
         self.tracked = tracked
         # None marks a tracked leaf, which is its own graph node; holding
@@ -132,7 +136,7 @@ class Tensor:
 
 class ParameterLayout:
     """Declares tracked leaves without values, then lays them out on one
-    float64 vector ``theta`` and a ``grad`` vector of zeros alike: each
+    vector ``theta`` and a float64 ``grad`` vector of zeros alike: each
     leaf's ``data`` and ``grad`` become views of its slices."""
 
     def __init__(self):
@@ -146,10 +150,13 @@ class ParameterLayout:
         return leaf
 
     def place(self, leaves: list[Tensor], rng: np.random.Generator | None = None,
-              theta: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+              theta: np.ndarray | None = None,
+              trainable: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
         """Lay ``leaves`` out in the order given and return ``theta`` and
         ``grad``. A given ``theta`` is viewed as it is; else each leaf is drawn
-        from ``rng`` or filled, in that order, into a new vector of zeros."""
+        from ``rng`` or filled, in that order, into a new vector of zeros.
+        Unless ``trainable``, no ``grad`` is made (None is returned) and the
+        leaves become untracked values, which no op records."""
         specs = [self._specs[id(leaf)] for leaf in leaves]
         total = sum(math.prod(shape) for shape, _, _ in specs)
         draw = theta is None
@@ -157,11 +164,15 @@ class ParameterLayout:
             theta = np.zeros(total)
         elif theta.shape != (total,):
             raise DimensionError(f"parameters have shape {theta.shape}, the model needs ({total},)")
-        grad = np.zeros(total)
+        grad = np.zeros(total) if trainable else None
         start = 0
         for leaf, (shape, std, fill) in zip(leaves, specs):
             stop = start + math.prod(shape)
-            leaf.data, leaf.grad = theta[start:stop].reshape(shape), grad[start:stop].reshape(shape)
+            leaf.data = theta[start:stop].reshape(shape)
+            if trainable:
+                leaf.grad = grad[start:stop].reshape(shape)
+            else:
+                leaf.tracked, leaf._node = False, _UNTRACKED
             if draw and std is None:
                 leaf.data.fill(fill)
             elif draw:  # the numbers rng.normal(0.0, std, shape) gives, drawn in place
@@ -409,8 +420,9 @@ def pair_relu_score(a, b, w, bias) -> Tensor:
                              f"and {bias.shape} are not compatible")
     m, n = ad.shape[-2], bd.shape[-2]
     a3, b3 = ad.reshape(-1, m, h), bd.reshape(-1, n, h)
-    data = np.empty((len(a3), m * n, 1))
-    fused = np.empty((m, n, h))
+    dtype = np.result_type(ad, bd, w.data, bias.data)
+    data = np.empty((len(a3), m * n, 1), dtype)
+    fused = np.empty((m, n, h), dtype)
     pairs = fused.reshape(m * n, h)
     for i in range(len(a3)):
         np.add(a3[i, :, None], b3[i], out=fused)
@@ -633,7 +645,7 @@ def attention(q, k, v, mask, heads: int) -> Tensor:
     if q.ndim < 2 or k.shape != shape or v.shape != shape or heads < 1 or shape[-1] % heads:
         raise DimensionError(f"attention: shapes {q.shape}, {k.shape} and {v.shape} "
                              f"do not split into {heads} heads")
-    mask = np.asarray(mask, dtype=np.float64)
+    mask = np.asarray(mask, dtype=q.data.dtype)
     lead, total, head_dim = shape[:-2], shape[-2], shape[-1] // heads
     scores_shape = lead + (heads, total, total)
     if mask.ndim > len(scores_shape) or any(

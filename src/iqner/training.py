@@ -13,6 +13,7 @@ only, lazily, each sentence as a batch of one.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -113,14 +114,16 @@ class TrainConfig:
 class Model:
     """Embedding tables, encoder layers, and per-layer prediction heads.
 
-    Every parameter's ``data`` and ``grad`` view one float64 vector,
-    ``theta`` and ``grad``, laid out in ``named_parameters()`` order. They
-    are drawn from ``rng`` (by default seeded with the config's seed), or the
-    model is built on a given ``theta`` as it is, drawing nothing.
+    Every parameter's ``data`` and ``grad`` view one vector each, ``theta``
+    and ``grad``, laid out in ``named_parameters()`` order. They are drawn
+    from ``rng`` (by default seeded with the config's seed) into a float64
+    ``theta``, or the model is built on a given ``theta`` as it is, drawing
+    nothing. Unless ``trainable``, it has no ``grad`` (None) and its
+    parameters are untracked values, fit only to decode with.
     """
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator | None = None,
-                 theta: np.ndarray | None = None):
+                 theta: np.ndarray | None = None, trainable: bool = True):
         new = ParameterLayout()
         self.config = config
         self.tables = EmbeddingTables.declare(config, new)
@@ -134,7 +137,8 @@ class Model:
         ]
         if theta is None and rng is None:
             rng = np.random.default_rng(config.seed)
-        self.theta, self.grad = new.place([p for _, p in self.named_parameters()], rng, theta)
+        self.theta, self.grad = new.place([p for _, p in self.named_parameters()], rng, theta,
+                                          trainable)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         out = self.tables.named("emb")
@@ -174,11 +178,17 @@ class Model:
                 cls_threshold: float) -> Iterator[list[Prediction]]:
         """Yield each sentence's entities, decoded from the final layer, the
         only one whose heads run. ``sentences`` holds token id arrays; each is
-        encoded, as a batch of one, only when its predictions are asked for."""
+        encoded, as a batch of one, only when its predictions are asked for.
+
+        The encoder and the heads compute in float32, on a copy of
+        ``theta`` made once per call without a ``grad`` vector; only the
+        class softmax is float64 (``entity_classifier``). A probability
+        agrees with the float64 ``forward`` to about 1e-6."""
+        model = Model(self.config, theta=self.theta.astype(np.float32), trainable=False)
         for token_ids in sentences:
             with no_grad():
-                outputs = self.encode([token_ids])
-                scores, types = _run_heads(outputs.query[-1], outputs.word[-1], self.heads[-1])
+                outputs = model.encode([token_ids])
+                scores, types = _run_heads(outputs.query[-1], outputs.word[-1], model.heads[-1])
             yield decode_entities(scores.sentence(0, len(token_ids)), types.sentence(0),
                                   loc_threshold, cls_threshold)
 
@@ -329,6 +339,8 @@ class AdamOptimizer:
 
     def __init__(self, model: Model, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
+        if model.grad is None:
+            raise ValueError("the model is not trainable; it was built to decode")
         self.params = model.named_parameters()
         self.theta, self.grad = model.theta, model.grad
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
@@ -563,31 +575,49 @@ def save_checkpoint(path, model: Model, meta: DatasetMeta) -> None:
             os.unlink(temporary)
 
 
+def _npy_member(archive: zipfile.ZipFile, name: str) -> np.ndarray:
+    """Array member ``name`` of an npz archive, read in one call, which checks
+    its CRC once, and viewed where it was read, so it is read-only."""
+    raw = archive.read(name)
+    stream = io.BytesIO(raw)
+    version = np.lib.format.read_magic(stream)
+    if version != (1, 0):  # what np.savez writes for an array of a plain dtype
+        raise ValueError(f"npy format version {version} is not supported")
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(stream)
+    if dtype.hasobject:  # numpy's own refusal: reading one needs pickle
+        raise ValueError("Object arrays cannot be loaded when allow_pickle=False")
+    array = np.frombuffer(raw, dtype, math.prod(shape), stream.tell())
+    return array.reshape(shape[::-1]).T if fortran_order else array.reshape(shape)
+
+
 def load_checkpoint(path) -> tuple[Model, DatasetMeta, None]:
     """Rebuild the model, on the file's parameter vector with no random
     init, and metadata, reading the archive's ``header`` and ``parameters``
     members and no other.
 
-    The third value, kept for callers that unpack three, is None.
+    The model is for decoding: it is not ``trainable``, and its ``theta``
+    is the read-only vector read from the file. The third value, kept for
+    callers that unpack three, is None.
     """
     try:
         fh = open(path, "rb")
     except OSError as err:  # missing, a directory or unreadable
         raise CheckpointError(f"cannot read checkpoint {path}: {err}") from None
-    with fh:  # np.load leaves a file it opened open when it is a broken zip
+    with fh:
         try:
-            archive = np.load(fh)
-        except (ValueError, EOFError, zipfile.BadZipFile):  # neither an archive nor an array
-            archive = None
-        if not isinstance(archive, np.lib.npyio.NpzFile) or "header" not in archive:
+            archive = zipfile.ZipFile(fh)
+            members = set(archive.namelist())
+        except (ValueError, EOFError, zipfile.BadZipFile):  # no zip archive
+            members = set()
+        if "header.npy" not in members:
             raise CheckpointError(f"{path} is not a model checkpoint")
         try:
-            header = json.loads(archive["header"].tobytes().decode("utf-8"))
-        except (ValueError, zipfile.BadZipFile) as err:  # unreadable, bad UTF-8 or bad JSON
+            header = json.loads(_npy_member(archive, "header.npy").tobytes().decode("utf-8"))
+        except (ValueError, EOFError, zipfile.BadZipFile) as err:  # unreadable or bad JSON
             raise CheckpointError(f"checkpoint header is not JSON: {err}") from None
         try:
-            theta = archive["parameters"] if "parameters" in archive else None
-        except (ValueError, zipfile.BadZipFile) as err:  # an object array needs pickle
+            theta = _npy_member(archive, "parameters.npy") if "parameters.npy" in members else None
+        except (ValueError, EOFError, zipfile.BadZipFile) as err:  # e.g. an object array
             raise CheckpointError(f"checkpoint parameters cannot be read: {err}") from None
     if not isinstance(header, dict):
         raise CheckpointError("checkpoint header must be a JSON object")
@@ -621,7 +651,7 @@ def load_checkpoint(path) -> tuple[Model, DatasetMeta, None]:
     if theta.dtype != np.float64:  # what save_checkpoint writes
         raise CheckpointError(f"checkpoint parameters have dtype {theta.dtype}, expected float64")
     try:
-        model = Model(config, theta=theta)
+        model = Model(config, theta=theta, trainable=False)
     except DimensionError as err:
         raise CheckpointError(f"checkpoint {err}") from None
     if not np.isfinite(theta).all():

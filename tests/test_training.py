@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import weakref
+import zipfile
 
 import numpy as np
 import pytest
@@ -565,23 +566,29 @@ def test_parameter_names_are_pinned():
 @pytest.mark.parametrize("hidden,queries,word_layers,heads", [(32, 12, 2, 4), (64, 60, 5, 4)])
 def test_load_reads_the_header_and_the_parameter_vector_alone(hidden, queries, word_layers, heads,
                                                               tmp_path, monkeypatch):
-    """At the acceptance fixture's size and the paper default's, a load reads
-    two archive members, however many parameters the model has."""
+    """At the acceptance fixture's size and the paper default's, a load opens
+    two archive members and reads each in one call, however many parameters
+    the model has."""
     _, meta, config = _tiny_fixture()
     config = ModelConfig(**{**config.__dict__, "hidden": hidden, "queries": queries,
                             "word_layers": word_layers, "heads": heads})
     save_checkpoint(tmp_path / "model.npz", Model(config), meta)
-    reads = []
-    read = np.lib.npyio.NpzFile.__getitem__
+    opened, reads = [], []
+    open_member, read = zipfile.ZipFile.open, zipfile.ZipExtFile.read
 
-    def counted(archive, key):
-        reads.append(key)
-        return read(archive, key)
+    def counted_open(archive, name, *args, **kwargs):
+        opened.append(name)
+        return open_member(archive, name, *args, **kwargs)
 
-    monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", counted)
+    def counted_read(member, *args):
+        reads.append(member.name)
+        return read(member, *args)
+
+    monkeypatch.setattr(zipfile.ZipFile, "open", counted_open)
+    monkeypatch.setattr(zipfile.ZipExtFile, "read", counted_read)
     loaded, _, _ = load_checkpoint(tmp_path / "model.npz")
     assert len(loaded.named_parameters()) > 2
-    assert sorted(reads) == ["header", "parameters"]
+    assert sorted(opened) == sorted(reads) == ["header.npy", "parameters.npy"]
 
 
 # sha256 of the random init's parameter vector, taken from the model as it
@@ -638,12 +645,13 @@ def test_load_builds_on_the_file_vector_and_draws_nothing(tmp_path, monkeypatch)
 
     monkeypatch.setattr(np.random, "default_rng", refuse)
     monkeypatch.setattr(np.random, "Generator", Refusing)
-    read = np.lib.npyio.NpzFile.__getitem__
-    arrays = {}
-    monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__",
-                        lambda archive, key: arrays.setdefault(key, read(archive, key)))
+    read = zipfile.ZipFile.read
+    members = {}
+    monkeypatch.setattr(zipfile.ZipFile, "read",
+                        lambda archive, name: members.setdefault(name, read(archive, name)))
     loaded, _, _ = load_checkpoint(tmp_path / "model.npz")
-    assert loaded.theta is arrays["parameters"]  # the vector the file gave, not a copy
+    # the bytes the file gave, viewed and not copied
+    assert np.shares_memory(loaded.theta, np.frombuffer(members["parameters.npy"], np.uint8))
     assert loaded.theta.tobytes() == model.theta.tobytes()
     assert all(np.shares_memory(p.data, loaded.theta) for _, p in loaded.named_parameters())
     with pytest.raises(AssertionError, match="made a random generator"):
@@ -706,6 +714,21 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.npz"
     path.write_bytes(b"not a checkpoint")
     with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_changed_parameter_bytes(tmp_path):
+    """The one read of the parameters still checks the member's CRC."""
+    _, meta, config = _tiny_fixture()
+    model = Model(config)
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, model, meta)
+    data = bytearray(path.read_bytes())
+    start = data.find(model.theta.tobytes())  # np.savez stores members uncompressed
+    assert start > 0
+    data[start + 8] ^= 1
+    path.write_bytes(bytes(data))
+    with pytest.raises(CheckpointError, match="^checkpoint parameters cannot be read: Bad CRC-32"):
         load_checkpoint(path)
 
 
@@ -799,6 +822,94 @@ def test_predict_runs_only_the_final_layer_heads(monkeypatch):
                         lambda *args: calls.append(args) or pointer(*args))
     list(model.predict([meta.encode(ex.tokens) for ex in examples[:2]], 0.0, 0.0))
     assert len(calls) == 2  # one per sentence
+
+
+@pytest.fixture(scope="module")
+def trained_decoder(tmp_path_factory):
+    """A fixture-point model (h=32, M=12, L=2) trained until it decodes
+    entities at the default thresholds, loaded from its checkpoint, and
+    held-out sentences longer than its training ones."""
+    examples, meta = generate_synthetic(SyntheticSpec(sentences=24), seed=11)
+    held, _ = generate_synthetic(SyntheticSpec(sentences=300, min_length=17, max_length=30),
+                                 seed=12)
+    config = ModelConfig(hidden=32, queries=12, base_layers=1, word_layers=2, heads=4,
+                         vocab_size=meta.vocab_size, max_len=30, type_count=meta.type_count,
+                         seed=2)
+    model = Model(config)
+    train(model, examples, meta, TrainConfig(epochs=40, batch_size=4, learning_rate=6e-3,
+                                             warmup_fraction=0.4, share_final_assignment=True,
+                                             seed=2))
+    path = tmp_path_factory.mktemp("decoder") / "model.npz"
+    save_checkpoint(path, model, meta)
+    loaded, _, _ = load_checkpoint(path)
+    return loaded, [meta.encode(ex.tokens) for ex in held]
+
+
+def test_predict_computes_in_float32(trained_decoder, monkeypatch):
+    """Every op of the decode path, the encoder's and the final heads', gives
+    a float32 result, except the class softmax, which entity_classifier runs
+    in float64 on purpose. The ops run on one float32 copy of the model per
+    call, made without a grad vector; the model's own vector stays float64."""
+    from iqner import tensor
+
+    model, sentences = trained_decoder
+    results, copies = [], []
+    record = tensor._record
+
+    def spy(data, parents, rule, *saved):
+        results.append((rule.__name__, data.dtype))
+        return record(data, parents, rule, *saved)
+
+    class Copy(Model):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            copies.append(self)
+
+    monkeypatch.setattr(tensor, "_record", spy)
+    monkeypatch.setattr(training, "Model", Copy)
+    decoded = list(model.predict(sentences[:3], 0.0, 0.0))
+    assert all(decoded)
+    (copy,) = copies
+    assert copy.theta.dtype == np.float32 and copy.grad is None
+    dtypes = {}
+    for rule, dtype in results:
+        dtypes.setdefault(rule, set()).add(dtype)
+    assert {"_attention_grad", "_layer_norm_grad", "_linear_grad", "_pair_relu_score_grad",
+            "_sigmoid_grad", "_matmul_grad", "_concat_grad", "_relu_grad"} < set(dtypes)
+    assert dtypes.pop("_row_softmax_grad") == {np.dtype(np.float64)}
+    assert all(found == {np.dtype(np.float32)} for found in dtypes.values()), dtypes
+    assert model.theta.dtype == np.float64
+
+
+@pytest.mark.parametrize("thresholds", [(0.6, 0.8), (0.0, 0.0)])
+def test_float32_decode_agrees_with_the_float64_forward(trained_decoder, thresholds):
+    """``predict`` keeps the float64 decode's query ids, spans and types, and
+    every probability within 1e-5 of it."""
+    from iqner.heads import decode_entities
+
+    model, sentences = trained_decoder
+    decoded = list(model.predict(sentences, *thresholds))
+    assert sum(map(len, decoded)) > len(sentences)
+    for ids, got in zip(sentences, decoded):
+        _, head_outs = model.forward(ids)
+        scores, types = head_outs[-1]
+        assert scores.left.data.dtype == types.probs.dtype == np.float64
+        expected = decode_entities(scores, types, *thresholds)
+        assert ([(p.query_id, p.left, p.right, p.type_id) for p in got]
+                == [(p.query_id, p.left, p.right, p.type_id) for p in expected])
+        for p, q in zip(got, expected):
+            assert max(abs(p.left_prob - q.left_prob), abs(p.right_prob - q.right_prob),
+                       abs(p.type_prob - q.type_prob)) <= 1e-5
+
+
+def test_a_loaded_model_is_for_decoding(trained_decoder):
+    """It views the file's bytes read-only, has no gradient vector and
+    untracked parameters, and an optimizer refuses it."""
+    model, _ = trained_decoder
+    assert model.grad is None and not model.theta.flags.writeable
+    assert not any(p.tracked or p.grad is not None for _, p in model.named_parameters())
+    with pytest.raises(ValueError, match="not trainable"):
+        AdamOptimizer(model)
 
 
 @pytest.mark.parametrize("word_layers, share_final", [(2, True), (3, False)])
