@@ -10,10 +10,12 @@ Queries left unmatched take the None label through an extra column.
 
 A training step gathers each word layer's costs for its whole batch at a
 stack of (left, right, type) gold rows, and solves all of its (sentence,
-layer) instances in one call: their costs and quantities are stacked,
-padded to the largest G, and every augmentation round runs the Dijkstra
-sweep and the path walk-back for all instances at once, on arrays with
-+inf at absent entities. A single instance is the stack of one.
+layer) instances in one call that returns their owners and total costs as
+arrays: their costs and quantities are stacked, padded to the largest G,
+and every augmentation round runs the Dijkstra sweep and the path
+walk-back for all instances at once, on arrays indexed flat with +inf at
+absent entities. A single instance is the stack of one, returned as an
+``AssignmentResult``.
 """
 
 from __future__ import annotations
@@ -52,12 +54,12 @@ class QuantityVector:
         counts = np.asarray(self.counts, dtype=np.int64)
         object.__setattr__(self, "counts", counts)
         if counts.ndim == 1:
-            if counts.size == 0 or np.any(counts < 1):
+            if counts.size == 0 or counts.min() < 1:
                 raise ValueError("quantities must be a nonempty vector of positive integers")
             return
         present = counts > 0
-        if (counts.ndim != 2 or counts.size == 0 or np.any(counts < 0) or not present[:, 0].all()
-                or np.any(present[:, 1:] > present[:, :-1])):
+        if (counts.ndim != 2 or counts.size == 0 or counts.min() < 0 or not present[:, 0].all()
+                or (present[:, 1:] > present[:, :-1]).any()):
             raise ValueError("stacked quantities must be a (K, G) matrix of rows of positive "
                              "integers, each padded with zeros after its last entity")
 
@@ -108,11 +110,12 @@ def compute_cost_matrix(scores, types, gold) -> np.ndarray:
     left, right, type_probs = scores.left.data, scores.right.data, types.probs
     if isinstance(gold, list):
         gold = gold_array(gold, left.shape[-1], type_probs.shape[-1] - 1)
+    rows = left.size // left.shape[-1]
+    row = np.arange(rows).reshape(left.shape[:-1] + (1,))  # each query's flattened row
     at = gold[..., None, :, :]  # every query looks up the same G rows
-    cost = -(np.take_along_axis(type_probs, at[..., 2], -1)
-             + np.take_along_axis(left, at[..., 0], -1)
-             + np.take_along_axis(right, at[..., 1], -1))
-    if not np.all(np.isfinite(cost)):
+    cost = -(type_probs.reshape(rows, -1)[row, at[..., 2]] + left.reshape(rows, -1)[row, at[..., 0]]
+             + right.reshape(rows, -1)[row, at[..., 1]])
+    if not np.isfinite(cost).all():
         raise NumericError("non-finite assignment costs")
     return cost
 
@@ -151,7 +154,8 @@ def allocate_quantities(
 
 def _lockstep_min_cost_flow(cost: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Owner per query (G when free) of K min-cost flows at once; flow k gives
-    entity b counts[k, b] queries. ``cost`` is (K, M, G), +inf where the count is 0.
+    entity b counts[k, b] queries. ``cost`` is (K, M, G); its entries where
+    the count is 0 are ignored.
 
     Successive shortest paths: each unit of flow takes a cheapest path from a
     free query to an entity with spare capacity, possibly moving queries
@@ -162,6 +166,7 @@ def _lockstep_min_cost_flow(cost: np.ndarray, counts: np.ndarray) -> np.ndarray:
     once, so predecessor chains cannot cycle under float rounding.
     Round r augments every instance that needs more than r units; absent
     entities stay at +inf distance and are never settled before real ones.
+    The arrays are indexed flat, instance k's node a at k * G + a.
 
     Ties go to lower indices: the flow ends at the lowest-indexed spare entity
     among the cheapest, Dijkstra settles equal labels in index order and keeps
@@ -171,81 +176,107 @@ def _lockstep_min_cost_flow(cost: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """
     instances, queries, entities = cost.shape
     source = entities
-    rows = np.arange(instances)
     inf = np.inf
-    owner = np.full((instances, queries), source)
-    cost = cost.transpose(0, 2, 1).copy()  # (K, G, M): a query's costs down a column
+    present = counts > 0
+    instance = np.arange(instances)
+    nodes = instance * entities  # instance k's node 0
     # held[k, a, b, j]: the cost change of moving query j from a to b, +inf
     # unless a holds j; a = G is the source, which holds the free queries
     held = np.full((instances, entities + 1, entities, queries), inf)
-    held[:, source] = cost
-    # weight[k, a, b]: the cheapest move from a to b
-    weight = held.min(axis=3)
+    cost = np.where(present[:, None, :], cost, inf)
+    held[:, source] = cost.transpose(0, 2, 1)
+    blocks = held.reshape(-1, entities, queries)  # block k * (G + 1) + a
+    blocks_at = instance * (entities + 1)
+    held_rows = held.reshape(-1, queries)  # row (k * (G + 1) + a) * G + b
+    costs = cost.reshape(-1, entities)  # row k * M + j: query j's costs
+    queries_at = instance * queries
+    flat_cost = costs.reshape(-1)
+    # weight[k * G + a, b]: the cheapest move from entity a to b
+    weight = np.full((instances * entities, entities), inf)
+    owner = np.full(instances * queries, source)
     potential = np.zeros((instances, entities))
     spare = counts.copy()
-    real = counts > 0
     rounds = counts.sum(axis=1)
-    absent = np.where(real, 0.0, inf)
-    dist, key, offset, reach = (np.empty((instances, entities)) for _ in range(4))
+    absent = np.where(present, 0.0, inf)
+    # key is dist with +inf at settled nodes; one copy relaxes both
+    key_dist = np.empty((2, instances, entities))
+    key, dist = key_dist
+    offset, reach = np.empty((instances, entities)), np.empty((instances, entities))
     pred = np.empty((instances, entities), dtype=np.int64)
+    better = np.empty((instances, entities), dtype=bool)
+    flat_key, flat_offset, flat_reach, flat_pred, flat_spare = (
+        x.reshape(-1) for x in (key, offset, reach, pred, spare))
     for r in range(int(rounds.max())):
         live = rounds > r
-        np.subtract(weight[:, source], potential, out=dist)
-        np.copyto(key, dist)
+        np.subtract(held[:, source].min(axis=2), potential, out=key_dist)
+        pred.fill(source)
         # x + offset is x - potential at unsettled nodes and +inf at settled
         # and absent ones, so those are never relaxed
         np.subtract(absent, potential, out=offset)
-        pred.fill(source)
-        for _ in range(entities - 1):
+        # before round 1 no entity holds a query, so no edge leaves one
+        for _ in range(entities - 1 if r else 0):
             a = key.argmin(axis=1)
-            base = key[rows, a] + potential[rows, a]
-            key[rows, a] = inf
-            offset[rows, a] = inf
-            d = base[:, None] + weight[rows, a]
+            at = a + nodes
+            np.add(key, potential, out=reach)
+            base = flat_reach[at]
+            flat_key[at] = inf
+            flat_offset[at] = inf
+            d = weight.take(at, axis=0)
+            d += base[:, None]
             d += offset
-            better = d < key
-            np.copyto(key, d, where=better)
-            np.copyto(dist, d, where=better)
+            np.less(d, key, out=better)
+            np.copyto(key_dist, d, where=better)
             np.copyto(pred, a[:, None], where=better)
         np.add(dist, potential, out=reach)
         np.copyto(reach, inf, where=spare == 0)
         target = reach.argmin(axis=1)
-        spare[rows, target] -= live
-        np.add(potential, dist, out=potential, where=real & live[:, None])
+        flat_spare[target + nodes] -= live
+        np.add(potential, dist, out=potential, where=present & live[:, None])
         # walk each path back from its target; the target only gains a query,
-        # every later node also lost one a step before, so its row is rebuilt
-        walking = np.flatnonzero(live)
+        # every later node also lost one a step before, so its row is rebuilt.
+        # A walker carries its instance's node 0, held block 0 and query 0.
+        walking = live.nonzero()[0]
+        node, block, query = nodes[walking], blocks_at[walking], queries_at[walking]
         b = target[walking]
         first = True
-        while walking.size:
-            a = pred[walking, b]
-            j = held[walking, a, b].argmin(axis=1)
-            owner[walking, j] = b
-            gained = cost[walking, :, j]
-            gained -= gained[np.arange(walking.size), b][:, None]
-            held[walking, a, :, j] = inf
-            held[walking, b, :, j] = gained
+        while True:
+            at = node + b
+            a = flat_pred[at]
+            lost, won = block + a, block + b
+            j = held_rows.take(lost * entities + b, axis=0).argmin(axis=1)
+            moved = query + j
+            owner[moved] = b
+            gained = costs.take(moved, axis=0)
+            gained -= flat_cost[moved * entities + b][:, None]
+            blocks[lost, :, j] = inf
+            blocks[won, :, j] = gained
             if first:
-                weight[walking, b] = np.minimum(weight[walking, b], gained)
+                weight[at] = np.minimum(weight.take(at, axis=0), gained)
             else:
-                weight[walking, b] = held[walking, b].min(axis=2)
+                weight[at] = blocks.take(won, axis=0).min(axis=2)
             on_path = a != source
-            walking, b, first = walking[on_path], a[on_path], False
-        held[:, source].min(axis=2, out=weight[:, source])
-    return owner
+            if not np.count_nonzero(on_path):
+                break
+            node, block, query, b = node[on_path], block[on_path], query[on_path], a[on_path]
+            first = False
+    return owner.reshape(instances, queries)
 
 
-def _fold_owners(cost: np.ndarray, owners: np.ndarray,
-                 entities: list[int]) -> list[AssignmentResult]:
-    """Each instance's result from its (M,) owners, any index of G_k or above
-    where free, and its (M, G_k) costs, the first G_k columns of ``cost[k]``."""
-    free = np.array(entities)[:, None]
-    labels = np.minimum(owners, free)
-    extended = (labels[..., None] == np.arange(cost.shape[-1] + 1)).astype(np.int64)
-    picked = np.take_along_axis(cost, np.minimum(labels, cost.shape[-1] - 1)[..., None], axis=2)
-    totals = np.where(labels < free, picked[..., 0], 0.0).sum(axis=1)
-    return [AssignmentResult(matrix=e[:, :g], extended=e[:, :g + 1], labels=l, total_cost=t)
-            for e, l, g, t in zip(extended, labels, entities, totals.tolist())]
+def _total_costs(cost: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """Each instance's summed cost at its owners, (K,) from (K, M, G) costs
+    and (K, M) owners, or a 0-d total from one instance's; a free query's
+    owner is G and adds 0."""
+    entities = cost.shape[-1]
+    column = np.minimum(owner, entities - 1).ravel()
+    picked = cost.reshape(-1, entities)[np.arange(owner.size), column].reshape(owner.shape)
+    return np.where(owner < entities, picked, 0.0).sum(axis=-1)
+
+
+def _fold_owners(cost: np.ndarray, owner: np.ndarray) -> AssignmentResult:
+    """One instance's result from its (M, G) costs and (M,) owners, G where free."""
+    extended = (owner[:, None] == np.arange(cost.shape[1] + 1)).astype(np.int64)
+    return AssignmentResult(matrix=extended[:, :-1], extended=extended, labels=owner,
+                            total_cost=float(_total_costs(cost, owner)))
 
 
 def solve_one_to_many_lap(cost: np.ndarray, quantities: QuantityVector):
@@ -253,26 +284,23 @@ def solve_one_to_many_lap(cost: np.ndarray, quantities: QuantityVector):
 
     With one instance's (M, G) costs and (G,) quantities, returns its
     ``AssignmentResult``. With a stack, (K, M, G_max) costs and (K, G_max)
-    quantities, solves the K instances in lockstep and returns one result
-    per instance, each for that instance's own G columns; costs at padded
-    entities are ignored.
+    quantities, solves the K instances in lockstep and returns their (K, M)
+    owners, G_max where a query is free, and their (K,) total costs; costs
+    at padded entities are ignored.
     """
     cost = np.asarray(cost, dtype=np.float64)
     counts = quantities.counts
     if (cost.ndim != counts.ndim + 1 or cost.shape[:-2] != counts.shape[:-1]
             or cost.shape[-1] != counts.shape[-1]):
         raise ValueError(f"quantities of shape {counts.shape} for costs of shape {cost.shape}")
-    stacked = counts.reshape(-1, counts.shape[-1])
     queries = cost.shape[-2]
-    needed = stacked.sum(axis=1)
-    if needed.max() > queries:
-        raise InfeasibleError(
-            f"total assignable quantity {needed.max()} exceeds {queries} queries"
-        )
-    cost = np.where(stacked[:, None, :] > 0, cost.reshape(len(stacked), queries, -1), np.inf)
-    owners = _lockstep_min_cost_flow(cost, stacked)
-    results = _fold_owners(cost, owners, (stacked > 0).sum(axis=1).tolist())
-    return results if counts.ndim == 2 else results[0]
+    needed = counts.sum(axis=-1).max()
+    if needed > queries:
+        raise InfeasibleError(f"total assignable quantity {needed} exceeds {queries} queries")
+    if counts.ndim == 1:
+        return _fold_owners(cost, _lockstep_min_cost_flow(cost[None], counts[None])[0])
+    owner = _lockstep_min_cost_flow(cost, counts)
+    return owner, _total_costs(cost, owner)
 
 
 def brute_force_lap(cost: np.ndarray, quantities: QuantityVector) -> AssignmentResult:
@@ -295,4 +323,4 @@ def brute_force_lap(cost: np.ndarray, quantities: QuantityVector) -> AssignmentR
     totals = replicated[rows, np.arange(quantities.total)].sum(axis=1)
     owner = np.full(queries, entities)
     owner[rows[np.argmin(totals)]] = entity_of_column
-    return _fold_owners(cost[None], owner[None], [entities])[0]
+    return _fold_owners(cost, owner)

@@ -3,8 +3,9 @@
 Everything the encoder, prediction heads, and losses need: a small set of
 differentiable operations over numpy arrays, a single-sweep backward pass,
 and a central-difference gradient checker. CPU only. Training and every
-gradient run in float64; an op computes in its operands' dtype, so a
-no-grad pass over float32 parameters (decoding) computes in float32.
+gradient run in float64. An op computes in its operands' dtype, so a
+no-grad pass over float32 parameters (decoding) computes in float32, and a
+gradient rule allocates in its gradient's dtype, seeded in the loss's.
 
 Every operation hands its result to ``_record``, the one place that decides
 whether to record it: only while gradients are on (outside ``no_grad``) and
@@ -384,9 +385,12 @@ def _pair_relu_score_grad(g, a, b, w, a_tracked, b_tracked, w_tracked, bias_trac
     a3, b3, g3 = a.reshape(-1, m, h), b.reshape(-1, n, h), g.reshape(-1, m, n)
     negative_b = np.negative(b3)
     s_a, s_b = np.empty_like(a3), np.empty_like(b3)
-    active = np.empty((m, n, h))  # one sentence's pairs at a time
+    active = np.empty((m, n, h), np.result_type(g, b))  # one sentence's pairs at a time
     for i in range(len(a3)):
-        np.greater(a3[i, :, None], negative_b[i], out=active)
+        # filled from the contiguous operand first: a broadcast copy, then one
+        # in-place compare, beats comparing two broadcast operands
+        np.copyto(active, negative_b[i])
+        np.less(active, a3[i, :, None], out=active)
         np.einsum("ij,ijh->ih", g3[i], active, out=s_a[i])
         np.einsum("ij,ijh->jh", g3[i], active, out=s_b[i])
     scorer = w[:, 0]
@@ -425,7 +429,8 @@ def pair_relu_score(a, b, w, bias) -> Tensor:
     fused = np.empty((m, n, h), dtype)
     pairs = fused.reshape(m * n, h)
     for i in range(len(a3)):
-        np.add(a3[i, :, None], b3[i], out=fused)
+        np.copyto(fused, b3[i])  # see _pair_relu_score_grad
+        np.add(fused, a3[i, :, None], out=fused)
         np.maximum(fused, 0.0, out=fused)
         np.dot(pairs, w.data[i] if stacked else w.data, out=data[i])
     data += bias.data
@@ -486,7 +491,7 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
 
 
 def _narrow_grad(g, shape, index):
-    full = np.zeros(shape)
+    full = np.zeros(shape, g.dtype)
     full[index] = g
     return (full,)
 
@@ -503,7 +508,7 @@ def narrow(x, axis: int, start: int, length: int) -> Tensor:
 
 
 def _take_rows_grad(g, shape, ids):
-    full = np.zeros(shape)
+    full = np.zeros(shape, g.dtype)
     np.add.at(full, ids, g)
     return (full,)
 
@@ -668,9 +673,10 @@ def attention(q, k, v, mask, heads: int) -> Tensor:
 
 def _layer_norm_grad(g, y, inv, gamma, gamma_tracked, beta_tracked):
     if gamma is not None:  # kept only when x is tracked
+        h = y.shape[-1]
         dy = g * gamma
-        mean_dy = dy.mean(axis=-1, keepdims=True)
-        mean_dyy = (dy * y).mean(axis=-1, keepdims=True)
+        mean_dy = dy.sum(axis=-1, keepdims=True) / h  # as in layer_norm
+        mean_dyy = (dy * y).sum(axis=-1, keepdims=True) / h
         gx = (dy - mean_dy - y * mean_dyy) * inv
     else:
         gx = None
@@ -744,7 +750,7 @@ def backward(loss: Tensor) -> list[Tensor]:
     reached: list[Tensor] = []
     if not loss.tracked:
         return reached
-    grads: dict[int, np.ndarray] = {id(_node_of(loss)): np.ones(())}
+    grads: dict[int, np.ndarray] = {id(_node_of(loss)): np.ones((), loss.data.dtype)}
     for node in reversed(topological_order(loss)):
         g = grads.pop(id(node), None)
         if g is None:

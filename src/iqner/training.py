@@ -301,7 +301,7 @@ def assign_labels(
     depth = len(head_outs)
     sizes = [len(gold) for gold in golds]
     # row k < G of sentence b is its gold entity k, and every later row is None
-    table = np.tile(np.array([-1, -1, types.none_id]), (batch, queries + 1, 1))
+    table = np.full((batch, queries + 1, 3), [-1, -1, types.none_id])
     for rows, gold in zip(table, golds):
         rows[:len(gold)] = gold
     owner = np.full((depth, batch, queries), queries)
@@ -319,12 +319,13 @@ def assign_labels(
         # the None rows past a sentence's own G gather costs that the solver ignores
         widest = table[:, :counts.shape[1]]
         cost = np.stack([compute_cost_matrix(*head_outs[layer], widest) for layer in layers], 1)
-        results = solve_one_to_many_lap(cost[solved].reshape(len(instances), queries, -1),
-                                        QuantityVector(counts))
-        labels = np.reshape([result.labels for result in results], (len(solved), len(layers), -1))
-        owner[:, solved] = labels.swapaxes(0, 1)  # one layer's labels go to all when shared
-        for (b, layer), result in zip(instances, results):
-            matched[b][layer] = result.total_cost
+        owners, totals = solve_one_to_many_lap(
+            cost[solved].reshape(len(instances), queries, -1), QuantityVector(counts))
+        # a free query's owner is the stack's width, a None row of every
+        # sentence; one layer's owners go to all layers when shared
+        owner[:, solved] = owners.reshape(len(solved), len(layers), queries).swapaxes(0, 1)
+        for (b, layer), total in zip(instances, totals.tolist()):
+            matched[b][layer] = total
     return table[np.arange(batch)[:, None], owner], matched
 
 

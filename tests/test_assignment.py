@@ -359,17 +359,17 @@ def test_lockstep_solve_matches_each_instance_alone(case):
         counts[k, :len(q)] = q.counts
     stacked = QuantityVector(counts)
     assert stacked.total == sum(q.total for _, q in instances)
-    together = solve_one_to_many_lap(cost, stacked)
-    assert len(together) == len(instances)
-    for (c, q), result in zip(instances, together):
+    owners, totals = solve_one_to_many_lap(cost, stacked)
+    assert owners.shape == (len(instances), queries) and totals.shape == (len(instances),)
+    for (c, q), owner, total in zip(instances, owners, totals):
         alone = solve_one_to_many_lap(c, q)
-        assert np.array_equal(result.labels, alone.labels)
-        assert np.array_equal(result.matrix, alone.matrix)
-        assert np.array_equal(result.extended, alone.extended)
-        assert result.total_cost == alone.total_cost
-        check_constraints(result, q)
-        owners = _serial_owners(c, q.counts.tolist())
-        assert np.array_equal(result.labels, owners)
+        free = alone.labels == len(q)  # the stack marks a free query with its own width
+        assert np.array_equal(owner, np.where(free, width, alone.labels))
+        assert np.array_equal(alone.matrix, alone.extended[:, :-1])
+        assert np.array_equal(alone.extended, np.eye(len(q) + 1, dtype=np.int64)[alone.labels])
+        assert total == alone.total_cost
+        check_constraints(alone, q)
+        assert np.array_equal(alone.labels, _serial_owners(c, q.counts.tolist()))
 
 
 def test_lockstep_single_entity_and_one_query_instances():
@@ -378,12 +378,34 @@ def test_lockstep_single_entity_and_one_query_instances():
     cost[1] = [[-1.0, -2.0]] * 4
     cost[2, :, 0] = [-0.1, -0.2, -0.3, -0.4]
     stacked = QuantityVector(np.array([[3, 0], [1, 2], [1, 0]]))
-    first, second, third = solve_one_to_many_lap(cost, stacked)
-    assert np.array_equal(first.labels, [0, 0, 1, 0])
-    assert first.matrix.shape == (4, 1) and first.extended.shape == (4, 2)
-    assert np.array_equal(second.labels, [1, 1, 0, 2])
-    assert np.array_equal(third.labels, [1, 1, 1, 0])
-    assert third.total_cost == -0.4
+    (first, second, third), totals = solve_one_to_many_lap(cost, stacked)
+    assert np.array_equal(first, [0, 0, 2, 0])
+    assert np.array_equal(second, [1, 1, 0, 2])
+    assert np.array_equal(third, [2, 2, 2, 0])
+    assert totals[2] == -0.4
+    alone = solve_one_to_many_lap(cost[0, :, :1], QuantityVector(np.array([3])))
+    assert np.array_equal(alone.labels, [0, 0, 1, 0])
+    assert alone.matrix.shape == (4, 1) and alone.extended.shape == (4, 2)
+    assert alone.total_cost == totals[0]
+
+
+def test_stacked_totals_are_the_owners_picked_costs():
+    """Each stacked total sums its instance's costs at its owners' entities. A
+    free query adds nothing, and a padded entity's cost, here NaN or -inf,
+    never enters an owner or a total."""
+    rng = np.random.default_rng(5)
+    counts = np.array([[3, 3, 3, 0], [2, 2, 2, 2], [4, 0, 0, 0], [1, 1, 0, 0]])
+    cost = np.where(counts[:, None, :] > 0, -rng.random((4, 12, 4)), np.nan)
+    cost[2, ::2, 1:] = -np.inf
+    with np.errstate(all="raise"):
+        owners, totals = solve_one_to_many_lap(cost, QuantityVector(counts))
+    for c, owner, total, q in zip(cost, owners, totals, counts):
+        held = owner < 4
+        assert np.array_equal(np.bincount(owner[held], minlength=4), q)
+        assert total == pytest.approx(c[held, owner[held]].sum(), rel=1e-12, abs=0)
+        entities = int((q > 0).sum())
+        alone = solve_one_to_many_lap(c[:, :entities], QuantityVector(q[:entities]))
+        assert total == alone.total_cost
 
 
 def test_stacked_quantities_are_checked():

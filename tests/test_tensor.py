@@ -569,6 +569,37 @@ def test_recorded_rules_hold_no_tensor():
         assert [np.shape(g) for g in grads] == [a.shape for a in args], name
 
 
+def test_gradient_rules_keep_a_float32_graph_in_float32(monkeypatch):
+    """Every rule of a float32 graph with no loss gets and returns float32
+    gradients, from the seed on, so backward never upcasts it. The losses
+    are left out: their targets are float64."""
+    rules = []
+    record = T._record
+
+    def spy(data, parents, rule, *saved):
+        def checked(g, *args):
+            grads = rule(g, *args)
+            rules.append((rule.__name__, g.dtype, {pg.dtype for pg in grads if pg is not None}))
+            return grads
+        return record(data, parents, checked, *saved)
+
+    monkeypatch.setattr(T, "_record", spy)
+    rng = np.random.default_rng(2)
+    for name, shapes, op in RECORDING_CASES:
+        if name in ("bce_with_logits", "softmax_cross_entropy"):
+            continue
+        args = [Tensor(rng.normal(size=shape).astype(np.float32), tracked=True)
+                for shape in shapes]
+        reached = backward(T.tsum(op(*args)))
+        assert len(reached) == len(args), name
+        assert all(p.grad.dtype == np.float32 for p in args), name
+    assert {"_take_rows_grad", "_narrow_grad", "_pair_relu_score_grad", "_layer_norm_grad",
+            "_attention_grad", "_tsum_grad"} <= {name for name, _, _ in rules}
+    upcast = [(name, g, out) for name, g, out in rules
+              if g != np.float32 or out != {np.dtype(np.float32)}]
+    assert not upcast, upcast
+
+
 def test_graph_objects_are_freed_without_the_cycle_collector():
     # a leaf or node that held itself would live until a cyclic collection,
     # so a discarded model's parameters would pile up until then
