@@ -25,7 +25,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .data import AnnotationError, EntityAnnotation
+from .data import AnnotationError, EntityAnnotation, check_span_end
 from .tensor import NumericError
 
 BRUTE_FORCE_LIMIT = 8
@@ -90,9 +90,7 @@ def gold_array(gold: list[EntityAnnotation], length: int, type_count: int) -> np
     type) rows in the given order, once every span is checked to end inside
     the sentence's ``length`` words and every type to be below ``type_count``."""
     for e in gold:
-        if e.right >= length:
-            raise AnnotationError(f"gold span ({e.left}, {e.right}) outside sentence of length "
-                                  f"{length}")
+        check_span_end(e.left, e.right, length)
         if e.type_id >= type_count:
             raise AnnotationError(f"gold type {e.type_id} outside inventory of size {type_count}")
     return np.array([(e.left, e.right, e.type_id) for e in gold], dtype=np.int64).reshape(-1, 3)

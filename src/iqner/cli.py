@@ -249,11 +249,10 @@ def _file_values(args: argparse.Namespace) -> dict:
     return {name: _config_value(name, _RUN_HINTS[name], v) for name, v in file_values.items()}
 
 
-def build_run_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, then the config file, then the subcommand's explicit flags.
-    A ``train`` knob that the file or a flag sets and the mode ignores is refused."""
-    values = _file_values(args)
-    values.update(_given(args, _COMMAND_FIELDS[args.command]))
+def build_run_config(args: argparse.Namespace, file_values: dict) -> RunConfig:
+    """Defaults, then ``file_values`` from the config file, then the subcommand's
+    explicit flags. A ``train`` knob that they set and the mode ignores is refused."""
+    values = {**file_values, **_given(args, _COMMAND_FIELDS[args.command])}
     config = RunConfig(**values)
     if args.command == "train":
         for (mode, value), knobs in _IGNORED_UNDER.items():
@@ -328,10 +327,10 @@ def cmd_train(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _decode(
-    config: RunConfig, args: argparse.Namespace, path: str | None, flag: str
+    config: RunConfig, args: argparse.Namespace, file_values: dict, path: str | None, flag: str
 ) -> tuple[Model, DatasetMeta, list[tuple[list[str], list]], Iterator[list[Prediction]]]:
     """What ``eval``, ``predict`` and ``stats`` share: check the thresholds,
-    that both paths are given and the config file's model knobs against the
+    that both paths are given and the config file's ``file_values`` against the
     checkpoint, check every line in ``path`` against its ``max_len``, and
     return the model, metadata and each line's tokens and gold entity rows
     with their predictions, decoded lazily in file order."""
@@ -342,7 +341,7 @@ def _decode(
     if not path:
         raise UsageError(f"{flag} PATH is required")
     model, meta, _ = load_checkpoint(config.checkpoint)
-    for key, value in _file_values(args).items():
+    for key, value in file_values.items():
         held = getattr(model.config, key, value)  # a training knob is not held
         if value != held and not (key == "max_len" and value < held):
             source, config_path = _config_file(args)
@@ -354,15 +353,15 @@ def _decode(
     return model, meta, lines, predictions
 
 
-def cmd_eval(config: RunConfig, args: argparse.Namespace) -> int:
-    _, _, lines, predictions = _decode(config, args, args.data, "--data")
+def cmd_eval(config: RunConfig, args: argparse.Namespace, file_values: dict) -> int:
+    _, _, lines, predictions = _decode(config, args, file_values, args.data, "--data")
     gold = [[EntityAnnotation(*row) for row in rows] for _, rows in lines]
     _emit(evaluate_corpus(list(predictions), gold).to_dict())
     return 0
 
 
-def cmd_predict(config: RunConfig, args: argparse.Namespace) -> int:
-    _, meta, _, predictions = _decode(config, args, args.input, "--input")
+def cmd_predict(config: RunConfig, args: argparse.Namespace, file_values: dict) -> int:
+    _, meta, _, predictions = _decode(config, args, file_values, args.input, "--input")
     for sentence in predictions:  # each line goes out as soon as its sentence is decoded
         _emit({
             "entities": [
@@ -375,8 +374,8 @@ def cmd_predict(config: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_stats(config: RunConfig, args: argparse.Namespace) -> int:
-    model, meta, lines, predictions = _decode(config, args, args.data, "--data")
+def cmd_stats(config: RunConfig, args: argparse.Namespace, file_values: dict) -> int:
+    model, meta, lines, predictions = _decode(config, args, file_values, args.data, "--data")
     stats = query_affinity_stats(zip(predictions, (len(t) for t, _ in lines)), model.config.queries,
                                  meta.type_count)
     stats["types"] = meta.types
@@ -466,14 +465,15 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_datagen(args)
         if args.command == "gradcheck":
             return cmd_gradcheck(args)
-        config = build_run_config(args)
+        file_values = _file_values(args)  # the one read of the config file
+        config = build_run_config(args, file_values)
         if args.command == "train":
             return cmd_train(config, args)
         if args.command == "eval":
-            return cmd_eval(config, args)
+            return cmd_eval(config, args, file_values)
         if args.command == "predict":
-            return cmd_predict(config, args)
-        return cmd_stats(config, args)
+            return cmd_predict(config, args, file_values)
+        return cmd_stats(config, args, file_values)
     except BrokenPipeError:
         # the downstream consumer closed the pipe; silence interpreter-exit noise
         devnull = os.open(os.devnull, os.O_WRONLY)

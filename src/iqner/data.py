@@ -52,15 +52,19 @@ def entity_row(left: int, right: int, type_id: int) -> tuple[int, int, int]:
     return left, right, type_id
 
 
+def check_span_end(left: int, right: int, length: int) -> None:
+    """Raise unless the span ``(left, right)`` ends inside a sentence of ``length`` words."""
+    if right >= length:
+        raise AnnotationError(f"span ({left}, {right}) exceeds sentence length {length}")
+
+
 def check_sentence(tokens: list[str], rows: list[tuple[int, int, int]]) -> None:
     """Raise unless there are tokens, and each entity row ends inside them and is new."""
     if not tokens:
         raise DatasetError("sentence with no tokens")
     seen = set()
     for row in rows:
-        if row[1] >= len(tokens):
-            raise AnnotationError(
-                f"span ({row[0]}, {row[1]}) exceeds sentence length {len(tokens)}")
+        check_span_end(row[0], row[1], len(tokens))
         if row in seen:
             raise AnnotationError(f"duplicate entity triple {row}")
         seen.add(row)

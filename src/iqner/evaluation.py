@@ -38,13 +38,6 @@ class MatchCounts:
         p, r = self.precision, self.recall
         return 2.0 * p * r / (p + r) if p + r > 0 else 0.0
 
-    def __add__(self, other: "MatchCounts") -> "MatchCounts":
-        return MatchCounts(
-            gold=self.gold + other.gold,
-            predicted=self.predicted + other.predicted,
-            correct=self.correct + other.correct,
-        )
-
     def as_dict(self) -> dict:
         return {"p": self.precision, "r": self.recall, "f1": self.f1}
 
@@ -56,13 +49,6 @@ class EvalReport:
     ner: MatchCounts = field(default_factory=MatchCounts)
     localization: MatchCounts = field(default_factory=MatchCounts)
     classification: MatchCounts = field(default_factory=MatchCounts)
-
-    def __add__(self, other: "EvalReport") -> "EvalReport":
-        return EvalReport(
-            ner=self.ner + other.ner,
-            localization=self.localization + other.localization,
-            classification=self.classification + other.classification,
-        )
 
     def to_dict(self) -> dict:
         return {
@@ -124,9 +110,12 @@ def evaluate_corpus(
     """Micro-averaged report: per-sentence counts summed, metrics recomputed."""
     report = EvalReport()
     for predictions, gold in zip(prediction_lists, gold_lists):
-        ner = strict_match(predictions, gold)
         loc, cls = subtask_metrics(predictions, gold)
-        report = report + EvalReport(ner=ner, localization=loc, classification=cls)
+        for total, counts in ((report.ner, strict_match(predictions, gold)),
+                              (report.localization, loc), (report.classification, cls)):
+            total.gold += counts.gold
+            total.predicted += counts.predicted
+            total.correct += counts.correct
     return report
 
 

@@ -770,20 +770,22 @@ def backward(loss: Tensor) -> list[Tensor]:
     return reached
 
 
-def _analytic_gradient(loss: Callable[[], Tensor], point: Tensor, eps: float) -> np.ndarray:
-    """d(loss())/d(point), flat, by backward() from the scalar ``loss()``."""
+def _analytic_gradient(loss: Callable[[], Tensor], points: list[Tensor], eps: float) -> np.ndarray:
+    """d(loss())/d(point) for every point, flat and in order, by one backward()
+    from the scalar ``loss()``."""
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    if not point.tracked:
+    if not all(point.tracked for point in points):
         raise ValueError("grad_check point must be tracked")
-    point.zero_grad()
+    for point in points:
+        point.zero_grad()
     out = loss()
     if out.ndim != 0:
         raise DimensionError(f"grad_check target must be scalar, got shape {out.shape}")
     if not np.isfinite(out.data):
         raise NumericError("grad_check: function value is not finite")
     backward(out)
-    return point.grad.reshape(-1).copy()
+    return np.concatenate([point.grad.reshape(-1) for point in points])
 
 
 def _max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -798,7 +800,7 @@ def grad_check(f: Callable[[Tensor], Tensor], point: Tensor, eps: float) -> floa
     max(1e-8, |analytic| + |numeric|). ``f`` must return a scalar tensor and
     may read ``point`` directly; its data is perturbed in place and restored.
     """
-    analytic = _analytic_gradient(lambda: f(point), point, eps)
+    analytic = _analytic_gradient(lambda: f(point), [point], eps)
     flat = point.data.reshape(-1)
     numeric = np.zeros_like(analytic)
     with no_grad():
@@ -815,34 +817,39 @@ def grad_check(f: Callable[[Tensor], Tensor], point: Tensor, eps: float) -> floa
     return _max_relative_error(analytic, numeric)
 
 
-def grad_check_stacked(f: Callable[[int], Tensor], point: Tensor, eps: float) -> float:
-    """``grad_check`` with every perturbed evaluation in one forward pass.
+def grad_check_stacked(f: Callable[[int], Tensor], points: list[Tensor], eps: float) -> float:
+    """``grad_check`` at every point of ``points``: one backward gives every
+    analytic gradient, and one forward pass per point gives its differences.
 
     ``f(copies)`` evaluates the function on a batch of ``copies`` identical
-    inputs and returns one value per copy, (copies,); it reads ``point``
+    inputs and returns one value per copy, (copies,); it reads the points
     directly. The analytic gradient is taken of ``f(1)``. For the central
-    differences, ``point.data`` is replaced, inside ``no_grad``, by a stack
+    differences, a point's ``data`` is replaced, inside ``no_grad``, by a stack
     (``_is_stack``) of 2S perturbed copies, S its size: copy i has +eps on
     coordinate i, copy S + i has -eps on it. One ``f(2S)`` then gives every
-    difference, and ``point.data`` is restored.
+    difference, and the point's ``data`` is restored.
     """
-    if point.ndim > 2:
-        raise DimensionError(f"grad_check_stacked: point of shape {point.shape} has over 2 axes")
-    analytic = _analytic_gradient(lambda: tsum(f(1)), point, eps)
-    size, original = point.size, point.data
-    rows = original.reshape((1,) * (2 - original.ndim) + original.shape)  # a vector is one row
-    stack = np.repeat(rows[None], 2 * size, axis=0)
-    flat, coords = stack.reshape(2 * size, size), np.arange(size)
-    flat[coords, coords] += eps
-    flat[size + coords, coords] -= eps
-    point.data = stack
-    try:
-        with no_grad():
-            values = f(2 * size).data
-    finally:
-        point.data = original
-    if values.shape != (2 * size,):
-        raise DimensionError(f"grad_check_stacked: f({2 * size}) has shape {values.shape}")
-    if not np.all(np.isfinite(values)):
-        raise NumericError("grad_check: perturbed evaluation is not finite")
-    return _max_relative_error(analytic, (values[:size] - values[size:]) / (2.0 * eps))
+    analytic = _analytic_gradient(lambda: tsum(f(1)), points, eps)
+    numeric = []
+    for point in points:
+        if point.ndim > 2:
+            raise DimensionError(f"grad_check_stacked: point of shape {point.shape} has "
+                                 f"over 2 axes")
+        size, original = point.size, point.data
+        rows = original.reshape((1,) * (2 - original.ndim) + original.shape)  # a vector is one row
+        stack = np.repeat(rows[None], 2 * size, axis=0)
+        flat, coords = stack.reshape(2 * size, size), np.arange(size)
+        flat[coords, coords] += eps
+        flat[size + coords, coords] -= eps
+        point.data = stack
+        try:
+            with no_grad():
+                values = f(2 * size).data
+        finally:
+            point.data = original
+        if values.shape != (2 * size,):
+            raise DimensionError(f"grad_check_stacked: f({2 * size}) has shape {values.shape}")
+        if not np.all(np.isfinite(values)):
+            raise NumericError("grad_check: perturbed evaluation is not finite")
+        numeric.append((values[:size] - values[size:]) / (2.0 * eps))
+    return _max_relative_error(analytic, np.concatenate(numeric))

@@ -70,6 +70,7 @@ CHECKPOINT_FORMAT = "iqner-checkpoint-v2"
 # The type of each ModelConfig field, which a checkpoint's config value must have.
 CONFIG_HINTS = get_type_hints(ModelConfig)
 GRADCHECK_EPS = 1e-5
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 AssignmentMode = Literal["dynamic", "static"]
 QuantityMode = Literal["one_to_many", "one_to_one"]
@@ -338,13 +339,11 @@ class AdamOptimizer:
     ops on it, its ``grad`` and the moments ``m`` and ``v``, laid out alike.
     A step consumes ``grad``: it is clipped in place and then holds the update."""
 
-    def __init__(self, model: Model, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, model: Model):
         if model.grad is None:
             raise ValueError("the model is not trainable; it was built to decode")
         self.params = model.named_parameters()
         self.theta, self.grad = model.theta, model.grad
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self.m = np.zeros_like(self.theta)
         self.v = np.zeros_like(self.theta)
@@ -363,21 +362,21 @@ class AdamOptimizer:
             norm = math.sqrt(float(g @ g))
             if norm > max_grad_norm:
                 g *= max_grad_norm / norm
-        bias1 = 1.0 - self.beta1 ** self.step_count
-        bias2 = 1.0 - self.beta2 ** self.step_count
+        bias1 = 1.0 - ADAM_BETA1 ** self.step_count
+        bias2 = 1.0 - ADAM_BETA2 ** self.step_count
         m, v, tmp = self.m, self.v, self._scratch
         # m = beta1 * m + (1 - beta1) * g and v = beta2 * v + (1 - beta2) * (g * g)
-        m *= self.beta1
-        np.multiply(g, 1.0 - self.beta1, out=tmp)
+        m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
         m += tmp
-        v *= self.beta2
+        v *= ADAM_BETA2
         np.multiply(g, g, out=tmp)
-        tmp *= 1.0 - self.beta2
+        tmp *= 1.0 - ADAM_BETA2
         v += tmp
         # theta -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
         np.divide(v, bias2, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += self.eps
+        tmp += ADAM_EPS
         np.divide(m, bias1, out=g)
         g *= lr
         g /= tmp
@@ -680,8 +679,9 @@ def model_gradcheck(seed: int, eps: float = GRADCHECK_EPS, inject_error: bool = 
     negative control.
 
     The checked function is the training loss itself, ``sentence_loss`` of
-    ``Model.forward_batch``. Every perturbation of one parameter is one
-    sentence of a single batched forward (``grad_check_stacked``).
+    ``Model.forward_batch``. One backward gives every parameter's analytic
+    gradient, and every perturbation of one parameter is one sentence of a
+    single batched forward (``grad_check_stacked``).
     """
     tokens, queries, type_count = 3, 2, 2
     rng = np.random.default_rng(seed)
@@ -707,4 +707,4 @@ def model_gradcheck(seed: int, eps: float = GRADCHECK_EPS, inject_error: bool = 
             total = add(total, Tensor(0.05 * model.layers[0].wq.data.sum(axis=(-2, -1))))
         return total
 
-    return max(grad_check_stacked(loss, p, eps) for _, p in model.named_parameters())
+    return grad_check_stacked(loss, [p for _, p in model.named_parameters()], eps)

@@ -1,3 +1,4 @@
+import builtins
 import contextlib
 import dataclasses
 import io
@@ -40,6 +41,12 @@ def trained_checkpoint(corpus, tmp_path_factory):
     ])
     assert code == 0
     return out
+
+
+def _run_config(argv: list[str]) -> RunConfig:
+    """The RunConfig that ``main`` builds from ``argv``."""
+    args = build_parser().parse_args(argv)
+    return build_run_config(args, cli._file_values(args))
 
 
 def _parse_lines(captured: str):
@@ -241,7 +248,7 @@ def test_a_mode_with_its_ignored_knobs_at_their_defaults_trains(corpus, tmp_path
     """Only an explicitly set knob is refused; the defaults stand with any mode."""
     path, _ = corpus
     for mode in (["--quantity-mode", "one-to-one"], ["--assignment-mode", "static"]):
-        config = build_run_config(build_parser().parse_args(["train", *mode]))
+        config = _run_config(["train", *mode])
         assert config.ratio == RunConfig().ratio
     code = main(["train", "--train", str(path), "--out", str(tmp_path / "m.npz"), "--epochs", "1",
                  "--hidden", "16", "--queries", "4", "--layers", "1", "--heads", "2",
@@ -520,7 +527,7 @@ def test_type_hints_are_resolved_once_at_import(trained_checkpoint, tmp_path, mo
     config_path = tmp_path / "cfg.json"
     config_path.write_text(json.dumps({"cls_threshold": 0.5}))
     args = build_parser().parse_args(["predict", "--config", str(config_path)])
-    assert build_run_config(args).cls_threshold == 0.5
+    assert build_run_config(args, cli._file_values(args)).cls_threshold == 0.5
     load_checkpoint(trained_checkpoint)
     monkeypatch.undo()
     assert cli._RUN_HINTS == get_type_hints(RunConfig)
@@ -686,7 +693,7 @@ def test_train_flags_reach_config_fields():
     assert set(train_values).union(*(values for _, values in modes)) == {
         f.name for f in dataclasses.fields(TrainConfig)}
     for flags, mode_values in modes:
-        config = build_run_config(build_parser().parse_args(argv + flags))
+        config = _run_config(argv + flags)
         model = config.model_config(vocab_size=30, type_count=3)
         trainer = config.train_config()
         for name, value in model_values.items():
@@ -701,7 +708,7 @@ def test_config_file_and_flag_precedence(tmp_path):
     config_path.write_text(json.dumps({"queries": 24, "ratio": 0.5, "epochs": 9}))
     parser = build_parser()
     args = parser.parse_args(["train", "--config", str(config_path), "--queries", "8"])
-    config = build_run_config(args)
+    config = build_run_config(args, cli._file_values(args))
     assert config.queries == 8          # flag wins
     assert config.ratio == 0.5          # file wins over default
     assert config.epochs == 9
@@ -713,7 +720,7 @@ def test_env_var_config(tmp_path, monkeypatch):
     config_path.write_text(json.dumps({"hidden": 48, "heads": 6}))
     monkeypatch.setenv("PIQN_CONFIG", str(config_path))
     args = build_parser().parse_args(["train"])
-    config = build_run_config(args)
+    config = build_run_config(args, cli._file_values(args))
     assert config.hidden == 48 and config.heads == 6
 
 
@@ -722,7 +729,7 @@ def test_unknown_config_field_rejected(tmp_path):
     config_path.write_text(json.dumps({"nonsense": 1}))
     args = build_parser().parse_args(["train", "--config", str(config_path)])
     with pytest.raises(Exception):
-        build_run_config(args)
+        build_run_config(args, cli._file_values(args))
 
 
 def test_run_config_defaults_snapshot():
@@ -854,7 +861,7 @@ def test_train_checks_dev_lengths_before_training(corpus, tmp_path, capsys):
 def test_config_file_values_parse_like_flags(field, value, parsed, tmp_path):
     config_path = tmp_path / "cfg.json"
     config_path.write_text(json.dumps({field: value}))
-    config = build_run_config(build_parser().parse_args(["train", "--config", str(config_path)]))
+    config = _run_config(["train", "--config", str(config_path)])
     assert getattr(config, field) == parsed and type(getattr(config, field)) is type(parsed)
 
 
@@ -956,7 +963,7 @@ def knob_base_run(corpus, tmp_path_factory):
 def test_each_train_knob_changes_the_run_or_exits_2_naming_its_flag(name, knob_base_run,
                                                                     tmp_path, capsys):
     argv, base_stdout, base_checkpoint = knob_base_run
-    base = getattr(build_run_config(build_parser().parse_args(argv)), name)
+    base = getattr(_run_config(argv), name)
     value = _other_value(cli._HINTS[name], base)
     flag = cli._flag(name)
     out = tmp_path / "model.npz"
@@ -978,7 +985,7 @@ ASSIGNMENT_KNOBS = ("assignment_mode", "quantity_mode", "ratio", "share_final_as
 def _train_with_other_values(argv, names, out):
     """Exit code, stdout, stderr and checkpoint bytes (None unless it exits 0)
     of ``argv`` with each knob in ``names`` at a value other than ``argv``'s."""
-    config = build_run_config(build_parser().parse_args(argv))
+    config = _run_config(argv)
     flags = []
     for name in names:
         value = _other_value(cli._HINTS[name], getattr(config, name))
@@ -1049,6 +1056,29 @@ def test_decode_commands_take_the_config_file_of_the_whole_pipeline(command, tra
         "seed": 5, "one_way": True, "max_len": 8, "learning_rate": 0.5, "ratio": 0.5}))
     assert main(argv + ["--config", str(config_path)]) == 0
     assert capsys.readouterr().out == alone
+
+
+@pytest.mark.parametrize("command", ["eval", "predict", "stats"])
+def test_decode_commands_open_the_config_file_once(command, trained_checkpoint, corpus, tmp_path,
+                                                   monkeypatch, capsys):
+    """The run's settings and the check against the checkpoint come from one read."""
+    data = "--input" if command == "predict" else "--data"
+    argv = [command, "--checkpoint", str(trained_checkpoint), data, str(corpus[0])]
+    assert main(argv + ["--cls-threshold", "0.5"]) == 0
+    flagged = capsys.readouterr().out
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({"hidden": 16, "cls_threshold": 0.5}))
+    opened, real_open = [], builtins.open
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    assert main(argv + ["--config", str(config_path)]) == 0
+    monkeypatch.undo()
+    assert opened.count(str(config_path)) == 1
+    assert capsys.readouterr().out == flagged
 
 
 # Every `cli._SPEC_FIELDS` entry and --seed, checked against one default

@@ -100,8 +100,10 @@ def test_micro_average_equals_count_sum():
     golds = [[EntityAnnotation(0, 1, PER)], [EntityAnnotation(2, 3, ORG)]]
     preds = [[pred(0, 0, 1, PER)], [pred(0, 2, 3, PER)]]
     report = evaluate_corpus(preds, golds)
-    summed = strict_match(preds[0], golds[0]) + strict_match(preds[1], golds[1])
-    assert vars(report.ner) == vars(summed)
+    counts = [(strict_match(p, g), *subtask_metrics(p, g)) for p, g in zip(preds, golds)]
+    for i, total in enumerate((report.ner, report.localization, report.classification)):
+        assert vars(total) == {name: sum(getattr(c[i], name) for c in counts)
+                               for name in ("gold", "predicted", "correct")}
     payload = report.to_dict()
     assert set(payload) == {"ner", "loc", "cls", "counts"}
     assert payload["ner"]["p"] == report.ner.precision

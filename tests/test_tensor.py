@@ -706,22 +706,32 @@ def _stacked_model_loss(rng):
 def test_grad_check_stacked_equals_grad_check():
     for seed in range(3):
         f, params = _stacked_model_loss(np.random.default_rng(400 + seed))
+        singles = []
         for name, p in params.items():
             before = p.data.copy()
-            stacked = T.grad_check_stacked(f, p, 1e-5)
+            stacked = T.grad_check_stacked(f, [p], 1e-5)
             assert np.array_equal(p.data, before), name  # restored
             assert stacked == grad_check(lambda _: T.tsum(f(1)), p, 1e-5), name
             assert stacked < 1e-4, name
+            singles.append(stacked)
+        before = {name: p.data.copy() for name, p in params.items()}
+        assert T.grad_check_stacked(f, list(params.values()), 1e-5) == max(singles)
+        for name, p in params.items():
+            assert np.array_equal(p.data, before[name]), name  # every point restored
 
 
 def test_grad_check_stacked_catches_a_missing_gradient_and_bad_targets():
     f, params = _stacked_model_loss(np.random.default_rng(410))
-    w = params["w"]
+    w, points = params["w"], list(params.values())
     missing = lambda copies: T.add(f(copies), Tensor(w.data.sum(axis=(-2, -1))))  # noqa: E731
-    assert T.grad_check_stacked(missing, w, 1e-5) > 1e-2
-    with pytest.raises(ValueError):
-        T.grad_check_stacked(f, w, 0.0)
+    assert T.grad_check_stacked(missing, [w], 1e-5) > 1e-2
+    assert T.grad_check_stacked(missing, points, 1e-5) > 1e-2
+    for eps in (0.0, -1e-5):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            T.grad_check_stacked(f, points, eps)
+    with pytest.raises(ValueError, match="must be tracked"):
+        T.grad_check_stacked(f, [w, Tensor(np.zeros(4))], 1e-5)
     with pytest.raises(DimensionError):  # not one value per copy
-        T.grad_check_stacked(lambda copies: T.tsum(f(copies)), w, 1e-5)
+        T.grad_check_stacked(lambda copies: T.tsum(f(copies)), points, 1e-5)
     with pytest.raises(DimensionError):
-        T.grad_check_stacked(f, Tensor(np.zeros((2, 2, 2)), tracked=True), 1e-5)
+        T.grad_check_stacked(f, [w, Tensor(np.zeros((2, 2, 2)), tracked=True)], 1e-5)

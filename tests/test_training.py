@@ -195,14 +195,17 @@ def test_loss_targets_equal_the_query_by_query_loop(seed, monkeypatch):
 def test_gold_arrays_name_the_sentence_with_a_bad_span_or_type():
     from iqner.assignment import gold_array
 
-    with pytest.raises(AnnotationError,
-                       match=r"^gold span \(1, 2\) outside sentence of length 2$"):
+    with pytest.raises(AnnotationError, match=r"^span \(1, 2\) exceeds sentence length 2$"):
         gold_array([EntityAnnotation(0, 0, 0), EntityAnnotation(1, 2, 0)], 2, 3)
     examples = [SentenceExample(["a", "b"], [EntityAnnotation(0, 0, 2)]),
                 SentenceExample(["a"], [EntityAnnotation(0, 0, 4), EntityAnnotation(0, 0, 3)])]
     with pytest.raises(AnnotationError,
                        match="^sentence 1: gold type 4 outside inventory of size 3$"):
         gold_arrays(examples, 3, 4, static=False)
+    examples[1].entities.append(EntityAnnotation(0, 1, 0))  # past the check at construction
+    with pytest.raises(AnnotationError, match=r"^sentence 1: span \(0, 1\) exceeds sentence "
+                                              r"length 1$"):
+        gold_arrays(examples, 5, 4, static=False)
 
 
 @pytest.mark.parametrize("mode", ["dynamic", "static"])
@@ -754,8 +757,8 @@ def test_model_gradcheck_sees_a_missing_gradient_inside_encode(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_model_gradcheck_checks_each_parameter_once_on_the_full_loss(seed, monkeypatch):
-    """Each checked function's gradient on its parameter is that of the full
-    multi-layer loss under the same frozen labels."""
+    """One check covers every parameter once, and its function's gradient is
+    that of the full multi-layer loss under the same frozen labels."""
     seen, checks = {}, []
     forward, assign = Model.forward_batch, training.assign_labels
 
@@ -772,27 +775,28 @@ def test_model_gradcheck_checks_each_parameter_once_on_the_full_loss(seed, monke
     monkeypatch.setattr(Model, "forward_batch", recording_forward)
     monkeypatch.setattr(training, "assign_labels", recording_assign)
     monkeypatch.setattr(training, "grad_check_stacked",
-                        lambda f, point, eps: checks.append((f, point)) or 0.0)
+                        lambda f, points, eps: checks.append((f, points)) or 0.0)
     model_gradcheck(seed=seed)
     model, token_ids = seen["model"], seen["token_ids"]
     params = [p for _, p in model.named_parameters()]
-    assert sorted(id(p) for _, p in checks) == sorted(id(p) for p in params)
+    ((f, points),) = checks
+    assert sorted(id(p) for p in points) == sorted(id(p) for p in params)
 
     model.zero_grad()
     _, head_outs = model.forward_batch([token_ids])
     backward(sentence_loss(head_outs, seen["targets"], [len(token_ids)]))
     full = {id(p): p.grad.copy() for p in params}
-    for f, p in checks:
-        p.zero_grad()
-        backward(tsum(f(1)))
+    model.zero_grad()
+    backward(tsum(f(1)))
+    for p in points:
         assert np.array_equal(p.grad, full[id(p)])
 
 
 def test_model_gradcheck_equals_the_serial_check(monkeypatch):
     """Batching the perturbations changes no bit of the result."""
     batched = model_gradcheck(seed=1)
-    monkeypatch.setattr(training, "grad_check_stacked",
-                        lambda f, point, eps: grad_check(lambda _: tsum(f(1)), point, eps))
+    monkeypatch.setattr(training, "grad_check_stacked", lambda f, points, eps: max(
+        grad_check(lambda _: tsum(f(1)), point, eps) for point in points))
     assert model_gradcheck(seed=1) == batched
 
 
